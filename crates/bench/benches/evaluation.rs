@@ -1,7 +1,8 @@
-//! C6 — naive vs semi-naive Γ evaluation (an implementation ablation; the
-//! two modes are observably identical, see `park_engine::seminaive`), plus
-//! the parallel variants of both modes at 2 and 4 threads (also observably
-//! identical — the ordered merge reproduces the sequential stream).
+//! C6 — naive vs compiled (delta-driven) Γ evaluation (an implementation
+//! ablation; the two modes are observably identical, see
+//! `park_engine::bytecode`), plus the parallel compiled variants at 2 and 4
+//! threads (also observably identical — the ordered merge reproduces the
+//! sequential stream).
 //!
 //! Recursive workloads make naive evaluation re-derive the entire closure
 //! every step (O(steps × |closure| × joins)); the delta-driven evaluator
@@ -23,37 +24,37 @@ fn bench_modes(c: &mut Criterion) {
             &facts,
             EngineOptions::default(),
         );
-        let semi = Session::new(
+        let compiled = Session::new(
             &wl::transitive_closure_program(),
             &facts,
-            EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
         );
         // The modes must agree before we time them.
         assert!(naive
             .run_inertia()
             .database
-            .same_facts(&semi.run_inertia().database));
+            .same_facts(&compiled.run_inertia().database));
 
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| black_box(naive.run_inertia().database.len()))
         });
-        group.bench_with_input(BenchmarkId::new("semi_naive", n), &n, |b, _| {
-            b.iter(|| black_box(semi.run_inertia().database.len()))
+        group.bench_with_input(BenchmarkId::new("compiled", n), &n, |b, _| {
+            b.iter(|| black_box(compiled.run_inertia().database.len()))
         });
         for threads in [2usize, 4] {
             let par = Session::new(
                 &wl::transitive_closure_program(),
                 &facts,
                 EngineOptions::default()
-                    .with_evaluation(EvaluationMode::SemiNaive)
+                    .with_evaluation(EvaluationMode::Compiled)
                     .with_parallelism(Some(threads)),
             );
             assert!(par
                 .run_inertia()
                 .database
-                .same_facts(&semi.run_inertia().database));
+                .same_facts(&compiled.run_inertia().database));
             group.bench_with_input(
-                BenchmarkId::new(format!("semi_naive_t{threads}"), n),
+                BenchmarkId::new(format!("compiled_t{threads}"), n),
                 &n,
                 |b, _| b.iter(|| black_box(par.run_inertia().database.len())),
             );
@@ -71,16 +72,16 @@ fn bench_modes_path(c: &mut Criterion) {
             &wl::path_edges(n),
             EngineOptions::default(),
         );
-        let semi = Session::new(
+        let compiled = Session::new(
             &wl::transitive_closure_program(),
             &wl::path_edges(n),
-            EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
         );
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| black_box(naive.run_inertia().database.len()))
         });
-        group.bench_with_input(BenchmarkId::new("semi_naive", n), &n, |b, _| {
-            b.iter(|| black_box(semi.run_inertia().database.len()))
+        group.bench_with_input(BenchmarkId::new("compiled", n), &n, |b, _| {
+            b.iter(|| black_box(compiled.run_inertia().database.len()))
         });
     }
     group.finish();

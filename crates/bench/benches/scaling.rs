@@ -58,7 +58,7 @@ fn bench_closure_parallel(c: &mut Criterion) {
             &wl::transitive_closure_program(),
             &facts,
             EngineOptions::default()
-                .with_evaluation(park_engine::EvaluationMode::SemiNaive)
+                .with_evaluation(park_engine::EvaluationMode::Compiled)
                 .with_parallelism(if threads == 1 { None } else { Some(threads) }),
         );
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {

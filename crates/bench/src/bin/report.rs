@@ -433,10 +433,10 @@ fn c5_ablation() {
 
 fn c6_evaluation() {
     use park_engine::EvaluationMode;
-    println!("## C6 — naive vs semi-naive Γ evaluation (implementation ablation)\n");
+    println!("## C6 — naive vs compiled (delta-driven) Γ evaluation (implementation ablation)\n");
     println!("Transitive closure over G(n, 4/n), seed 9 — identical results:\n");
-    println!("| n | naive ms | semi-naive ms | speedup | fired naive | fired semi |");
-    println!("|---|----------|---------------|---------|-------------|------------|");
+    println!("| n | naive ms | compiled ms | speedup | fired naive | fired compiled |");
+    println!("|---|----------|-------------|---------|-------------|----------------|");
     for n in [32usize, 64, 128, 256] {
         let facts = wl::erdos_renyi_edges(n, 4.0 / n as f64, 9);
         let naive = Session::new(
@@ -444,20 +444,20 @@ fn c6_evaluation() {
             &facts,
             EngineOptions::default(),
         );
-        let semi = Session::new(
+        let compiled = Session::new(
             &wl::transitive_closure_program(),
             &facts,
-            EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
         );
-        let (no, so) = (naive.run_inertia(), semi.run_inertia());
-        assert!(no.database.same_facts(&so.database));
+        let (no, co) = (naive.run_inertia(), compiled.run_inertia());
+        assert!(no.database.same_facts(&co.database));
         let nm = median_time_ms(5, || naive.run_inertia());
-        let sm = median_time_ms(5, || semi.run_inertia());
+        let cm = median_time_ms(5, || compiled.run_inertia());
         println!(
-            "| {n} | {nm:.2} | {sm:.2} | {:.1}x | {} | {} |",
-            nm / sm.max(1e-6),
+            "| {n} | {nm:.2} | {cm:.2} | {:.1}x | {} | {} |",
+            nm / cm.max(1e-6),
             no.stats.groundings_fired,
-            so.stats.groundings_fired
+            co.stats.groundings_fired
         );
     }
     println!();
@@ -482,7 +482,7 @@ fn c7_warm_restarts(smoke: bool) {
         let (rules, facts) = wl::staggered_conflicts(k);
         for (mode_name, mode) in [
             ("naive", EvaluationMode::Naive),
-            ("semi_naive", EvaluationMode::SemiNaive),
+            ("compiled", EvaluationMode::Compiled),
         ] {
             let mk = |warm| {
                 Session::new(
@@ -581,14 +581,10 @@ fn bench_eval_json() {
         ),
     ];
     let mut results: Vec<Json> = Vec::new();
-    // C10 inputs: sequential medians on the roadmap's target workload.
-    let mut tc_semi_ms = None;
-    let mut tc_compiled_ms = None;
     for (workload, rules, facts) in &workloads {
         let mut first_state: Option<Vec<String>> = None;
         for (mode_name, mode) in [
             ("naive", EvaluationMode::Naive),
-            ("semi_naive", EvaluationMode::SemiNaive),
             ("compiled", EvaluationMode::Compiled),
         ] {
             for threads in [1usize, 2, 4] {
@@ -600,7 +596,7 @@ fn bench_eval_json() {
                         .with_parallelism(if threads == 1 { None } else { Some(threads) }),
                 );
                 let out = session.run_inertia();
-                // All three evaluators must agree before anything is timed.
+                // The evaluators must agree before anything is timed.
                 let state = out.database.sorted_display();
                 match &first_state {
                     None => first_state = Some(state),
@@ -609,13 +605,6 @@ fn bench_eval_json() {
                 let facts_n = out.database.len();
                 let bytes = out.database.encoded_bytes();
                 let ms = median_time_ms(5, || session.run_inertia());
-                if *workload == "tc_erdos_renyi_128" && threads == 1 {
-                    match mode {
-                        EvaluationMode::SemiNaive => tc_semi_ms = Some(ms),
-                        EvaluationMode::Compiled => tc_compiled_ms = Some(ms),
-                        EvaluationMode::Naive => {}
-                    }
-                }
                 results.push(Json::object([
                     ("mode", Json::str(mode_name)),
                     ("workload", Json::str(*workload)),
@@ -694,7 +683,7 @@ fn bench_eval_json() {
     // C9: cross-transaction incremental evaluation. A certified two-rule
     // program over a 100k-fact base; a chain of small insert transactions
     // is answered by the live warm state and, separately, re-run from
-    // scratch per transaction. The cold baseline uses semi-naive
+    // scratch per transaction. The cold baseline uses compiled
     // evaluation — the best from-scratch configuration — so the reported
     // speedup is conservative. Warm and cold outcomes are asserted
     // identical per transaction before anything is timed (the soundness
@@ -711,7 +700,7 @@ fn bench_eval_json() {
         let engine = Engine::with_options(
             Arc::clone(&vocab),
             &program,
-            EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
         )
         .expect("C9 program compiles");
         assert!(certify_incremental(engine.program()));
@@ -804,25 +793,9 @@ fn bench_eval_json() {
         println!("## C9 — cross-transaction incremental evaluation\n");
         println!(
             "c9_small_updates_100k ({facts_n} settled facts, {K}-transaction chain of \
-             1-fact inserts): warm {:.3} ms/tx amortized, cold semi-naive {:.3} ms/tx \
+             1-fact inserts): warm {:.3} ms/tx amortized, cold compiled {:.3} ms/tx \
              ({speedup:.1}x; single-threaded, algorithmic — no parallelism claim).\n",
             warm_ms, cold_ms,
-        );
-        speedup
-    };
-    // C10: the compiled bytecode evaluator (`--eval compiled`) vs the
-    // interpreted semi-naive plan walker, sequential, on the roadmap's
-    // target workload. Both rows already carry the honest
-    // `host_parallelism`/`cores_validated` flags in the grid above.
-    let c10_speedup = {
-        let semi = tc_semi_ms.expect("C10 semi-naive row measured");
-        let compiled = tc_compiled_ms.expect("C10 compiled row measured");
-        let speedup = semi / compiled.max(1e-9);
-        println!("## C10 — compiled evaluator (register bytecode)\n");
-        println!(
-            "c10_compiled tc_erdos_renyi_128: compiled {compiled:.2} ms vs \
-             semi-naive {semi:.2} ms ({speedup:.2}x; single-threaded, \
-             algorithmic — no parallelism claim).\n"
         );
         speedup
     };
@@ -853,7 +826,7 @@ fn bench_eval_json() {
         let engine = Engine::with_options(
             Arc::clone(&vocab),
             &program,
-            EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
         )
         .expect("C11 program compiles");
         assert!(
@@ -958,7 +931,7 @@ fn bench_eval_json() {
         println!(
             "c11_top_stratum_deletions_100k ({facts_n} settled facts, {K}-transaction chain \
              of 1-fact `flag` deletions): warm partial-stratum {:.3} ms/tx amortized, cold \
-             semi-naive {:.3} ms/tx ({speedup:.1}x; single-threaded, algorithmic — no \
+             compiled {:.3} ms/tx ({speedup:.1}x; single-threaded, algorithmic — no \
              parallelism claim).\n",
             warm_ms, cold_ms,
         );
@@ -968,7 +941,6 @@ fn bench_eval_json() {
         ("schema", Json::str("park-bench/eval-v1")),
         ("host_parallelism", Json::from(cores)),
         ("c9_small_update_speedup", Json::Float(c9_speedup)),
-        ("c10_compiled_speedup", Json::Float(c10_speedup)),
         ("c11_partial_stratum_speedup", Json::Float(c11_speedup)),
         ("results", Json::Array(results)),
     ]);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! park run <program.park> [--db <data.facts>] [--updates <tx.updates>]
-//!          [--policy <name>] [--scope all|one] [--eval naive|semi|compiled]
+//!          [--policy <name>] [--scope all|one] [--eval naive|compiled]
 //!          [--threads <n>] [--cold-restarts] [--trace] [--trace-json <f>]
 //!          [--stats] [--snapshot <out.json>] [--metrics <out.json>]
 //! park check <program.park>...
@@ -114,11 +114,12 @@ OPTIONS (run/baseline):
                       priority | specificity | transactions-win |
                       random[:seed] | interactive        (default: inertia)
   --scope <all|one>   conflicts resolved per restart     (default: all)
-  --eval <naive|semi|compiled>
+  --eval <naive|compiled>
                       grounding enumeration strategy     (default: naive);
                       `compiled` lowers rules to register bytecode with
-                      cost-model join ordering and index selection
-                      (see docs/compile.md)
+                      cost-model join ordering and index selection and
+                      joins each step against the previous step's delta
+                      (see docs/compile.md; `semi` is accepted for it)
   --threads <n>       evaluate each step on n threads with a deterministic
                       ordered merge: identical results
                       (default: no pool, single-threaded)
@@ -174,14 +175,7 @@ fn parse_run_args(args: Vec<String>) -> Result<RunArgs, String> {
                     other => return Err(format!("unknown scope `{other}`")),
                 }
             }
-            "--eval" => {
-                out.evaluation = match grab("--eval")?.as_str() {
-                    "naive" => EvaluationMode::Naive,
-                    "semi" | "semi-naive" | "seminaive" => EvaluationMode::SemiNaive,
-                    "compiled" | "compile" | "bytecode" => EvaluationMode::Compiled,
-                    other => return Err(format!("unknown evaluation mode `{other}`")),
-                }
-            }
+            "--eval" => out.evaluation = grab("--eval")?.parse()?,
             "--threads" => {
                 let raw = grab("--threads")?;
                 let n: usize = raw
@@ -372,14 +366,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                     other => return Err(format!("unknown scope `{other}`")),
                 }
             }
-            "--eval" => {
-                opts.evaluation = match grab("--eval")?.as_str() {
-                    "naive" => EvaluationMode::Naive,
-                    "semi" | "semi-naive" | "seminaive" => EvaluationMode::SemiNaive,
-                    "compiled" | "compile" | "bytecode" => EvaluationMode::Compiled,
-                    other => return Err(format!("unknown evaluation mode `{other}`")),
-                }
-            }
+            "--eval" => opts.evaluation = grab("--eval")?.parse()?,
             "--threads" => {
                 let raw = grab("--threads")?;
                 let n: usize = raw

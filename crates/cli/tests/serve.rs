@@ -320,7 +320,7 @@ fn served_streams_match_chained_one_shots_and_the_oracle() {
     for scenario in &scenarios {
         for policy in ["inertia", "prefer-insert"] {
             let oracle = oracle_deltas(scenario, policy);
-            for eval in ["naive", "semi"] {
+            for eval in ["naive", "compiled"] {
                 let served = serve_scenario_deltas(scenario, policy, eval);
                 let chained = chained_deltas(&dir, scenario, policy, eval);
                 assert_eq!(

@@ -1,10 +1,13 @@
-//! The compiled evaluator: flat register bytecode for rule bodies.
+//! The compiled evaluator: flat register bytecode for rule bodies, and the
+//! engine's only delta (semi-naive) evaluator.
 //!
-//! The third evaluation mode (`EvaluationMode::Compiled`) lowers each
-//! [`crate::compile::CompiledRule`] into a flat sequence of register-style
-//! ops ([`Op`]) over interned [`Code`] values — see [`crate::lower`](mod@crate::lower) for
-//! the lowering pass and its cost model. This module holds the lowered
-//! program representation and the batch executor that runs it.
+//! `EvaluationMode::Compiled` lowers each [`crate::compile::CompiledRule`]
+//! into a flat sequence of register-style ops ([`Op`]) over interned
+//! [`Code`] values — see [`crate::lower`](mod@crate::lower) for the
+//! lowering pass and its cost model. This module holds the lowered program
+//! representation and the batch executor that runs it. Warm incremental
+//! transactions (`crate::incremental`) propagate through the same
+//! executor.
 //!
 //! ## Execution model
 //!
@@ -15,32 +18,63 @@
 //! through. Frames reaching the end of the op list emit one
 //! [`FiredAction`] each (unless the grounding is blocked).
 //!
-//! Unlike the tree-walking interpreters in [`crate::gamma`] and
-//! [`crate::seminaive`], propagation is *batch-at-a-time*: frames flow
-//! through the ops in chunks of up to `CHUNK` (recursing once per chunk,
-//! not once per tuple), registers are plain `Code` slots with statically
-//! known boundness (no `Option`, no undo lists), and index probes go
-//! through [`park_storage::Relation::index_bucket`] — the op's own checks
-//! subsume the per-candidate verification a [`park_storage::Relation`]
-//! probe iterator would repeat.
+//! Unlike the tree-walking interpreter in [`crate::gamma`], propagation is
+//! *batch-at-a-time*: frames flow through the ops in chunks of up to
+//! `CHUNK` (recursing once per chunk, not once per tuple), registers are
+//! plain `Code` slots with statically known boundness (no `Option`, no
+//! undo lists), and index probes go through
+//! [`park_storage::Relation::index_bucket`] — the op's own checks subsume
+//! the per-candidate verification a [`park_storage::Relation`] probe
+//! iterator would repeat.
 //!
-//! ## Identity with the other evaluators
+//! ## Delta evaluation
 //!
-//! The delta-pass machinery mirrors [`crate::seminaive`] exactly: the same
-//! unit decomposition (negation-delta fallback, one pass per binding op
-//! with a provably non-empty delta window), the same window assignment,
-//! and the same shard-task grouping with ordered merge for parallel runs.
-//! Per Γ step the *set* of enumerated groundings is therefore identical to
-//! naive/semi-naive evaluation; only the emission order within a step may
-//! differ when the cost model reorders a join (the differential harness
-//! compares compiled runs under the order-free regime, and One-scope runs
-//! against their own sequential pivot — see `park_testkit::harness`).
+//! Naive evaluation ([`crate::gamma::fire_all`]) re-enumerates every valid
+//! grounding at every step. Within one inflationary run, however, a
+//! grounding that becomes valid at step *k* must use at least one mark
+//! added at step *k−1* (zones only grow, and a negated literal can only
+//! *become* valid through a new `-b` mark) — so each step after the first
+//! only needs to join against the previous step's **delta**.
+//!
+//! [`fire_new_lowered`] enumerates exactly the groundings that became valid
+//! in the last step, using the classic decomposition: for each binding op
+//! position *d* (in op order), op *d* ranges over the delta window,
+//! earlier binding ops over the pre-delta (old) window, later ones over the
+//! full extension — every new grounding is produced exactly once, at its
+//! first delta position. A delta pass whose window provably gained nothing
+//! is planned out. Rules whose negated literals gained new `-b` marks fall
+//! back to full enumeration for that step (the only way a negated literal
+//! becomes valid without any binding-literal delta).
+//!
+//! ## Identity with naive evaluation
+//!
+//! Per Γ step the *set* of enumerated groundings new to the run equals
+//! naive evaluation's (the lockstep tests below drive both evaluators
+//! through whole runs and compare per step). The heads of *old* groundings
+//! are already marked in `I`, so the inflationary step adds the same marks
+//! either way, and conflict sides are always merged with the run's
+//! provenance (which holds every grounding that ever fired), so `SELECT`
+//! sees identical `(a, ins, del)` triples. Only the emission order within a
+//! step may differ when the cost model reorders a join: the differential
+//! harness compares compiled runs under the order-free regime, and
+//! One-scope runs against their own sequential pivot (see
+//! `park_testkit::harness`).
+//!
+//! ## Parallel evaluation: shard ownership
+//!
+//! The enumeration decomposes into *units* — one full unit per
+//! negation-delta rule, one unit per `(rule, delta position)` pair
+//! otherwise, in sequential emission order. Units are grouped into shard
+//! tasks by the predicate their rule's first op enumerates, exactly as in
+//! [`crate::gamma`]: each stored relation is driven by one task, and
+//! per-unit buffers are merged back into unit order, so the fired stream is
+//! byte-identical to the sequential one. The decomposition depends only on
+//! the program and the step's deltas — never on the thread count.
 
 use crate::compile::RuleId;
 use crate::gamma::{merge_units, FiredAction};
 use crate::grounding::{BlockedSet, Grounding};
 use crate::interp::IInterpretation;
-use crate::seminaive::ZoneLens;
 use crate::validity;
 use park_storage::hash::hash_codes;
 use park_storage::{Code, ColumnMask, FxHashMap, PredId, Relation, Value};
@@ -50,6 +84,41 @@ use park_syntax::{CompOp, Sign};
 /// next op once per chunk, so join depth costs one call per `CHUNK` frames
 /// instead of one per tuple.
 pub(crate) const CHUNK: usize = 1024;
+
+/// Per-predicate sizes of the `I⁺` and `I⁻` zones at a step boundary: the
+/// delta window of a step is the rows between two captures.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ZoneLens {
+    plus: Vec<u32>,
+    minus: Vec<u32>,
+}
+
+impl ZoneLens {
+    /// Capture the current zone sizes of an interpretation.
+    pub fn capture(interp: &IInterpretation) -> Self {
+        let n = interp.vocab().pred_count();
+        let len_of = |store: &park_storage::FactStore, i: usize| {
+            store.relation(PredId(i as u32)).map_or(0u32, |r| {
+                u32::try_from(r.len()).expect("relation too large")
+            })
+        };
+        ZoneLens {
+            plus: (0..n).map(|i| len_of(interp.plus(), i)).collect(),
+            minus: (0..n).map(|i| len_of(interp.minus(), i)).collect(),
+        }
+    }
+
+    /// Size of `pred`'s `I⁺` zone; 0 for a predicate past the end of the
+    /// capture (interned after it was taken).
+    pub(crate) fn plus_len(&self, pred: PredId) -> u32 {
+        self.plus.get(pred.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Size of `pred`'s `I⁻` zone; 0 past the end of the capture.
+    pub(crate) fn minus_len(&self, pred: PredId) -> u32 {
+        self.minus.get(pred.0 as usize).copied().unwrap_or(0)
+    }
+}
 
 /// Source of one probe-key column or head column: a compile-time constant
 /// or a frame register.
@@ -135,9 +204,10 @@ pub struct AccessOp {
     pub mask: ColumnMask,
     /// Probe-key sources, one per `mask` column in ascending column order.
     pub key: Box<[KeySrc]>,
-    /// Cost-model verdict: probe the *base* zone through its hash index
-    /// (`true`) or scan it (`false`). `I⁺`/`I⁻` zones always probe when
-    /// the mask is non-empty (they grow without bound during a run).
+    /// Cost-model verdict: build the *base* zone's hash index for this
+    /// mask (`true`) or scan the base (`false`); a base index that exists
+    /// anyway is probed. `I⁺`/`I⁻` zones always probe when the mask is
+    /// non-empty (they grow without bound during a run).
     pub index_base: bool,
     /// Column equality checks — cover every constant and bound-variable
     /// column, subsuming probe verification.
@@ -186,7 +256,7 @@ pub struct LoweredRule {
     /// The ops, in execution order.
     pub(crate) ops: Box<[Op]>,
     /// Indices (into `ops`) of the binding access ops, in op order — the
-    /// delta positions of semi-naive-style passes.
+    /// delta positions of delta passes.
     pub(crate) binding_ops: Box<[u32]>,
     /// The zone each binding op's delta pass watches, parallel to
     /// `binding_ops`.
@@ -211,8 +281,7 @@ pub(crate) enum Window {
     Full,
 }
 
-/// One unit of compiled evaluation, in sequential emission order —
-/// mirrors `crate::seminaive`'s unit decomposition.
+/// One unit of compiled evaluation, in sequential emission order.
 #[derive(Debug, Clone, Copy)]
 enum CompiledUnit {
     /// Full enumeration of one rule (step 0, or the negation-delta
@@ -331,8 +400,11 @@ fn push_bound(buf: &mut FrameBuf, frame: &[Code], binds: &[ColBind], row: &[Code
 }
 
 /// Enumerate the rows of `rel` in insertion positions `[lo, hi)` that pass
-/// the op's checks against `frame`, through the hash index when the cost
-/// model picked one (falling back to a scan when the index is absent).
+/// the op's checks against `frame`, through the op's hash index when the
+/// zone carries a current one (falling back to a scan when it does not).
+/// The cost model's `index_base` verdict decides which base indexes get
+/// built; one that exists anyway — a warm state's base zone grows past its
+/// build-time size — is always worth probing.
 #[inline]
 fn enum_zone(
     rel: &Relation,
@@ -340,7 +412,6 @@ fn enum_zone(
     frame: &[Code],
     lo: u32,
     hi: u32,
-    use_index: bool,
     mut f: impl FnMut(&[Code]),
 ) {
     let hi = hi.min(u32::try_from(rel.len()).expect("relation too large"));
@@ -348,7 +419,7 @@ fn enum_zone(
     if lo >= hi {
         return;
     }
-    if use_index && !op.mask.is_empty() {
+    if !op.mask.is_empty() {
         let h = hash_codes(op.key.iter().map(|k| k.value(frame)));
         if let Some(bucket) = rel.index_bucket(op.mask, h) {
             // Candidates are ascending positions; the checks verify them
@@ -388,7 +459,7 @@ fn expand_access(
             // window (the base cannot contain delta rows).
             if window != Window::Delta {
                 if let Some(rel) = base {
-                    enum_zone(rel, op, frame, 0, u32::MAX, op.index_base, |row| {
+                    enum_zone(rel, op, frame, 0, u32::MAX, |row| {
                         push_bound(buf, frame, &op.binds, row);
                     });
                 }
@@ -403,7 +474,7 @@ fn expand_access(
                 // empty — on recursive workloads every derived row lives
                 // in I⁺ alone.
                 let dedup = base.is_some_and(|b| !b.is_empty());
-                enum_zone(rel, op, frame, lo, hi, true, |row| {
+                enum_zone(rel, op, frame, lo, hi, |row| {
                     if dedup && cx.interp.base().contains_row(op.pred, row) {
                         return; // deduplicated against the base zone
                     }
@@ -430,7 +501,7 @@ fn expand_access(
                     Window::Delta => (plen, clen),
                     Window::Full => (0, u32::MAX),
                 };
-                enum_zone(rel, op, frame, lo, hi, true, |row| {
+                enum_zone(rel, op, frame, lo, hi, |row| {
                     push_bound(buf, frame, &op.binds, row);
                 });
             }
@@ -562,11 +633,14 @@ fn run_pass(
     scratch.windows = windows;
 }
 
-/// The delta units of one compiled step, mirroring
-/// `crate::seminaive::plan_units`: body-less rules never re-fire, a rule
-/// whose negated literal gained `-b` marks falls back to full enumeration,
-/// and every other rule gets one pass per binding op whose delta window
-/// provably gained marks.
+/// The delta units of one compiled step, in sequential emission order:
+/// body-less rules never re-fire, a rule whose negated literal gained `-b`
+/// marks falls back to full enumeration, and every other rule gets one pass
+/// per binding op whose delta window provably gained marks. A pass whose
+/// delta window is empty could not emit a single grounding but would still
+/// scan every earlier op's old window — planning it out is what keeps
+/// small-update transactions O(delta) instead of O(state); only the task
+/// count observes the difference.
 fn plan_units(rules: &[LoweredRule], prev: &ZoneLens, curr: &ZoneLens) -> Vec<CompiledUnit> {
     let mut units = Vec::new();
     for (rule_idx, lr) in rules.iter().enumerate() {
@@ -599,7 +673,7 @@ fn plan_units(rules: &[LoweredRule], prev: &ZoneLens, curr: &ZoneLens) -> Vec<Co
 
 /// Group unit indices into shard tasks by the predicate their rule's first
 /// op enumerates (first-appearance order); rules enumerating no shard get
-/// their own task — the same decomposition as the other evaluators, so the
+/// their own task — the same decomposition as [`crate::gamma`]'s, so the
 /// task count is thread-independent.
 fn plan_shards(rules: &[LoweredRule], units: &[CompiledUnit]) -> Vec<Vec<usize>> {
     let mut tasks: Vec<Vec<usize>> = Vec::new();
@@ -708,8 +782,10 @@ pub(crate) fn fire_all_lowered_metered(
     run_units(rules, units, &cx, threads, workers, spans)
 }
 
-/// Compiled delta enumeration: the groundings that became valid in the
-/// last step — the compiled analogue of [`crate::seminaive::fire_new`].
+/// Compiled delta enumeration: every non-blocked grounding using at least
+/// one mark from the `(prev, curr]` delta — the groundings that became
+/// valid in the last step. `prev` and `curr` are the zone sizes at the
+/// starts of the previous and current steps.
 pub fn fire_new_lowered(
     lowered: &crate::lower::LoweredProgram,
     blocked: &BlockedSet,
@@ -745,18 +821,17 @@ pub(crate) fn fire_new_lowered_metered(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compile::CompiledProgram;
-    use crate::gamma::fire_all;
-    use crate::lower::lower;
-    use crate::seminaive::fire_new;
+    use crate::gamma::{fire_all, fire_all_par};
+    use crate::lower::{lower, LoweredProgram};
     use park_storage::{FactStore, Vocabulary};
     use park_syntax::parse_program;
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    fn setup(rules: &str, facts: &str) -> (CompiledProgram, FactStore) {
+    pub(crate) fn setup(rules: &str, facts: &str) -> (CompiledProgram, FactStore) {
         let vocab = Vocabulary::new();
         let program =
             CompiledProgram::compile(Arc::clone(&vocab), &parse_program(rules).unwrap()).unwrap();
@@ -768,57 +843,85 @@ mod tests {
         fired.iter().map(|f| f.grounding.clone()).collect()
     }
 
-    /// Drive naive, semi-naive and compiled evaluation in lockstep and
-    /// assert the per-step *new* grounding sets agree — and that parallel
-    /// compiled runs reproduce the sequential compiled stream byte for
-    /// byte.
-    fn lockstep(rules: &str, facts: &str, max_steps: usize) {
+    /// How a lockstep run takes its first step.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Seeding {
+        /// Step 0 runs the lowered program too, over unindexed zones: the
+        /// cold fixpoint loop's shape.
+        Lowered,
+        /// Step 0 is naive Γ and the zones carry every index a warm state
+        /// builds: the shape of [`crate::incremental::WarmState`], whose
+        /// build seeds through Γ and whose transactions run delta steps.
+        Gamma,
+    }
+
+    /// Build every index a warm state's zones carry: the lowered
+    /// program's and the interpreted planner's.
+    pub(crate) fn warm_indexes(
+        program: &CompiledProgram,
+        lowered: &LoweredProgram,
+        interp: &mut IInterpretation,
+    ) {
+        for req in lowered
+            .index_requests()
+            .iter()
+            .chain(program.index_requests())
+        {
+            interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
+        }
+    }
+
+    /// Drive naive and compiled evaluation in lockstep and assert the
+    /// per-step *new* grounding sets agree — and that parallel compiled
+    /// runs reproduce the sequential compiled stream byte for byte.
+    pub(crate) fn lockstep(rules: &str, facts: &str, max_steps: usize, seeding: Seeding) {
         let (program, db) = setup(rules, facts);
         let lowered = lower(&program, &db);
         let blocked = BlockedSet::new();
         let mut interp = IInterpretation::from_database(db);
+        if let Seeding::Gamma = seeding {
+            warm_indexes(&program, &lowered, &mut interp);
+        }
         let mut seen: HashSet<Grounding> = HashSet::new();
         let mut prev = ZoneLens::capture(&interp);
 
         for step in 0..max_steps {
             let naive_fired = fire_all(&program, &blocked, &interp);
             let curr = ZoneLens::capture(&interp);
-            let compiled_fired = if step == 0 {
-                fire_all_lowered(&lowered, &blocked, &interp)
-            } else {
-                fire_new_lowered(&lowered, &blocked, &interp, &prev, &curr)
+            let compiled_fired = match (step, seeding) {
+                (0, Seeding::Lowered) => fire_all_lowered(&lowered, &blocked, &interp),
+                (0, Seeding::Gamma) => fire_all(&program, &blocked, &interp),
+                _ => fire_new_lowered(&lowered, &blocked, &interp, &prev, &curr),
             };
-            if step > 0 {
-                let semi_fired = fire_new(&program, &blocked, &interp, &prev, &curr);
-                assert_eq!(
-                    grounding_set(&compiled_fired),
-                    grounding_set(&semi_fired),
-                    "compiled vs semi at step {step}"
-                );
-            }
             for threads in [2, 4] {
-                let par = if step == 0 {
-                    fire_all_lowered_metered(
-                        &lowered,
-                        &blocked,
-                        &interp,
-                        Some(threads),
-                        threads,
-                        None,
-                    )
-                    .0
-                } else {
-                    fire_new_lowered_metered(
-                        &lowered,
-                        &blocked,
-                        &interp,
-                        &prev,
-                        &curr,
-                        Some(threads),
-                        threads,
-                        None,
-                    )
-                    .0
+                let par = match (step, seeding) {
+                    (0, Seeding::Lowered) => {
+                        fire_all_lowered_metered(
+                            &lowered,
+                            &blocked,
+                            &interp,
+                            Some(threads),
+                            threads,
+                            None,
+                        )
+                        .0
+                    }
+                    (0, Seeding::Gamma) => {
+                        fire_all_par(&program, &blocked, &interp, Some(threads)).0
+                    }
+                    _ => {
+                        fire_new_lowered_metered(
+                            &lowered,
+                            &blocked,
+                            &interp,
+                            &prev,
+                            &curr,
+                            Some(threads),
+                            threads,
+                            None,
+                        )
+                        .0
+                    }
                 };
                 assert_eq!(
                     par, compiled_fired,
@@ -856,78 +959,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lockstep_transitive_closure() {
-        lockstep(
-            "edge(X, Y) -> +tc(X, Y). tc(X, Y), edge(Y, Z) -> +tc(X, Z).",
-            "edge(a, b). edge(b, c). edge(c, d). edge(d, a).",
-            32,
-        );
-    }
+    /// The lockstep battery, instantiated once per [`Seeding`]: cold-shaped
+    /// here, warm-shaped in `crate::seminaive`.
+    macro_rules! lockstep_cases {
+        ($seeding:expr) => {
+        #[test]
+        fn lockstep_transitive_closure() {
+            lockstep(
+                "edge(X, Y) -> +tc(X, Y). tc(X, Y), edge(Y, Z) -> +tc(X, Z).",
+                "edge(a, b). edge(b, c). edge(c, d). edge(d, a).",
+                32,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_with_negation() {
-        lockstep(
-            "p(X) -> +q(X). q(X), !r(X) -> +s(X). s(X) -> +r2(X).",
-            "p(a). p(b). r(a).",
-            16,
-        );
-    }
+        #[test]
+        fn lockstep_with_negation() {
+            lockstep(
+                "p(X) -> +q(X). q(X), !r(X) -> +s(X). s(X) -> +r2(X).",
+                "p(a). p(b). r(a).",
+                16,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_negation_flips_via_minus() {
-        lockstep(
-            "p(X) -> -c(X). c(X), !c(X) -> +w(X). q(X), !c(X) -> +z(X).",
-            "p(a). c(a). q(a).",
-            16,
-        );
-    }
+        #[test]
+        fn lockstep_negation_flips_via_minus() {
+            // !c(X) becomes valid only after -c(X) is derived: the negation
+            // fallback must catch the late grounding.
+            lockstep(
+                "p(X) -> -c(X). c(X), !c(X) -> +w(X). q(X), !c(X) -> +z(X).",
+                "p(a). c(a). q(a).",
+                16,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_events() {
-        lockstep(
-            "p(X) -> +r(X). +r(X) -> -s(X). -s(X) -> +t(X).",
-            "p(a). p(b). s(a). s(b).",
-            16,
-        );
-    }
+        #[test]
+        fn lockstep_events() {
+            lockstep(
+                "p(X) -> +r(X). +r(X) -> -s(X). -s(X) -> +t(X).",
+                "p(a). p(b). s(a). s(b).",
+                16,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_joins_and_constants() {
-        lockstep(
-            "e(X, Y), e(Y, Z) -> +p2(X, Z). p2(X, a) -> +hit(X). p2(X, Y), e(Y, W) -> +p3(X, W).",
-            "e(a, b). e(b, a). e(b, c). e(c, a).",
-            24,
-        );
-    }
+        #[test]
+        fn lockstep_joins_and_constants() {
+            lockstep(
+                "e(X, Y), e(Y, Z) -> +p2(X, Z). p2(X, a) -> +hit(X). p2(X, Y), e(Y, W) -> +p3(X, W).",
+                "e(a, b). e(b, a). e(b, c). e(c, a).",
+                24,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_with_guards() {
-        lockstep(
-            "edge(X, Y) -> +d(X, Y). d(X, Y), edge(Y, Z), X != Z -> +d(X, Z).
-             val(N, Q), Q < 10 -> +small(N).",
-            "edge(a, b). edge(b, c). edge(c, a). val(n, 3). val(m, 30).",
-            24,
-        );
-    }
+        #[test]
+        fn lockstep_with_guards() {
+            lockstep(
+                "edge(X, Y) -> +d(X, Y). d(X, Y), edge(Y, Z), X != Z -> +d(X, Z).
+                 val(N, Q), Q < 10 -> +small(N).",
+                "edge(a, b). edge(b, c). edge(c, a). val(n, 3). val(m, 30).",
+                24,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_same_generation() {
-        lockstep(
-            "flat(X, Y) -> +sg(X, Y). up(X, X1), sg(X1, Y1), down(Y1, Y) -> +sg(X, Y).",
-            "flat(m, n). up(a, m). down(n, b). up(x, a). down(b, y). up(q, x). down(y, w).",
-            24,
-        );
-    }
+        #[test]
+        fn lockstep_same_generation() {
+            lockstep(
+                "flat(X, Y) -> +sg(X, Y). up(X, X1), sg(X1, Y1), down(Y1, Y) -> +sg(X, Y).",
+                "flat(m, n). up(a, m). down(n, b). up(x, a). down(b, y). up(q, x). down(y, w).",
+                24,
+                $seeding,
+            );
+        }
 
-    #[test]
-    fn lockstep_repeated_variables_and_cartesian() {
-        lockstep(
-            "q(X, X) -> -q(X, X). p(X), p(Y) -> +pair(X, Y).",
-            "q(a, a). q(a, b). p(a). p(b). p(c).",
-            8,
-        );
+        #[test]
+        fn lockstep_repeated_variables_and_cartesian() {
+            lockstep(
+                "q(X, X) -> -q(X, X). p(X), p(Y) -> +pair(X, Y).",
+                "q(a, a). q(a, b). p(a). p(b). p(c).",
+                8,
+                $seeding,
+            );
+        }
+        };
     }
+    pub(crate) use lockstep_cases;
+
+    lockstep_cases!(Seeding::Lowered);
 
     #[test]
     fn empty_body_rules_fire_once_and_do_not_refire() {
@@ -943,11 +1065,11 @@ mod tests {
 
     #[test]
     fn blocked_groundings_are_skipped() {
-        let (program, db) = setup("p(X) -> +q(X).", "p(a). p(b).");
+        let (program, db) = setup("p(X) -> +q(X). q(X) -> +r(X).", "p(a). p(b).");
         let lowered = lower(&program, &db);
         let v = Arc::clone(program.vocab());
-        let interp = IInterpretation::from_database(db);
-        let a = v.encode(park_storage::Value::Sym(v.sym("a")));
+        let mut interp = IInterpretation::from_database(db);
+        let a = v.encode(Value::Sym(v.sym("a")));
         let mut blocked = BlockedSet::new();
         blocked.insert(Grounding {
             rule: RuleId(0),
@@ -955,6 +1077,129 @@ mod tests {
         });
         let fired = fire_all_lowered(&lowered, &blocked, &interp);
         assert_eq!(fired.len(), 1);
+        // The delta passes skip blocked groundings too: block r1's
+        // grounding for `a` and feed it the q(a) delta.
+        let before = ZoneLens::capture(&interp);
+        for f in fire_all(&program, &BlockedSet::new(), &interp) {
+            interp.insert_marked(f.sign, f.pred, &f.tuple);
+        }
+        let after = ZoneLens::capture(&interp);
+        blocked.insert(Grounding {
+            rule: RuleId(1),
+            subst: Box::from([a]),
+        });
+        let fired = fire_new_lowered(&lowered, &blocked, &interp, &before, &after);
+        assert_eq!(fired.len(), 1, "{fired:?}");
+        assert_ne!(fired[0].grounding.subst[..], [a]);
+    }
+
+    #[test]
+    fn no_delta_means_no_firings() {
+        let (program, db) = setup("p(X) -> +q(X).", "p(a). p(b).");
+        let lowered = lower(&program, &db);
+        let mut interp = IInterpretation::from_database(db);
+        // Simulate step 1 applied.
+        let before = ZoneLens::capture(&interp);
+        for f in fire_all_lowered(&lowered, &BlockedSet::new(), &interp) {
+            interp.insert_marked(f.sign, f.pred, &f.tuple);
+        }
+        let after = ZoneLens::capture(&interp);
+        // Step 2 delta = the q marks; the rule only reads p → nothing new.
+        let fired = fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &before, &after);
+        assert!(fired.is_empty());
+        // And with a zero-width delta window, likewise nothing.
+        let fired = fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &after, &after);
+        assert!(fired.is_empty());
+    }
+
+    /// The delta position of `rule`'s binding op that watches `kind`.
+    fn delta_pos_of(lowered: &LoweredProgram, rule: usize, kind: DeltaKind) -> usize {
+        lowered.rules()[rule]
+            .delta_kinds
+            .iter()
+            .position(|&k| k == kind)
+            .unwrap_or_else(|| panic!("rule {rule} has no {kind:?} binding op"))
+    }
+
+    fn has_delta_unit(units: &[CompiledUnit], rule: usize, delta_pos: usize) -> bool {
+        units.iter().any(|u| {
+            matches!(*u, CompiledUnit::Delta { rule: r, delta_pos: d } if r == rule && d == delta_pos)
+        })
+    }
+
+    #[test]
+    fn plan_units_sees_delta_beyond_prev_lens_length() {
+        // A predicate that gained its first-ever marks after `prev` was
+        // captured has no entry in the prev lens at all — `plus_len` /
+        // `minus_len` must read it as 0, not skip the rule's delta pass.
+        // `ZoneLens::default()` has zero-length vectors, so every pred id
+        // exercises the out-of-range path.
+        let (program, db) = setup("p(X), q(X) -> +r(X).", "p(a).");
+        let lowered = lower(&program, &db);
+        let mut interp = IInterpretation::from_database(db);
+        let v = program.vocab();
+        let p = v.lookup_pred("p").unwrap();
+        let q = v.lookup_pred("q").unwrap();
+        let a = v.encode(Value::Sym(v.sym("a")));
+        let prev = ZoneLens::default();
+        assert!(interp.insert_marked(Sign::Insert, q, &[a]));
+        let curr = ZoneLens::capture(&interp);
+        let units = plan_units(lowered.rules(), &prev, &curr);
+        let q_pos = delta_pos_of(&lowered, 0, DeltaKind::Plus(q));
+        assert!(
+            has_delta_unit(&units, 0, q_pos),
+            "q's delta pass must be planned even though q is past the end \
+             of the prev lens: {units:?}"
+        );
+        // p gained nothing, so its delta position stays planned out.
+        let p_pos = delta_pos_of(&lowered, 0, DeltaKind::Plus(p));
+        assert!(!has_delta_unit(&units, 0, p_pos), "{units:?}");
+    }
+
+    #[test]
+    fn plan_units_tracks_the_zone_each_literal_enumerates() {
+        // Growth in one zone of a predicate must only wake the delta
+        // passes that enumerate that zone: a positive literal watches
+        // `I⁺`, a `-q` event literal watches `I⁻`.
+        let (program, db) = setup(
+            "p(X), q(X) -> +r(X). s(X), -q(X) -> +t(X).",
+            "p(a). s(a). q(a).",
+        );
+        let lowered = lower(&program, &db);
+        let mut interp = IInterpretation::from_database(db);
+        let v = program.vocab();
+        let q = v.lookup_pred("q").unwrap();
+        let a = v.encode(Value::Sym(v.sym("a")));
+        let plus_q = delta_pos_of(&lowered, 0, DeltaKind::Plus(q));
+        let minus_q = delta_pos_of(&lowered, 1, DeltaKind::Minus(q));
+        let rule_units = |units: &[CompiledUnit], rule: usize| {
+            units
+                .iter()
+                .any(|u| matches!(*u, CompiledUnit::Delta { rule: r, .. } if r == rule))
+        };
+
+        // Minus-only growth: the Pos q literal (rule 0) stays asleep, the
+        // -q event literal (rule 1) wakes.
+        let prev = ZoneLens::capture(&interp);
+        assert!(interp.insert_marked(Sign::Delete, q, &[a]));
+        let curr = ZoneLens::capture(&interp);
+        let units = plan_units(lowered.rules(), &prev, &curr);
+        assert!(
+            !rule_units(&units, 0),
+            "minus growth must not schedule a plus-zone delta pass: {units:?}"
+        );
+        assert!(has_delta_unit(&units, 1, minus_q), "{units:?}");
+
+        // Plus-only growth on a later step: the converse.
+        let prev = ZoneLens::capture(&interp);
+        assert!(interp.insert_marked(Sign::Insert, q, &[v.encode(Value::Sym(v.sym("b")))]));
+        let curr = ZoneLens::capture(&interp);
+        let units = plan_units(lowered.rules(), &prev, &curr);
+        assert!(has_delta_unit(&units, 0, plus_q), "{units:?}");
+        assert!(
+            !rule_units(&units, 1),
+            "plus growth must not schedule a minus-zone delta pass: {units:?}"
+        );
     }
 
     #[test]
@@ -1011,8 +1256,8 @@ mod tests {
         let p = vocab.lookup_pred("p").unwrap();
         let q = vocab.lookup_pred("q").unwrap();
         for i in 0..60 {
-            db.insert_row(p, &[vocab.encode(park_storage::Value::Int(i))]);
-            db.insert_row(q, &[vocab.encode(park_storage::Value::Int(1000 + i))]);
+            db.insert_row(p, &[vocab.encode(Value::Int(i))]);
+            db.insert_row(q, &[vocab.encode(Value::Int(1000 + i))]);
         }
         let lowered = lower(&program, &db);
         let interp = IInterpretation::from_database(db);

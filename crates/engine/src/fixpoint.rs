@@ -15,6 +15,7 @@
 //! blocked set (else [`EngineError::NoProgress`]), and the blocked set is
 //! bounded by the finite number of rule groundings.
 
+use crate::bytecode::{self, ZoneLens};
 use crate::compile::CompiledProgram;
 use crate::conflict::{collect_conflicts, ConflictResolver, Provenance, Resolution, SelectContext};
 use crate::error::{EngineError, EngineResult};
@@ -27,7 +28,6 @@ use crate::metrics::{
 };
 use crate::options::{EngineOptions, EvaluationMode, ResolutionScope};
 use crate::replay::{Replayer, StepLog};
-use crate::seminaive::{self, ZoneLens};
 use crate::stats::RunStats;
 use crate::trace::{Trace, TraceEvent};
 use park_storage::{FactStore, UpdateSet, Vocabulary};
@@ -335,9 +335,8 @@ impl Engine {
                         // exactly what live evaluation would fire here.
                         // Keep the delta boundary current so a live
                         // hand-off after the log sees the right
-                        // (prev, curr] window (semi-naive and compiled
-                        // both window on it).
-                        if self.options.evaluation != EvaluationMode::Naive {
+                        // (prev, curr] window.
+                        if lowered.is_some() {
                             prev_lens = ZoneLens::capture(&interp);
                         }
                         stats.replayed_steps += 1;
@@ -346,8 +345,8 @@ impl Engine {
                     None => {
                         let threads = self.options.parallelism;
                         let span_out = if metered { Some(&mut spans) } else { None };
-                        match self.options.evaluation {
-                            EvaluationMode::Naive => gamma::fire_all_metered(
+                        match &lowered {
+                            None => gamma::fire_all_metered(
                                 &working,
                                 &blocked,
                                 &interp,
@@ -355,60 +354,30 @@ impl Engine {
                                 effective_threads,
                                 span_out,
                             ),
-                            EvaluationMode::SemiNaive => {
-                                if step_in_run == 0 {
-                                    gamma::fire_all_metered(
-                                        &working,
-                                        &blocked,
-                                        &interp,
-                                        threads,
-                                        effective_threads,
-                                        span_out,
-                                    )
-                                } else {
-                                    let curr = ZoneLens::capture(&interp);
-                                    let fired = seminaive::fire_new_metered(
-                                        &working,
-                                        &blocked,
-                                        &interp,
-                                        &prev_lens,
-                                        &curr,
-                                        threads,
-                                        effective_threads,
-                                        span_out,
-                                    );
-                                    prev_lens = curr;
-                                    fired
-                                }
+                            Some(lowered) if step_in_run == 0 => {
+                                bytecode::fire_all_lowered_metered(
+                                    lowered,
+                                    &blocked,
+                                    &interp,
+                                    threads,
+                                    effective_threads,
+                                    span_out,
+                                )
                             }
-                            EvaluationMode::Compiled => {
-                                let lowered = lowered
-                                    .as_ref()
-                                    .expect("compiled mode always lowers the program");
-                                if step_in_run == 0 {
-                                    crate::bytecode::fire_all_lowered_metered(
-                                        lowered,
-                                        &blocked,
-                                        &interp,
-                                        threads,
-                                        effective_threads,
-                                        span_out,
-                                    )
-                                } else {
-                                    let curr = ZoneLens::capture(&interp);
-                                    let fired = crate::bytecode::fire_new_lowered_metered(
-                                        lowered,
-                                        &blocked,
-                                        &interp,
-                                        &prev_lens,
-                                        &curr,
-                                        threads,
-                                        effective_threads,
-                                        span_out,
-                                    );
-                                    prev_lens = curr;
-                                    fired
-                                }
+                            Some(lowered) => {
+                                let curr = ZoneLens::capture(&interp);
+                                let fired = bytecode::fire_new_lowered_metered(
+                                    lowered,
+                                    &blocked,
+                                    &interp,
+                                    &prev_lens,
+                                    &curr,
+                                    threads,
+                                    effective_threads,
+                                    span_out,
+                                );
+                                prev_lens = curr;
+                                fired
                             }
                         }
                     }
@@ -921,8 +890,9 @@ mod tests {
     #[test]
     fn seminaive_mode_reproduces_every_inline_scenario() {
         // Every (rules, facts, expected) triple from this module's tests,
-        // re-run under semi-naive evaluation: results, restarts, steps and
-        // blocked sets must be identical to naive evaluation.
+        // re-run under semi-naive evaluation (the compiled delta
+        // evaluator): results, restarts, steps and blocked sets must be
+        // identical to naive evaluation.
         let scenarios = [
             ("p -> +q. p -> -a. q -> +a.", "p."),
             ("p -> +q. p -> -a. q -> +a. !a -> +r. a -> +s.", "p."),
@@ -948,23 +918,30 @@ mod tests {
         ];
         for (rules, facts) in scenarios {
             let naive = run_opts(rules, facts, EngineOptions::default());
-            let semi = run_opts(
+            let compiled = run_opts(
                 rules,
                 facts,
-                EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+                EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
             );
             assert!(
-                naive.database.same_facts(&semi.database),
+                naive.database.same_facts(&compiled.database),
                 "database mismatch for {rules}: {:?} vs {:?}",
                 naive.database.sorted_display(),
-                semi.database.sorted_display()
+                compiled.database.sorted_display()
             );
-            assert_eq!(naive.stats.restarts, semi.stats.restarts, "{rules}");
-            assert_eq!(naive.stats.gamma_steps, semi.stats.gamma_steps, "{rules}");
-            assert_eq!(naive.blocked_display(), semi.blocked_display(), "{rules}");
+            assert_eq!(naive.stats.restarts, compiled.stats.restarts, "{rules}");
+            assert_eq!(
+                naive.stats.gamma_steps, compiled.stats.gamma_steps,
+                "{rules}"
+            );
+            assert_eq!(
+                naive.blocked_display(),
+                compiled.blocked_display(),
+                "{rules}"
+            );
             assert!(
-                semi.stats.groundings_fired <= naive.stats.groundings_fired,
-                "semi-naive must not enumerate more: {rules}"
+                compiled.stats.groundings_fired <= naive.stats.groundings_fired,
+                "delta evaluation must not enumerate more: {rules}"
             );
         }
     }
@@ -982,16 +959,16 @@ mod tests {
             .unwrap()
             .run(&db, &updates, &mut Inertia)
             .unwrap();
-        let semi = Engine::with_options(
+        let compiled = Engine::with_options(
             Arc::clone(&vocab),
             &program,
-            EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive),
+            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
         )
         .unwrap()
         .run(&db, &updates, &mut Inertia)
         .unwrap();
-        assert!(naive.database.same_facts(&semi.database));
-        assert_eq!(naive.blocked_display(), semi.blocked_display());
+        assert!(naive.database.same_facts(&compiled.database));
+        assert_eq!(naive.blocked_display(), compiled.blocked_display());
     }
 
     // The cross-mode identity suites (parallel vs sequential, warm vs

@@ -54,7 +54,7 @@ pub struct FiredAction {
 /// a task) keeps the innermost join loop free of heap allocation.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    pub(crate) bindings: Vec<Option<Code>>,
+    bindings: Vec<Option<Code>>,
     keys: Vec<Vec<Code>>,
 }
 
@@ -65,7 +65,7 @@ impl Scratch {
     }
 
     /// Size the buffers for `rule` and clear stale bindings.
-    pub(crate) fn prepare(&mut self, rule: &CompiledRule) {
+    fn prepare(&mut self, rule: &CompiledRule) {
         self.bindings.clear();
         self.bindings.resize(rule.num_vars as usize, None);
         if self.keys.len() < rule.plan.len() {
@@ -77,12 +77,7 @@ impl Scratch {
     /// current bindings. Must be returned with [`Scratch::put_key`] (the
     /// take/put split lets the probe iterator borrow the key while the
     /// recursion below it borrows the scratch mutably).
-    pub(crate) fn take_key(
-        &mut self,
-        step: usize,
-        terms: &[TermSlot],
-        mask: ColumnMask,
-    ) -> Vec<Code> {
+    fn take_key(&mut self, step: usize, terms: &[TermSlot], mask: ColumnMask) -> Vec<Code> {
         let mut key = std::mem::take(&mut self.keys[step]);
         key.clear();
         let bindings = &self.bindings;
@@ -95,7 +90,7 @@ impl Scratch {
 
     /// Return a key buffer taken with [`Scratch::take_key`], keeping its
     /// capacity for the next grounding.
-    pub(crate) fn put_key(&mut self, step: usize, key: Vec<Code>) {
+    fn put_key(&mut self, step: usize, key: Vec<Code>) {
         self.keys[step] = key;
     }
 }
@@ -234,7 +229,7 @@ pub fn fire_rule(
 }
 
 /// [`fire_rule`] against caller-provided scratch.
-pub(crate) fn fire_rule_in(
+fn fire_rule_in(
     rule: &CompiledRule,
     blocked: &BlockedSet,
     interp: &IInterpretation,

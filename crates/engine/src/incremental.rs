@@ -5,8 +5,10 @@
 //! full `PARK(S, P, U)` evaluation from the current state `S` — but inside
 //! the *incrementality-safe fragment* the whole run is determined by a small
 //! delta, and the engine can keep a [`WarmState`] alive between transactions
-//! and answer the next update set by semi-naive propagation seeded from `U`
-//! alone.
+//! and answer the next update set by delta propagation seeded from `U`
+//! alone. Propagation runs the compiled bytecode executor
+//! ([`crate::bytecode::fire_new_lowered`]) on a [`LoweredProgram`] lowered
+//! once per [`WarmState::build`] — never per transaction.
 //!
 //! The fragment ([`certify_incremental`]): every rule inserts (`+` head),
 //! its body contains no event literals, and negation is *stratified* — no
@@ -23,7 +25,7 @@
 //! > groundings valid over `⟨∅, S⟩`, `minus` = ∅.
 //!
 //! A cold run on `S` marks precisely those heads (plus `U`) in its first Γ
-//! step; from step 2 on, semi-naive enumeration is driven only by marks
+//! step; from step 2 on, delta enumeration is driven only by marks
 //! whose atom is *not* in `S` (the Γ operator skips plus-rows shadowed by
 //! the base zone) and by deletion-zone growth (which falls back to full
 //! re-enumeration of the affected rules). The warm seed state — `U` marked
@@ -46,11 +48,12 @@
 //!
 //! [`Engine::run_retaining`]: crate::fixpoint::Engine::run_retaining
 
-use crate::compile::{CompiledLiteral, CompiledProgram, LitKind, RuleId};
+use crate::bytecode::{self, ZoneLens};
+use crate::compile::{CompiledLiteral, CompiledProgram, IndexRequest, LitKind, RuleId};
 use crate::fixpoint::ParkOutcome;
 use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
-use crate::seminaive::{self, ZoneLens};
+use crate::lower::{lower, LoweredProgram};
 use crate::stats::RunStats;
 use crate::strata::Strata;
 use crate::validity::MarkZone;
@@ -184,6 +187,11 @@ pub struct IncrementalReport {
 #[derive(Debug, Clone)]
 pub struct WarmState {
     interp: IInterpretation,
+    /// The program lowered against the state the warm state was built from:
+    /// every transaction's propagation runs it. The cost model's build-time
+    /// join order stays valid as the state grows — it only orders the
+    /// enumeration, never changes which groundings a step yields.
+    lowered: LoweredProgram,
 }
 
 impl WarmState {
@@ -206,6 +214,7 @@ impl WarmState {
         if !outcome.blocked.is_empty() {
             return None;
         }
+        let lowered = lower(program, &outcome.database);
         let negation_free = program.rules().iter().all(|rule| {
             !rule.body.iter().any(|lit| {
                 matches!(
@@ -223,10 +232,10 @@ impl WarmState {
                 for (p, r) in marks.iter_rows() {
                     interp.zone_mut(MarkZone::Plus).insert_row(p, r);
                 }
-                for req in program.index_requests() {
+                for req in warm_index_requests(program, &lowered) {
                     interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
                 }
-                return Some(WarmState { interp });
+                return Some(WarmState { interp, lowered });
             }
         }
         // General path: recompute the valid-grounding heads over the
@@ -235,7 +244,7 @@ impl WarmState {
         // escaping head means the outcome is not one (e.g. an uncertified
         // program mid-chain) and cannot seed a warm state.
         let mut interp = IInterpretation::from_database(outcome.database.clone());
-        for req in program.index_requests() {
+        for req in warm_index_requests(program, &lowered) {
             interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
         }
         let blocked = BlockedSet::new();
@@ -250,12 +259,12 @@ impl WarmState {
         for (p, r) in &heads {
             interp.zone_mut(MarkZone::Plus).insert_row(*p, r);
         }
-        for req in program.index_requests() {
+        for req in warm_index_requests(program, &lowered) {
             if req.zone == MarkZone::Plus {
                 interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
             }
         }
-        Some(WarmState { interp })
+        Some(WarmState { interp, lowered })
     }
 
     /// The committed state `S` this warm state answers from.
@@ -263,8 +272,10 @@ impl WarmState {
         self.interp.base()
     }
 
-    /// Evaluate one transaction in place: semi-naive propagation seeded from
-    /// the zone-new `U` marks, commit, then revalidate the affected strata.
+    /// Evaluate one transaction in place: delta propagation through the
+    /// warm state's lowered program, seeded from the zone-new `U` marks;
+    /// commit; then revalidate the affected strata. `program` must be the
+    /// one the warm state was built for.
     /// Equivalent to (and byte-compatible with) a cold `PARK(S, P, U)` run
     /// for certified `program`s — see the module docs for the argument.
     ///
@@ -322,7 +333,7 @@ impl WarmState {
         }
         let mut curr = ZoneLens::capture(&self.interp);
         // Propagation rounds — cold steps 2…: each round enumerates exactly
-        // the groundings the cold run's semi-naive step would, because only
+        // the groundings new to the cold run at that step, because only
         // marks of atoms outside the base (and deletion-zone growth) drive
         // enumeration, and the window holds exactly the previous round's
         // zone-new marks.
@@ -330,7 +341,8 @@ impl WarmState {
         let mut fired_heads = FactStore::new(Arc::clone(&vocab));
         let mut rounds: u64 = 0;
         loop {
-            let fired = seminaive::fire_new(program, &blocked, &self.interp, &prev, &curr);
+            let fired =
+                bytecode::fire_new_lowered(&self.lowered, &blocked, &self.interp, &prev, &curr);
             if fired.is_empty() {
                 break;
             }
@@ -477,7 +489,7 @@ impl WarmState {
         // Removal invalidates a zone's secondary indexes; rebuild the
         // requested ones so the next transaction probes indexed.
         if plus_removed || base_removed {
-            for req in program.index_requests() {
+            for req in warm_index_requests(program, &self.lowered) {
                 if (req.zone == MarkZone::Plus && plus_removed)
                     || (req.zone == MarkZone::Base && base_removed)
                 {
@@ -494,6 +506,19 @@ impl WarmState {
             stats,
         })
     }
+}
+
+/// Every index the warm zones carry: the lowered program's (delta
+/// propagation) and the interpreted planner's (stratum revalidation and
+/// the recompute path of [`WarmState::build`], which run [`crate::gamma`]).
+fn warm_index_requests<'a>(
+    program: &'a CompiledProgram,
+    lowered: &'a LoweredProgram,
+) -> impl Iterator<Item = &'a IndexRequest> {
+    lowered
+        .index_requests()
+        .iter()
+        .chain(program.index_requests())
 }
 
 #[cfg(test)]

@@ -52,7 +52,6 @@ mod parallel;
 pub mod query;
 pub mod refine;
 pub mod replay;
-pub mod seminaive;
 pub mod stats;
 pub mod strata;
 pub mod trace;
@@ -63,7 +62,7 @@ pub use analysis::{
     ProgramReport,
 };
 pub use bistructure::BiStructure;
-pub use bytecode::{fire_all_lowered, fire_new_lowered};
+pub use bytecode::{fire_all_lowered, fire_new_lowered, ZoneLens};
 pub use compile::{
     CompiledAtom, CompiledLiteral, CompiledProgram, CompiledRule, LitKind, RuleId, TermSlot,
 };
@@ -92,8 +91,13 @@ pub use refine::{
     RefinedConflicts,
 };
 pub use replay::{Replayer, StepLog};
-pub use seminaive::{fire_new, fire_new_par, ZoneLens};
 pub use stats::{RunStats, StatCounters};
 pub use strata::{OffendingEdge, Strata};
 pub use trace::{Trace, TraceEvent};
 pub use validity::{valid_event, valid_neg, valid_pos, MarkZone};
+
+/// Semi-naive evaluation checks in the shape warm transactions run it.
+#[cfg(test)]
+mod seminaive {
+    mod tests;
+}

@@ -31,7 +31,7 @@ use crate::compile::CompiledProgram;
 use crate::conflict::Resolution;
 use crate::gamma::FiredAction;
 use crate::grounding::BlockedSet;
-use crate::options::{EngineOptions, EvaluationMode, ResolutionScope};
+use crate::options::{EngineOptions, ResolutionScope};
 use crate::stats::{RunStats, StatCounters};
 use park_json::Json;
 use std::collections::BTreeMap;
@@ -570,11 +570,7 @@ impl MetricsSink for JsonMetrics {
             .collect();
         self.finish = Some(FinishRecord {
             policy: ev.policy.to_string(),
-            evaluation: match ev.options.evaluation {
-                EvaluationMode::Naive => "naive",
-                EvaluationMode::SemiNaive => "semi_naive",
-                EvaluationMode::Compiled => "compiled",
-            },
+            evaluation: ev.options.evaluation.name(),
             scope: scope_str(ev.options.scope),
             warm_restarts: ev.options.warm_restarts,
             requested_threads: ev.requested_threads,
@@ -601,6 +597,7 @@ mod tests {
     use super::*;
     use crate::conflict::Inertia;
     use crate::fixpoint::Engine;
+    use crate::options::EvaluationMode;
     use park_storage::{FactStore, Vocabulary};
     use std::sync::Arc;
 
@@ -637,7 +634,7 @@ mod tests {
             "e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z). r(X, X) -> -r(X, X).",
             "e(a, b). e(b, c). e(c, a).",
             EngineOptions::default()
-                .with_evaluation(EvaluationMode::SemiNaive)
+                .with_evaluation(EvaluationMode::Compiled)
                 .with_parallelism(Some(4))
                 .with_warm_restarts(false),
         );

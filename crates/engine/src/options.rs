@@ -23,20 +23,44 @@ pub enum EvaluationMode {
     /// definitional immediate-consequence operator, verbatim.
     #[default]
     Naive,
-    /// Delta-driven (semi-naive) enumeration: each step joins only against
-    /// marks added in the previous step, with a per-rule fallback when a
-    /// negated literal gains a new `-b` mark. Observably identical results
-    /// (see `crate::seminaive`), asymptotically faster on recursive
-    /// programs.
-    SemiNaive,
-    /// Compiled enumeration: each rule is lowered once per run into flat
-    /// register bytecode (`crate::lower`) with cost-model-driven join
-    /// ordering and index selection, then evaluated batch-at-a-time
-    /// (`crate::bytecode`) with the same delta discipline as
-    /// [`EvaluationMode::SemiNaive`]. The per-step grounding *sets* are
-    /// identical to the other modes; the emission order within a step may
+    /// Compiled delta (semi-naive) enumeration: each rule is lowered once
+    /// per run into flat register bytecode (`crate::lower`) with
+    /// cost-model-driven join ordering and index selection, and each step
+    /// after the first joins only against the marks added in the previous
+    /// step, with a per-rule fallback when a negated literal gains a new
+    /// `-b` mark (`crate::bytecode`). The per-step grounding *sets* are
+    /// identical to naive evaluation; the emission order within a step may
     /// differ where the cost model reorders a join.
     Compiled,
+}
+
+impl EvaluationMode {
+    /// The canonical name, as `park --eval`, the serve protocol's `eval`
+    /// field, and `park-metrics/v1` documents spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            EvaluationMode::Naive => "naive",
+            EvaluationMode::Compiled => "compiled",
+        }
+    }
+}
+
+impl std::str::FromStr for EvaluationMode {
+    type Err = String;
+
+    /// Parse an evaluation-mode name. Besides the canonical names this
+    /// accepts `compile` and `bytecode`, and the retired semi-naive
+    /// spellings (`semi`, `semi-naive`, `seminaive`), which select the
+    /// compiled delta evaluator.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "naive" => Ok(EvaluationMode::Naive),
+            "compiled" | "compile" | "bytecode" | "semi" | "semi-naive" | "seminaive" => {
+                Ok(EvaluationMode::Compiled)
+            }
+            other => Err(format!("unknown evaluation mode `{other}`")),
+        }
+    }
 }
 
 /// Tunables for a PARK evaluation.
@@ -83,7 +107,7 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             scope: ResolutionScope::All,
-            evaluation: EvaluationMode::Naive,
+            evaluation: EvaluationMode::default(),
             trace: false,
             max_steps: 1 << 22,
             max_restarts: 1 << 22,
@@ -157,13 +181,13 @@ mod tests {
     fn builders() {
         let o = EngineOptions::traced()
             .with_scope(ResolutionScope::One)
-            .with_evaluation(EvaluationMode::SemiNaive)
+            .with_evaluation(EvaluationMode::Compiled)
             .with_parallelism(Some(4))
             .with_warm_restarts(false)
             .with_conflict_certificates(false);
         assert!(o.trace);
         assert_eq!(o.scope, ResolutionScope::One);
-        assert_eq!(o.evaluation, EvaluationMode::SemiNaive);
+        assert_eq!(o.evaluation, EvaluationMode::Compiled);
         assert_eq!(o.parallelism, Some(4));
         assert!(!o.warm_restarts);
         assert!(!o.conflict_certificates);
@@ -172,5 +196,19 @@ mod tests {
     #[test]
     fn default_evaluation_is_the_definitional_operator() {
         assert_eq!(EngineOptions::default().evaluation, EvaluationMode::Naive);
+    }
+
+    #[test]
+    fn evaluation_names_round_trip_and_keep_the_semi_naive_spellings() {
+        for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
+            assert_eq!(mode.name().parse::<EvaluationMode>(), Ok(mode));
+        }
+        for alias in ["compile", "bytecode", "semi", "semi-naive", "seminaive"] {
+            assert_eq!(alias.parse(), Ok(EvaluationMode::Compiled), "{alias}");
+        }
+        assert_eq!(
+            "fast".parse::<EvaluationMode>(),
+            Err("unknown evaluation mode `fast`".to_string())
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic ordered-merge parallel executor.
 //!
-//! The evaluators ([`crate::gamma`], [`crate::seminaive`]) decompose one Γ
+//! The evaluators ([`crate::gamma`], [`crate::bytecode`]) decompose one Γ
 //! step into a fixed, sequentially-ordered list of independent *shard
 //! tasks* over an immutable pre-step snapshot — each task owns the rules
-//! (or semi-naive units) that enumerate one predicate's relation shard.
+//! (or delta units) that enumerate one predicate's relation shard.
 //! This module runs those tasks on a small pool of scoped threads, each
 //! task firing into its own buffer, and then concatenates the buffers in
 //! task-index order. The evaluators tag their output with unit indices and

@@ -19,7 +19,7 @@
 //!    enumeration, so it distributes over the logged order). The replayer
 //!    hands it out for free and only then retires.
 //! 3. From the step after the divergence the interpretations may differ,
-//!    so the engine falls back to live naive/semi-naive evaluation.
+//!    so the engine falls back to live naive/compiled evaluation.
 //!
 //! Conflict detection, provenance recording, tracing, and statistics all
 //! run through the engine's ordinary step path for replayed steps, which

@@ -68,7 +68,7 @@ fn self_undoing_rule_deletes_without_conflict() {
     // no two-sided conflict — incorp simply removes a. The body stays
     // valid after the mark (validity of `a` looks at I° ∪ I⁺), so the run
     // converges rather than oscillating.
-    for evaluation in [EvaluationMode::Naive, EvaluationMode::SemiNaive] {
+    for evaluation in [EvaluationMode::Naive, EvaluationMode::Compiled] {
         for scope in [ResolutionScope::All, ResolutionScope::One] {
             let out = run(
                 "a -> -a.",

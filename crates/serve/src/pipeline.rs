@@ -186,7 +186,7 @@ fn hello_frame(opts: &ServeOptions) -> String {
         vec![
             ("schema", Json::str(protocol::SCHEMA)),
             ("policy", Json::str(&opts.policy)),
-            ("eval", Json::str(protocol::eval_name(opts.evaluation))),
+            ("eval", Json::str(opts.evaluation.name())),
             ("scope", Json::str(protocol::scope_name(opts.scope))),
         ],
     )

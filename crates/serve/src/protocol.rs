@@ -9,7 +9,7 @@
 //! sequence number. See docs/serve.md for the full specification.
 
 use crate::ServeOptions;
-use park::engine::{EngineOptions, EvaluationMode, ResolutionScope};
+use park::engine::{EngineOptions, ResolutionScope};
 use park_json::Json;
 
 /// The protocol revision announced in the `hello` frame.
@@ -171,29 +171,11 @@ fn optional_bool(obj: &Json, key: &str, default: bool) -> Result<bool, String> {
     }
 }
 
-fn parse_eval(s: &str) -> Result<EvaluationMode, String> {
-    match s {
-        "naive" => Ok(EvaluationMode::Naive),
-        "semi" | "semi-naive" | "seminaive" => Ok(EvaluationMode::SemiNaive),
-        "compiled" | "compile" | "bytecode" => Ok(EvaluationMode::Compiled),
-        other => Err(format!("unknown evaluation mode `{other}`")),
-    }
-}
-
 fn parse_scope(s: &str) -> Result<ResolutionScope, String> {
     match s {
         "all" => Ok(ResolutionScope::All),
         "one" => Ok(ResolutionScope::One),
         other => Err(format!("unknown scope `{other}`")),
-    }
-}
-
-/// The display name of an evaluation mode (inverse of the `eval` field).
-pub fn eval_name(mode: EvaluationMode) -> &'static str {
-    match mode {
-        EvaluationMode::Naive => "naive",
-        EvaluationMode::SemiNaive => "semi-naive",
-        EvaluationMode::Compiled => "compiled",
     }
 }
 
@@ -232,7 +214,7 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<Request, Str
                         ..EngineOptions::default()
                     };
                     if let Some(s) = optional_str(&doc, "eval")? {
-                        options.evaluation = parse_eval(&s)?;
+                        options.evaluation = s.parse()?;
                     }
                     if let Some(s) = optional_str(&doc, "scope")? {
                         options.scope = parse_scope(&s)?;
@@ -324,6 +306,7 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<Request, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use park::engine::EvaluationMode;
 
     fn defaults() -> ServeOptions {
         ServeOptions::default()
@@ -357,7 +340,8 @@ mod tests {
         };
         assert_eq!(db, "hr");
         assert_eq!(policy, "inertia");
-        assert_eq!(options.evaluation, EvaluationMode::SemiNaive);
+        // `semi` stays accepted: it spells the compiled delta evaluator.
+        assert_eq!(options.evaluation, EvaluationMode::Compiled);
         assert_eq!(options.scope, ResolutionScope::One);
         assert_eq!(options.parallelism, Some(4));
         assert!(options.trace);
@@ -367,7 +351,7 @@ mod tests {
     fn create_inherits_session_defaults() {
         let mut opts = defaults();
         opts.policy = "prefer-insert".into();
-        opts.evaluation = EvaluationMode::SemiNaive;
+        opts.evaluation = EvaluationMode::Compiled;
         opts.threads = Some(2);
         let req = parse_request(r#"{"op":"create","db":"d","program":""}"#, &opts).unwrap();
         let Request::Db {
@@ -380,7 +364,7 @@ mod tests {
             panic!("expected create")
         };
         assert_eq!(policy, "prefer-insert");
-        assert_eq!(options.evaluation, EvaluationMode::SemiNaive);
+        assert_eq!(options.evaluation, EvaluationMode::Compiled);
         assert_eq!(options.parallelism, Some(2));
     }
 

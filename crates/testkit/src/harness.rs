@@ -15,7 +15,7 @@
 //!   configurations must match the oracle **byte for byte**: final
 //!   database, blocked set, semantic counters, full trace event stream,
 //!   and `SELECT` call sequence.
-//! * **`ResolutionScope::All`, everything else**: semi-naive deltas omit
+//! * **`ResolutionScope::All`, everything else**: compiled deltas omit
 //!   already-fired groundings, and the join planner visits variable
 //!   groundings in its own order, so the *first-appearance* order of
 //!   conflicts (and of `added` marks) legitimately differs from the
@@ -72,15 +72,11 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The full matrix: naive/semi-naive/compiled × sequential/4 threads ×
-    /// warm/cold × all/one — 24 configurations.
+    /// The full matrix: naive/compiled × sequential/4 threads × warm/cold ×
+    /// all/one — 16 configurations.
     pub fn matrix() -> Vec<EngineConfig> {
-        let mut out = Vec::with_capacity(24);
-        for evaluation in [
-            EvaluationMode::Naive,
-            EvaluationMode::SemiNaive,
-            EvaluationMode::Compiled,
-        ] {
+        let mut out = Vec::with_capacity(16);
+        for evaluation in [EvaluationMode::Naive, EvaluationMode::Compiled] {
             for parallelism in [None, Some(4)] {
                 for warm_restarts in [true, false] {
                     for scope in [ResolutionScope::All, ResolutionScope::One] {
@@ -97,15 +93,11 @@ impl EngineConfig {
         out
     }
 
-    /// A short label for failure reports, e.g. `seminaive/4-threads/warm/one`.
+    /// A short label for failure reports, e.g. `compiled/4-threads/warm/one`.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}",
-            match self.evaluation {
-                EvaluationMode::Naive => "naive",
-                EvaluationMode::SemiNaive => "seminaive",
-                EvaluationMode::Compiled => "compiled",
-            },
+            self.evaluation.name(),
             match self.parallelism {
                 None => "seq".to_string(),
                 Some(n) => format!("{n}-threads"),

@@ -52,7 +52,7 @@ fn run_with(rules: &str, facts: &str, options: EngineOptions) -> (ParkOutcome, V
 
 #[test]
 fn parallel_runs_are_observably_identical_to_sequential() {
-    for mode in [EvaluationMode::Naive, EvaluationMode::SemiNaive] {
+    for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
         for (rules, facts) in SCENARIOS {
             let opts = |par| {
                 EngineOptions::traced()
@@ -84,7 +84,7 @@ fn warm_restarts_are_observably_identical_to_cold() {
     // Warm (replay) and cold restarts must agree on traces, SELECT call
     // order, blocked sets, databases, and every stat except the
     // replay/scheduling counters.
-    for mode in [EvaluationMode::Naive, EvaluationMode::SemiNaive] {
+    for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
         for scope in [ResolutionScope::All, ResolutionScope::One] {
             for (rules, facts) in SCENARIOS {
                 let opts = |warm| {

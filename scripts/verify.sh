@@ -59,7 +59,7 @@ done
 cmp "$storage_dir/t1.out" "$storage_dir/t4.out"
 rm -rf "$storage_dir"
 
-echo "==> compiled evaluator smoke (byte-diff vs semi, threads 1 vs 4)"
+echo "==> compiled evaluator smoke (byte-diff vs naive, threads 1 vs 4)"
 compiled_dir="${TMPDIR:-/tmp}/park-compiled-$$"
 mkdir -p "$compiled_dir/wl"
 cargo run -p park-cli --bin park --release --offline --quiet -- \
@@ -70,12 +70,12 @@ for prog in examples/data/*.park "$compiled_dir"/wl/*.park; do
   db=""; [ -f "$base.facts" ] && db="--db $base.facts"
   updates=""; [ -f "$base.updates" ] && updates="--updates $base.updates"
   # Committed results must be byte-identical across the two evaluators.
-  for eval in semi compiled; do
+  for eval in naive compiled; do
     # shellcheck disable=SC2086
     cargo run -p park-cli --bin park --release --offline --quiet -- \
       run "$prog" $db $updates --eval "$eval" > "$compiled_dir/$name.$eval.out"
   done
-  cmp "$compiled_dir/$name.semi.out" "$compiled_dir/$name.compiled.out"
+  cmp "$compiled_dir/$name.naive.out" "$compiled_dir/$name.compiled.out"
   # And the compiled evaluator itself must not observe the thread count.
   for t in 1 4; do
     # shellcheck disable=SC2086

@@ -73,7 +73,7 @@ pub struct ActiveDatabase {
     journal: Option<std::path::PathBuf>,
     /// Cross-transaction incremental mode (see docs/incremental.md): keep a
     /// [`WarmState`] alive between transactions and answer certified
-    /// insert-only update sets by semi-naive propagation seeded from `U`.
+    /// update sets by delta propagation seeded from `U`.
     incremental: bool,
     /// Whether the installed program passes [`certify_incremental`]
     /// (recomputed on [`ActiveDatabase::reload`]).
@@ -275,16 +275,20 @@ impl ActiveDatabase {
     ) -> EngineResult<TransactionReport> {
         let warm_eligible =
             self.certified_incremental && !self.engine.options().trace && !sink.enabled();
-        let mut journaled = false;
         if warm_eligible && self.warm.is_some() {
-            self.append_journal(updates)?;
-            journaled = true;
             let attempt = self
                 .warm
                 .as_mut()
                 .and_then(|warm| warm.transact(self.engine.program(), updates));
             match attempt {
                 Some(report) => {
+                    if let Err(e) = self.append_journal(updates) {
+                        // The warm state already holds the transaction the
+                        // journal refused: drop it, so the committed state
+                        // stays the single source of truth.
+                        self.warm = None;
+                        return Err(e);
+                    }
                     let warm = self.warm.as_ref().expect("warm state survives success");
                     if !report.added.is_empty() || !report.removed.is_empty() {
                         // COW: the relation shards stay shared with the warm
@@ -320,9 +324,7 @@ impl ActiveDatabase {
         let outcome = self
             .engine
             .run_retaining(&self.state, updates, policy, sink)?;
-        if !journaled {
-            self.append_journal(updates)?;
-        }
+        self.append_journal(updates)?;
         self.warm = self
             .certified_incremental
             .then(|| WarmState::build(self.engine.program(), &outcome))
@@ -884,6 +886,33 @@ mod tests {
         let initial = FactStore::from_source(vocab, "e(a, b). e(b, c).").unwrap();
         let replayed = ActiveDatabase::replay(&program, initial, &path, &mut Inertia).unwrap();
         assert_eq!(replayed.state().sorted_display(), final_state);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_skips_a_transaction_whose_warm_bail_fails_cold() {
+        let dir = std::env::temp_dir().join(format!("park-bailjournal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bail.journal");
+        let _ = std::fs::remove_file(&path);
+
+        let mut db = reachability_db(true).with_journal(&path);
+        db.transact_source("+e(c, d).", &mut Inertia).unwrap();
+        db.transact_source("+e(d, e).", &mut Inertia).unwrap();
+        assert_eq!(db.incremental_stats().incremental_txs, 1);
+        // Deleting the derived r(a, b) bails the warm path; the cold run
+        // then needs SELECT, which a dry interactive policy cannot answer.
+        let mut dry = park_policies::Interactive::scripted([]);
+        assert!(db.transact_source("-r(a, b).", &mut dry).is_err());
+        assert_eq!(db.transactions(), 2);
+        let final_state = db.state().sorted_display();
+
+        let vocab = Vocabulary::new();
+        let program = parse_program("e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z).").unwrap();
+        let initial = FactStore::from_source(vocab, "e(a, b). e(b, c).").unwrap();
+        let replayed = ActiveDatabase::replay(&program, initial, &path, &mut Inertia).unwrap();
+        assert_eq!(replayed.state().sorted_display(), final_state);
+        assert_eq!(replayed.transactions(), db.transactions());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -146,11 +146,7 @@ fn assert_intern_order_independent(name: &str, rules: &str, facts: &str) {
         ("prefer-insert", || Box::new(PreferInsert)),
         ("random:7", || Box::new(RandomPolicy::seeded(7))),
     ];
-    for eval in [
-        EvaluationMode::Naive,
-        EvaluationMode::SemiNaive,
-        EvaluationMode::Compiled,
-    ] {
+    for eval in [EvaluationMode::Naive, EvaluationMode::Compiled] {
         let options = EngineOptions::default().with_evaluation(eval);
         for (pname, mk) in policies {
             let (a, _va) = run_with(rules, facts, options, mk().as_mut(), &[]);
@@ -183,7 +179,7 @@ proptest! {
     /// shapes and conflict chains, its committed output must be
     /// byte-identical with and without reversed intern preseeding — the
     /// decode-at-boundary ordering rule has to survive lowering — and
-    /// identical to the semi-naive evaluator's on the same inputs.
+    /// identical to the naive evaluator's on the same inputs.
     #[test]
     fn compiled_output_is_intern_order_independent(
         pick in 0usize..2,
@@ -202,13 +198,13 @@ proptest! {
         reversed.reverse();
         prop_assert!(reversed.len() > 1, "nothing to reorder");
         let compiled = EngineOptions::default().with_evaluation(EvaluationMode::Compiled);
-        let semi = EngineOptions::default().with_evaluation(EvaluationMode::SemiNaive);
+        let naive = EngineOptions::default().with_evaluation(EvaluationMode::Naive);
         let policy = || RandomPolicy::seeded(seed ^ 0x9e37);
         let (a, _) = run_with(&rules, &facts, compiled, &mut policy(), &[]);
         let (b, _) = run_with(&rules, &facts, compiled, &mut policy(), &reversed);
         prop_assert_eq!(&a, &b, "compiled output depends on intern order");
-        let (s, _) = run_with(&rules, &facts, semi, &mut policy(), &[]);
-        prop_assert_eq!(&a, &s, "compiled and semi-naive outputs diverge");
+        let (n, _) = run_with(&rules, &facts, naive, &mut policy(), &[]);
+        prop_assert_eq!(&a, &n, "compiled and naive outputs diverge");
     }
 }
 

@@ -212,42 +212,42 @@ proptest! {
         prop_assert!(out.stats.blocked_instances <= all.stats.blocked_instances);
     }
 
-    /// Naive and semi-naive evaluation are observably identical: same
-    /// result state, same restarts, same Γ step count, same blocked set —
-    /// on arbitrary programs, conflicts and all.
+    /// Naive and semi-naive evaluation (the compiled delta evaluator) are
+    /// observably identical: same result state, same restarts, same Γ step
+    /// count, same blocked set — on arbitrary programs, conflicts and all.
     #[test]
     fn seminaive_agrees_with_naive(
         rules in arb_program(8, false),
         facts in arb_database(),
     ) {
         let naive = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
-        let semi = run_park(
+        let compiled = run_park(
             &rules,
             &facts,
             EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::SemiNaive),
+                .with_evaluation(park::engine::EvaluationMode::Compiled),
             &mut Inertia,
         );
-        prop_assert!(naive.database.same_facts(&semi.database));
-        prop_assert_eq!(naive.stats.restarts, semi.stats.restarts);
-        prop_assert_eq!(naive.stats.gamma_steps, semi.stats.gamma_steps);
-        prop_assert_eq!(naive.blocked.len(), semi.blocked.len());
+        prop_assert!(naive.database.same_facts(&compiled.database));
+        prop_assert_eq!(naive.stats.restarts, compiled.stats.restarts);
+        prop_assert_eq!(naive.stats.gamma_steps, compiled.stats.gamma_steps);
+        prop_assert_eq!(naive.blocked.len(), compiled.blocked.len());
 
-        // Parallel semi-naive (deterministic ordered merge) agrees with
-        // both sequential evaluators.
+        // Parallel compiled evaluation (deterministic ordered merge)
+        // agrees with both sequential evaluators.
         let par = run_park(
             &rules,
             &facts,
             EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::SemiNaive)
+                .with_evaluation(park::engine::EvaluationMode::Compiled)
                 .with_parallelism(Some(4)),
             &mut Inertia,
         );
         prop_assert!(naive.database.same_facts(&par.database));
-        prop_assert_eq!(semi.stats.restarts, par.stats.restarts);
-        prop_assert_eq!(semi.stats.gamma_steps, par.stats.gamma_steps);
-        prop_assert_eq!(semi.blocked.len(), par.blocked.len());
-        prop_assert_eq!(semi.stats.groundings_fired, par.stats.groundings_fired);
+        prop_assert_eq!(compiled.stats.restarts, par.stats.restarts);
+        prop_assert_eq!(compiled.stats.gamma_steps, par.stats.gamma_steps);
+        prop_assert_eq!(compiled.blocked.len(), par.blocked.len());
+        prop_assert_eq!(compiled.stats.groundings_fired, par.stats.groundings_fired);
     }
 
     /// Γ is inflationary: one fire/absorb step never loses marked atoms.
@@ -312,7 +312,7 @@ proptest! {
         facts in arb_database(),
     ) {
         use park::engine::EvaluationMode;
-        for mode in [EvaluationMode::Naive, EvaluationMode::SemiNaive] {
+        for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
             for par in [None, Some(4)] {
                 let opts = EngineOptions::traced()
                     .with_evaluation(mode)
@@ -364,7 +364,7 @@ proptest! {
 
 /// Random rules over binary predicates e/f/g with joins, negation, events,
 /// constants, and repeated variables — the shapes the join planner and
-/// semi-naive evaluator must handle.
+/// the compiled delta evaluator must handle.
 fn arb_relational_rule_src() -> impl Strategy<Value = String> {
     let pred = prop::sample::select(vec!["e", "f", "g"]);
     let shape = 0usize..6;
@@ -403,7 +403,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The full battery on relational programs: determinism, consistency,
-    /// naive/semi-naive agreement, and the Theorem 4.1(3) recomputation.
+    /// naive/compiled agreement, and the Theorem 4.1(3) recomputation.
     #[test]
     fn relational_differential_battery(
         rules in arb_relational_program_src(),
@@ -414,20 +414,20 @@ proptest! {
         prop_assert!(naive.database.same_facts(&again.database), "nondeterministic");
         prop_assert!(naive.interpretation.is_consistent());
 
-        let semi = run_park(
+        let compiled = run_park(
             &rules,
             &facts,
             EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::SemiNaive),
+                .with_evaluation(park::engine::EvaluationMode::Compiled),
             &mut Inertia,
         );
-        prop_assert!(naive.database.same_facts(&semi.database),
-            "naive {:?} vs semi {:?}",
-            naive.database.sorted_display(), semi.database.sorted_display());
-        prop_assert_eq!(naive.stats.gamma_steps, semi.stats.gamma_steps);
-        prop_assert_eq!(naive.stats.restarts, semi.stats.restarts);
+        prop_assert!(naive.database.same_facts(&compiled.database),
+            "naive {:?} vs compiled {:?}",
+            naive.database.sorted_display(), compiled.database.sorted_display());
+        prop_assert_eq!(naive.stats.gamma_steps, compiled.stats.gamma_steps);
+        prop_assert_eq!(naive.stats.restarts, compiled.stats.restarts);
         prop_assert_eq!(
-            naive.blocked.len(), semi.blocked.len(),
+            naive.blocked.len(), compiled.blocked.len(),
             "blocked sets diverge"
         );
 
@@ -435,17 +435,17 @@ proptest! {
             &rules,
             &facts,
             EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::SemiNaive)
+                .with_evaluation(park::engine::EvaluationMode::Compiled)
                 .with_parallelism(Some(4)),
             &mut Inertia,
         );
-        prop_assert!(semi.database.same_facts(&par.database),
-            "parallel semi-naive diverged: {:?} vs {:?}",
-            semi.database.sorted_display(), par.database.sorted_display());
-        prop_assert_eq!(semi.stats.gamma_steps, par.stats.gamma_steps);
-        prop_assert_eq!(semi.stats.restarts, par.stats.restarts);
-        prop_assert_eq!(semi.stats.groundings_fired, par.stats.groundings_fired);
-        prop_assert_eq!(semi.blocked.len(), par.blocked.len());
+        prop_assert!(compiled.database.same_facts(&par.database),
+            "parallel compiled diverged: {:?} vs {:?}",
+            compiled.database.sorted_display(), par.database.sorted_display());
+        prop_assert_eq!(compiled.stats.gamma_steps, par.stats.gamma_steps);
+        prop_assert_eq!(compiled.stats.restarts, par.stats.restarts);
+        prop_assert_eq!(compiled.stats.groundings_fired, par.stats.groundings_fired);
+        prop_assert_eq!(compiled.blocked.len(), par.blocked.len());
 
         // Theorem 4.1(3): lfp(Γ_{P,B*}) from D reproduces the fixpoint.
         // (I° is D throughout a run, so the outcome's base zone *is* D.)
