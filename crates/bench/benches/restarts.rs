@@ -8,7 +8,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use park_bench::Session;
 use park_engine::EngineOptions;
-use park_policies::PreferInsert;
 use park_workloads::staggered_conflicts;
 use std::hint::black_box;
 
@@ -28,33 +27,5 @@ fn bench_staggered(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm vs cold restart recovery on the same staggered chains. Under
-/// prefer-insert the blocked grounding is each chain's late-firing `kill`
-/// rule, so nearly the whole previous run replays after every restart —
-/// the workload where warm restarts should pay off most.
-fn bench_warm_vs_cold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("c2_warm_vs_cold");
-    group.sample_size(10);
-    for k in [8usize, 16, 32] {
-        let (rules, facts) = staggered_conflicts(k);
-        for (label, warm) in [("warm", true), ("cold", false)] {
-            let session = Session::new(
-                &rules,
-                &facts,
-                EngineOptions::default().with_warm_restarts(warm),
-            );
-            // Sanity: identical restart counts, and only the warm session
-            // actually replays.
-            let out = session.run(&mut PreferInsert);
-            assert_eq!(out.stats.restarts, k as u64);
-            assert_eq!(out.stats.replayed_steps > 0, warm);
-            group.bench_with_input(BenchmarkId::new(label, k), &k, |b, _| {
-                b.iter(|| black_box(session.run(&mut PreferInsert).stats.restarts))
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_staggered, bench_warm_vs_cold);
+criterion_group!(benches, bench_staggered);
 criterion_main!(benches);

@@ -27,23 +27,6 @@ fn session(rules: &str, facts: &str) -> Session {
     Session::new(rules, facts, EngineOptions::default())
 }
 
-/// Render a wall-clock speedup ratio as a claim — or refuse to claim one.
-///
-/// ROADMAP flags the parallel speedup story as unvalidated: timings taken
-/// on a single-core host (every thread shares one core) or from an
-/// oversubscribed configuration measure scheduling noise, not the effect
-/// under test. Such rows keep their raw timings in the tables/JSON, but
-/// the report prints no "Nx" claim for them.
-fn speedup_claim(ratio: f64, cores: usize, oversubscribed: bool) -> String {
-    if cores < 2 {
-        "not claimed (1-core host)".to_string()
-    } else if oversubscribed {
-        "not claimed (oversubscribed)".to_string()
-    } else {
-        format!("{ratio:.1}x")
-    }
-}
-
 fn show(store: &FactStore) -> String {
     store.to_string()
 }
@@ -463,19 +446,23 @@ fn c6_evaluation() {
     println!();
 }
 
-/// C7 — warm vs cold restart recovery, and the `BENCH_restarts.json`
-/// artifact. Staggered chains under prefer-insert block each chain's
-/// late-firing `kill` rule, so nearly the whole previous run replays after
-/// every restart — the workload where warm restarts pay off most. The
-/// results are asserted identical either way; only the wall clock differs.
-fn c7_warm_restarts(smoke: bool) {
+/// C7 — restart replay counters, and the `BENCH_restarts.json` artifact.
+/// Staggered chains under prefer-insert block each chain's late-firing
+/// `kill` rule, so nearly the whole previous run replays after every
+/// restart. Every row is deterministic work counters: Γ steps, the steps
+/// served from the replay log, the steps evaluated live, and the last
+/// divergence step. The wall clock is informational only.
+///
+/// `gamma_steps` counts consistent steps only; each restart adds one more
+/// Γ application (its conflicting step), which may itself be replayed. So
+/// live steps = `gamma_steps + restarts − replayed_steps`.
+fn c7_replay_counters(smoke: bool) {
     use park_engine::EvaluationMode;
     use park_json::Json;
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    println!("## C7 — warm vs cold restart recovery (replay ablation)\n");
+    println!("## C7 — restart replay counters\n");
     println!("Staggered conflict chains, prefer-insert:\n");
-    println!("| chains k | mode | restarts | replayed steps | diverged at | cold ms | warm ms | speedup |");
-    println!("|----------|------|----------|----------------|-------------|---------|---------|---------|");
+    println!("| chains k | mode | restarts | Γ steps | replayed steps | live steps | diverged at | ms (informational) |");
+    println!("|----------|------|----------|---------|----------------|------------|-------------|--------------------|");
     let sizes: &[usize] = if smoke { &[8] } else { &[16, 32, 64] };
     let mut results: Vec<Json> = Vec::new();
     for &k in sizes {
@@ -484,54 +471,41 @@ fn c7_warm_restarts(smoke: bool) {
             ("naive", EvaluationMode::Naive),
             ("compiled", EvaluationMode::Compiled),
         ] {
-            let mk = |warm| {
-                Session::new(
-                    &rules,
-                    &facts,
-                    EngineOptions::default()
-                        .with_evaluation(mode)
-                        .with_warm_restarts(warm),
-                )
-            };
-            let (warm_s, cold_s) = (mk(true), mk(false));
-            let warm_out = warm_s.run(&mut PreferInsert);
-            let cold_out = cold_s.run(&mut PreferInsert);
-            assert!(warm_out.database.same_facts(&cold_out.database));
-            assert_eq!(warm_out.stats.restarts, cold_out.stats.restarts);
-            assert_eq!(cold_out.stats.replayed_steps, 0);
-            assert!(warm_out.stats.replayed_steps > 0);
-            let warm_ms = median_time_ms(5, || warm_s.run(&mut PreferInsert));
-            let cold_ms = median_time_ms(5, || cold_s.run(&mut PreferInsert));
-            let diverged = warm_out
-                .stats
+            let session = Session::new(
+                &rules,
+                &facts,
+                EngineOptions::default().with_evaluation(mode),
+            );
+            let out = session.run(&mut PreferInsert);
+            let stats = &out.stats;
+            assert!(stats.restarts > 0 && stats.replayed_steps > 0);
+            let live_steps = stats.gamma_steps + stats.restarts - stats.replayed_steps;
+            let ms = median_time_ms(5, || session.run(&mut PreferInsert));
+            let diverged = stats
                 .replay_divergence_step
                 .map_or("-".to_string(), |d| d.to_string());
             println!(
-                "| {k} | {mode_name} | {} | {} | {diverged} | {cold_ms:.2} | {warm_ms:.2} | {} |",
-                warm_out.stats.restarts,
-                warm_out.stats.replayed_steps,
-                speedup_claim(cold_ms / warm_ms.max(1e-6), cores, false),
+                "| {k} | {mode_name} | {} | {} | {} | {live_steps} | {diverged} | {ms:.2} |",
+                stats.restarts, stats.gamma_steps, stats.replayed_steps,
             );
             results.push(Json::object([
                 ("workload", Json::str(format!("staggered_conflicts_{k}"))),
                 ("mode", Json::str(mode_name)),
                 ("policy", Json::str("prefer_insert")),
-                ("restarts", Json::from(warm_out.stats.restarts)),
-                ("replayed_steps", Json::from(warm_out.stats.replayed_steps)),
+                ("restarts", Json::from(stats.restarts)),
+                ("gamma_steps", Json::from(stats.gamma_steps)),
+                ("replayed_steps", Json::from(stats.replayed_steps)),
+                ("live_steps", Json::from(live_steps)),
                 (
                     "divergence_step",
-                    warm_out
-                        .stats
-                        .replay_divergence_step
-                        .map_or(Json::Null, Json::from),
+                    stats.replay_divergence_step.map_or(Json::Null, Json::from),
                 ),
-                ("cold_ms", Json::Float(cold_ms)),
-                ("warm_ms", Json::Float(warm_ms)),
+                ("warm_ms", Json::Float(ms)),
             ]));
         }
     }
     let doc = Json::object([
-        ("schema", Json::str("park-bench/restarts-v1")),
+        ("schema", Json::str("park-bench/restarts-v2")),
         ("smoke", Json::from(smoke)),
         ("results", Json::Array(results)),
     ]);
@@ -629,56 +603,22 @@ fn bench_eval_json() {
             }
         }
     }
-    // C8: the conflict-free certificate fast path. The workload carries
-    // syntactic conflict pairs (so without a certificate the engine keeps
-    // conflict provenance and scans every Γ step for clashes) but guard
-    // refinement certifies it conflict-free; with certificates on, all of
-    // that bookkeeping is skipped. Results are asserted identical.
-    let cert_rules = wl::guard_partition_program(8);
-    let cert_facts = wl::guard_partition_database(8, 400);
-    let mut cert_ms = [0.0f64; 2];
-    for (slot, (mode_name, certificates)) in
-        [("cert_on", true), ("cert_off", false)].iter().enumerate()
-    {
-        let session = Session::new(
-            &cert_rules,
-            &cert_facts,
-            EngineOptions::default().with_conflict_certificates(*certificates),
-        );
-        let out = session.run_inertia();
-        assert_eq!(out.stats.certified_conflict_free, *certificates);
-        assert_eq!(out.stats.restarts, 0);
-        let facts_n = out.database.len();
-        let bytes = out.database.encoded_bytes();
-        let ms = median_time_ms(5, || session.run_inertia());
-        cert_ms[slot] = ms;
-        results.push(Json::object([
-            ("mode", Json::str(*mode_name)),
-            ("workload", Json::str("guard_partition_8")),
-            ("threads", Json::from(1usize)),
-            ("host_parallelism", Json::from(cores)),
-            ("cores_validated", Json::from(cores >= 1)),
-            ("oversubscribed", Json::from(false)),
-            ("median_ns", Json::Float(ms * 1e6)),
-            ("facts", Json::from(facts_n)),
-            ("encoded_bytes", Json::from(bytes)),
-            (
-                "bytes_per_fact",
-                if facts_n > 0 {
-                    Json::Float(bytes as f64 / facts_n as f64)
-                } else {
-                    Json::Null
-                },
-            ),
-        ]));
-    }
-    println!("## C8 — conflict-free certificate fast path\n");
+    // C8: the conflict-free certificate verdict. The workload carries
+    // syntactic conflict pairs, but guard refinement certifies it
+    // conflict-free, so the run skips conflict provenance and the per-step
+    // clash scan (debug builds still check every step inside the engine).
+    let cert_out = Session::new(
+        &wl::guard_partition_program(8),
+        &wl::guard_partition_database(8, 400),
+        EngineOptions::default(),
+    )
+    .run_inertia();
+    assert!(cert_out.stats.certified_conflict_free);
+    println!("## C8 — conflict-free certificate verdict\n");
     println!(
-        "guard_partition_8 (8 guard-split rule pairs, 3200 facts): \
-         certificates on {:.2} ms, off {:.2} ms ({}).\n",
-        cert_ms[0],
-        cert_ms[1],
-        speedup_claim(cert_ms[1] / cert_ms[0].max(1e-6), cores, false),
+        "guard_partition_8 (8 guard-split rule pairs, 3200 facts): certified \
+         conflict-free, {} restarts.\n",
+        cert_out.stats.restarts,
     );
     // C9: cross-transaction incremental evaluation. A certified two-rule
     // program over a 100k-fact base; a chain of small insert transactions
@@ -689,7 +629,7 @@ fn bench_eval_json() {
     // identical per transaction before anything is timed (the soundness
     // contract of docs/incremental.md).
     let c9_speedup = {
-        use park_engine::{certify_incremental, NoopMetrics, WarmState};
+        use park_engine::{certify_incremental, WarmState};
         let rules = "p(X) -> +q(X). q(X), r(X) -> +s(X).";
         let mut facts = String::with_capacity(2 << 20);
         for i in 0..50_000 {
@@ -706,7 +646,7 @@ fn bench_eval_json() {
         assert!(certify_incremental(engine.program()));
         let db = FactStore::from_source(vocab, &facts).expect("C9 facts parse");
         let settle = engine
-            .run_retaining(&db, &UpdateSet::empty(), &mut Inertia, &mut NoopMetrics)
+            .run(&db, &UpdateSet::empty(), &mut Inertia)
             .expect("PARK terminates");
         let warm0 = WarmState::build(engine.program(), &settle).expect("C9 warm state builds");
         let base = settle.database;
@@ -809,7 +749,7 @@ fn bench_eval_json() {
     // Warm and cold outcomes are asserted identical per transaction before
     // anything is timed.
     let c11_speedup = {
-        use park_engine::{certify_incremental, NoopMetrics, WarmState};
+        use park_engine::{certify_incremental, WarmState};
         let rules = "p(X) -> +q(X). flag(X), !mute(X) -> +alert(X).";
         let mut facts = String::with_capacity(2 << 20);
         for i in 0..49_500 {
@@ -835,7 +775,7 @@ fn bench_eval_json() {
         );
         let db = FactStore::from_source(vocab, &facts).expect("C11 facts parse");
         let settle = engine
-            .run_retaining(&db, &UpdateSet::empty(), &mut Inertia, &mut NoopMetrics)
+            .run(&db, &UpdateSet::empty(), &mut Inertia)
             .expect("PARK terminates");
         let warm0 = WarmState::build(engine.program(), &settle).expect("C11 warm state builds");
         let base = settle.database;
@@ -983,7 +923,7 @@ fn main() {
         .map(|i| args.get(i + 1).cloned().unwrap_or_default());
     if let Some(section) = only {
         match section.as_str() {
-            "restarts" => c7_warm_restarts(smoke),
+            "restarts" => c7_replay_counters(smoke),
             "eval" => bench_eval_json(),
             other => {
                 eprintln!("unknown --only section `{other}` (expected: restarts, eval)");
@@ -1004,7 +944,7 @@ fn main() {
     c4_baseline();
     c5_ablation();
     c6_evaluation();
-    c7_warm_restarts(smoke);
+    c7_replay_counters(smoke);
     bench_eval_json();
     if let Some(path) = metrics {
         write_bench_metrics(&path);

@@ -3,7 +3,7 @@
 //! ```text
 //! park run <program.park> [--db <data.facts>] [--updates <tx.updates>]
 //!          [--policy <name>] [--scope all|one] [--eval naive|compiled]
-//!          [--threads <n>] [--cold-restarts] [--trace] [--trace-json <f>]
+//!          [--threads <n>] [--trace] [--trace-json <f>]
 //!          [--stats] [--snapshot <out.json>] [--metrics <out.json>]
 //! park check <program.park>...
 //! park lint <program.park>... [--format text|json]
@@ -123,9 +123,6 @@ OPTIONS (run/baseline):
   --threads <n>       evaluate each step on n threads with a deterministic
                       ordered merge: identical results
                       (default: no pool, single-threaded)
-  --cold-restarts     re-run every step cold after a conflict instead of
-                      replaying the previous run's firing log (diagnostic;
-                      results are identical either way)
   --trace             print the paper-style step listing
   --trace-json <file> write the trace as JSON events
   --stats             print run statistics
@@ -145,7 +142,6 @@ struct RunArgs {
     scope: ResolutionScope,
     evaluation: EvaluationMode,
     threads: Option<usize>,
-    cold_restarts: bool,
     trace: bool,
     trace_json: Option<String>,
     stats: bool,
@@ -186,7 +182,6 @@ fn parse_run_args(args: Vec<String>) -> Result<RunArgs, String> {
                 }
                 out.threads = Some(n);
             }
-            "--cold-restarts" => out.cold_restarts = true,
             "--plan" => out.plan = true,
             "--graph" => out.graph = true,
             "--dot" => out.dot = true,
@@ -294,7 +289,6 @@ fn cmd_run(args: Vec<String>, _baseline: bool) -> Result<(), String> {
         scope: a.scope,
         evaluation: a.evaluation,
         parallelism: a.threads,
-        warm_restarts: !a.cold_restarts,
         ..EngineOptions::default()
     };
     let engine = Engine::with_options(vocab, &program, options).map_err(|e| e.to_string())?;
@@ -1186,17 +1180,8 @@ fn load_metrics_doc(path: &str) -> Result<MetricsDoc, String> {
             } else {
                 requested.to_string()
             };
-            let warm = if o.get("warm_restarts").and_then(Json::as_bool) == Some(false) {
-                "cold"
-            } else {
-                "warm"
-            };
             (
-                format!(
-                    "{}/{}/{warm}",
-                    str_of(o.get("evaluation")),
-                    str_of(o.get("scope")),
-                ),
+                format!("{}/{}", str_of(o.get("evaluation")), str_of(o.get("scope")),),
                 threads,
             )
         }

@@ -532,44 +532,6 @@ fn threads_argument_is_validated() {
 }
 
 #[test]
-fn cold_restarts_flag_matches_default_output() {
-    let dir = tempdir("cold");
-    let program = write(
-        &dir,
-        "p.park",
-        "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
-    );
-    let facts = write(&dir, "d.facts", "p.");
-    let run = |extra: &[&str]| {
-        let mut args = vec![
-            "run",
-            program.to_str().unwrap(),
-            "--db",
-            facts.to_str().unwrap(),
-            "--trace",
-            "--stats",
-        ];
-        args.extend_from_slice(extra);
-        park().args(&args).output().unwrap()
-    };
-    let warm = run(&[]);
-    let cold = run(&["--cold-restarts"]);
-    assert!(warm.status.success() && cold.status.success());
-    // Database and trace are byte-identical; only the replay counter moves.
-    park_testkit::compare::assert_identical_bytes(
-        "warm vs cold restarts",
-        "warm stdout",
-        &warm.stdout,
-        "cold stdout",
-        &cold.stdout,
-    );
-    let warm_err = String::from_utf8_lossy(&warm.stderr);
-    let cold_err = String::from_utf8_lossy(&cold.stderr);
-    assert!(warm_err.contains("replayed=4"), "{warm_err}");
-    assert!(cold_err.contains("replayed=0"), "{cold_err}");
-}
-
-#[test]
 fn fuzz_subcommand_reports_zero_divergences() {
     let out = park()
         .args(["fuzz", "--seed", "0", "--cases", "25"])

@@ -19,9 +19,10 @@ use crate::bytecode::{self, ZoneLens};
 use crate::compile::CompiledProgram;
 use crate::conflict::{collect_conflicts, ConflictResolver, Provenance, Resolution, SelectContext};
 use crate::error::{EngineError, EngineResult};
-use crate::gamma;
+use crate::gamma::{self, FiredAction};
 use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
+use crate::lower::LoweredProgram;
 use crate::metrics::{
     FinishEvent, MetricsSink, ReplayEvent, RestartEvent, StepEvent, StepOutcome, StorageCounters,
     TaskSpan,
@@ -51,12 +52,6 @@ pub struct ParkOutcome {
     pub stats: RunStats,
     /// The execution trace (empty unless `EngineOptions::trace`).
     pub trace: Trace,
-    /// The inserting heads fired by the program's own rules (transaction
-    /// `tx` rules excluded) during the final run — the seed for a
-    /// cross-transaction [`crate::incremental::WarmState`]. Only populated
-    /// by [`Engine::run_retaining`]; `None` everywhere else, so the ordinary
-    /// paths pay nothing for it.
-    pub program_marks: Option<FactStore>,
 }
 
 impl ParkOutcome {
@@ -71,10 +66,11 @@ impl ParkOutcome {
     /// instances), and the full trace event stream as JSON.
     ///
     /// Two evaluations of the same `PARK(D, P)` instance must produce
-    /// byte-identical fingerprints no matter which evaluation mode, thread
-    /// count, or restart strategy they ran under — this is the comparison
-    /// surface of the differential test harness (`park-testkit`) and of
-    /// the warm-vs-cold / parallel-vs-sequential identity tests.
+    /// byte-identical fingerprints no matter which evaluation mode or
+    /// thread count they ran under — this is the comparison surface of the
+    /// differential test harness (`park-testkit`), which also holds the
+    /// engine's replaying restarts to the paper-literal oracle's
+    /// restart-from-`D` runs.
     /// Scheduling counters (`eval_tasks`, `replayed_steps`, timings) are
     /// deliberately excluded. The trace line is only meaningful for runs
     /// with `EngineOptions::trace` enabled.
@@ -158,7 +154,7 @@ impl Engine {
         updates: &UpdateSet,
         resolver: &mut dyn ConflictResolver,
     ) -> EngineResult<ParkOutcome> {
-        self.run_inner(db, updates, resolver, None, false)
+        self.run_inner(db, updates, resolver, None)
     }
 
     /// [`Engine::run`] with evaluation events reported into `sink` (see
@@ -174,26 +170,7 @@ impl Engine {
         sink: &mut dyn MetricsSink,
     ) -> EngineResult<ParkOutcome> {
         let sink = sink.enabled().then_some(sink);
-        self.run_inner(db, updates, resolver, sink, false)
-    }
-
-    /// [`Engine::run_with_metrics`] that additionally retains the inserting
-    /// heads fired by non-update rules in [`ParkOutcome::program_marks`] —
-    /// what `crate::incremental::WarmState::build` needs to seed a
-    /// cross-transaction warm state, both on the initial cold run and when
-    /// rebuilding after a warm bail (a deletion colliding with a derived
-    /// fact poisons the warm state; the cold rerun's retained marks restore
-    /// it). Results are byte-identical to the ordinary run; the retained
-    /// store is extra output, not a behavior change.
-    pub fn run_retaining(
-        &self,
-        db: &FactStore,
-        updates: &UpdateSet,
-        resolver: &mut dyn ConflictResolver,
-        sink: &mut dyn MetricsSink,
-    ) -> EngineResult<ParkOutcome> {
-        let sink = sink.enabled().then_some(sink);
-        self.run_inner(db, updates, resolver, sink, true)
+        self.run_inner(db, updates, resolver, sink)
     }
 
     fn run_inner(
@@ -202,7 +179,6 @@ impl Engine {
         updates: &UpdateSet,
         resolver: &mut dyn ConflictResolver,
         mut sink: Option<&mut dyn MetricsSink>,
-        retain: bool,
     ) -> EngineResult<ParkOutcome> {
         assert!(
             Arc::ptr_eq(db.vocab(), self.program.vocab()),
@@ -221,21 +197,16 @@ impl Engine {
         // fixpoint. A refinement certificate (`crate::refine`) extends the
         // same fast path to programs whose unifiable-head pairs are all
         // provably impossible. The certificate must cover the program that
-        // actually runs — `P_U`, updates included.
-        let mut certified = false;
-        let statically_safe = !working.possibly_conflicting()
-            || (self.options.conflict_certificates && {
-                certified = crate::refine::certify_conflict_free(
-                    &working,
-                    crate::refine::AnalysisVariant::Faithful,
-                )
-                .is_some();
-                certified
-            });
+        // actually runs — `P_U`, updates included. Debug builds check the
+        // claim on every step.
+        let certified = working.possibly_conflicting()
+            && crate::refine::certify_conflict_free(
+                &working,
+                crate::refine::AnalysisVariant::Faithful,
+            )
+            .is_some();
+        let statically_safe = !working.possibly_conflicting() || certified;
         let policy_name = resolver.name().to_string();
-        // Statically conflict-free programs never restart, so capturing a
-        // firing log for them would be pure overhead.
-        let warm = self.options.warm_restarts && !statically_safe;
         // Host-parallelism clamp: task decomposition follows the *requested*
         // thread count (so `eval_tasks` and the merged firing stream are
         // host-independent), but no more worker threads than the host can
@@ -265,11 +236,9 @@ impl Engine {
         // Provenance outlives the runs: `clear` keeps the per-atom maps'
         // allocations for the next run to reuse.
         let mut provenance = Provenance::new();
-        // Warm restarts: the previous run's firing log, replayed against
-        // the grown blocked set (see `crate::replay`).
+        // Restarts replay the previous run's firing log against the grown
+        // blocked set (see `crate::replay`).
         let mut replayer: Option<Replayer> = None;
-        // Retained program-derived heads (see `Engine::run_retaining`).
-        let mut program_marks = retain.then(|| FactStore::new(Arc::clone(self.program.vocab())));
 
         // The evaluator's index requests: under compiled evaluation the
         // cost model's selections replace the interpreted planner's.
@@ -303,10 +272,6 @@ impl Engine {
                 interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
             }
             provenance.clear();
-            if let Some(marks) = &mut program_marks {
-                // A restart discards every consequence of the prior run.
-                marks.clear();
-            }
             let mut step_log = StepLog::new();
             let mut step_in_run: u64 = 0;
             let mut prev_lens = ZoneLens::capture(&interp);
@@ -333,6 +298,27 @@ impl Engine {
                     Some(fired) => {
                         // Served from the log: the filtered vector is
                         // exactly what live evaluation would fire here.
+                        // Debug builds check it: the live step runs
+                        // sequentially on a copy of the delta boundary,
+                        // so nothing reaches counters, spans, or state.
+                        #[cfg(debug_assertions)]
+                        assert_eq!(
+                            fired,
+                            eval_step(
+                                &working,
+                                lowered.as_ref(),
+                                &blocked,
+                                &interp,
+                                step_in_run,
+                                &mut prev_lens.clone(),
+                                None,
+                                1,
+                                None,
+                            )
+                            .0,
+                            "replayed step {} of run {run} differs from live evaluation",
+                            step_in_run + 1
+                        );
                         // Keep the delta boundary current so a live
                         // hand-off after the log sees the right
                         // (prev, curr] window.
@@ -342,45 +328,17 @@ impl Engine {
                         stats.replayed_steps += 1;
                         (fired, 0)
                     }
-                    None => {
-                        let threads = self.options.parallelism;
-                        let span_out = if metered { Some(&mut spans) } else { None };
-                        match &lowered {
-                            None => gamma::fire_all_metered(
-                                &working,
-                                &blocked,
-                                &interp,
-                                threads,
-                                effective_threads,
-                                span_out,
-                            ),
-                            Some(lowered) if step_in_run == 0 => {
-                                bytecode::fire_all_lowered_metered(
-                                    lowered,
-                                    &blocked,
-                                    &interp,
-                                    threads,
-                                    effective_threads,
-                                    span_out,
-                                )
-                            }
-                            Some(lowered) => {
-                                let curr = ZoneLens::capture(&interp);
-                                let fired = bytecode::fire_new_lowered_metered(
-                                    lowered,
-                                    &blocked,
-                                    &interp,
-                                    &prev_lens,
-                                    &curr,
-                                    threads,
-                                    effective_threads,
-                                    span_out,
-                                );
-                                prev_lens = curr;
-                                fired
-                            }
-                        }
-                    }
+                    None => eval_step(
+                        &working,
+                        lowered.as_ref(),
+                        &blocked,
+                        &interp,
+                        step_in_run,
+                        &mut prev_lens,
+                        self.options.parallelism,
+                        effective_threads,
+                        if metered { Some(&mut spans) } else { None },
+                    ),
                 };
                 stats.eval_tasks += tasks;
                 stats.groundings_fired += fired.len() as u64;
@@ -398,6 +356,20 @@ impl Engine {
                 } else {
                     Vec::new()
                 };
+                // Debug builds check the static claim: full conflict
+                // collection must find nothing on a statically safe run.
+                #[cfg(debug_assertions)]
+                if statically_safe {
+                    let missed = collect_conflicts(working.vocab(), &fired, &provenance);
+                    assert!(
+                        missed.is_empty(),
+                        "statically conflict-free run (certified: {certified}) detected \
+                         a conflict on `{}`",
+                        working
+                            .vocab()
+                            .display_fact(missed[0].pred, &missed[0].tuple)
+                    );
+                }
                 let step_nanos = step_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
                 if conflicts.is_empty() {
@@ -406,15 +378,6 @@ impl Engine {
                     step_in_run += 1;
                     let mut added_count = 0usize;
                     let mut added_display: Vec<String> = Vec::new();
-                    if let Some(marks) = &mut program_marks {
-                        for f in &fired {
-                            if f.sign == park_syntax::Sign::Insert
-                                && !working.rule(f.grounding.rule).is_update
-                            {
-                                marks.insert_row(f.pred, &f.tuple);
-                            }
-                        }
-                    }
                     for f in &fired {
                         if interp.insert_marked(f.sign, f.pred, &f.tuple) {
                             added_count += 1;
@@ -427,7 +390,9 @@ impl Engine {
                             }
                         }
                     }
-                    if !statically_safe {
+                    // Debug builds keep provenance on certified runs too, for
+                    // the per-step conflict-freedom check.
+                    if !statically_safe || cfg!(debug_assertions) {
                         provenance.record_all(&fired);
                     }
                     stats.peak_marked_atoms = stats.peak_marked_atoms.max(interp.marked_len());
@@ -477,7 +442,9 @@ impl Engine {
                             added: added_display,
                         });
                     }
-                    if warm {
+                    // Statically conflict-free programs never restart, so
+                    // capturing a firing log for them would be pure overhead.
+                    if !statically_safe {
                         step_log.push_step(fired);
                     }
                 } else {
@@ -585,13 +552,11 @@ impl Engine {
                             trace.push_note(replay_note(run, r));
                         }
                     }
-                    if warm {
-                        // The conflicting step's firings belong to the log
-                        // too: the next run replays them (filtered) as its
-                        // own step at this position.
-                        step_log.push_step(fired);
-                        replayer = Some(Replayer::new(step_log));
-                    }
+                    // The conflicting step's firings belong to the log too:
+                    // the next run replays them (filtered) as its own step
+                    // at this position. (Only uncertified runs get here.)
+                    step_log.push_step(fired);
+                    replayer = Some(Replayer::new(step_log));
                     stats.restarts += 1;
                     continue 'outer;
                 }
@@ -622,8 +587,41 @@ impl Engine {
             program: working,
             stats,
             trace,
-            program_marks,
         })
+    }
+}
+
+/// One live Γ step: the evaluator dispatch of the fixpoint loop, shared by
+/// its live arm and the debug replay check. Naive evaluation re-enumerates
+/// every valid grounding; compiled evaluation enumerates everything at a
+/// run's first step and only the `(prev_lens, now]` delta window after it,
+/// advancing `prev_lens` to the current boundary. Returns the fired
+/// actions and the number of evaluation tasks scheduled.
+#[allow(clippy::too_many_arguments)]
+fn eval_step(
+    working: &CompiledProgram,
+    lowered: Option<&LoweredProgram>,
+    blocked: &BlockedSet,
+    interp: &IInterpretation,
+    step_in_run: u64,
+    prev_lens: &mut ZoneLens,
+    threads: Option<usize>,
+    workers: usize,
+    spans: Option<&mut Vec<TaskSpan>>,
+) -> (Vec<FiredAction>, u64) {
+    match lowered {
+        None => gamma::fire_all_metered(working, blocked, interp, threads, workers, spans),
+        Some(lowered) if step_in_run == 0 => {
+            bytecode::fire_all_lowered_metered(lowered, blocked, interp, threads, workers, spans)
+        }
+        Some(lowered) => {
+            let curr = ZoneLens::capture(interp);
+            let fired = bytecode::fire_new_lowered_metered(
+                lowered, blocked, interp, prev_lens, &curr, threads, workers, spans,
+            );
+            *prev_lens = curr;
+            fired
+        }
     }
 }
 
@@ -971,10 +969,13 @@ mod tests {
         assert_eq!(naive.blocked_display(), compiled.blocked_display());
     }
 
-    // The cross-mode identity suites (parallel vs sequential, warm vs
-    // cold) live in `park-testkit`'s `tests/identity.rs`, on top of the
-    // shared fingerprint/transcript comparison helpers; the differential
-    // harness there extends them to generated programs.
+    // The cross-mode identity suites (parallel vs sequential, replaying
+    // restarts vs the oracle's restart-from-D runs) live in
+    // `park-testkit`'s `tests/identity.rs`, on top of the shared
+    // fingerprint/transcript comparison helpers; the differential harness
+    // there extends them to generated programs. Every replayed step of
+    // every debug-build run is also checked against live evaluation in
+    // place.
 
     #[test]
     fn warm_replay_skips_reevaluation_of_the_stable_prefix() {
@@ -999,15 +1000,27 @@ mod tests {
     }
 
     #[test]
-    fn cold_restarts_record_no_replay() {
-        let out = run_opts(
-            "p -> +q. p -> -a. q -> +a.",
-            "p.",
-            EngineOptions::default().with_warm_restarts(false),
+    fn conflict_free_runs_record_no_replay() {
+        // No unifiable insert/delete heads, and a guard-partitioned pair
+        // the refinement certificate excludes: neither run restarts, so
+        // neither has a log to replay.
+        let plain = run("p -> +q. q -> +r.", "p.");
+        assert_eq!(plain.database.sorted_display(), vec!["p", "q", "r"]);
+        assert!(!plain.stats.certified_conflict_free);
+        let certified = run(
+            "grow: p(X), X < 5 -> +q(X). cut: p(X), X >= 5 -> -q(X).",
+            "p(1). p(7). q(7).",
         );
-        assert_eq!(out.database.sorted_display(), vec!["p", "q"]);
-        assert_eq!(out.stats.replayed_steps, 0);
-        assert_eq!(out.stats.replay_divergence_step, None);
+        assert_eq!(
+            certified.database.sorted_display(),
+            vec!["p(1)", "p(7)", "q(1)"]
+        );
+        assert!(certified.stats.certified_conflict_free);
+        for out in [plain, certified] {
+            assert_eq!(out.stats.restarts, 0);
+            assert_eq!(out.stats.replayed_steps, 0);
+            assert_eq!(out.stats.replay_divergence_step, None);
+        }
     }
 
     #[test]

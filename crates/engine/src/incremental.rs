@@ -45,8 +45,6 @@
 //! recomputation can replay — which is why the certificate is carved along
 //! SCC lines. Event marks are transaction-local by the semantics, so any
 //! event literal takes the cold path.
-//!
-//! [`Engine::run_retaining`]: crate::fixpoint::Engine::run_retaining
 
 use crate::bytecode::{self, ZoneLens};
 use crate::compile::{CompiledLiteral, CompiledProgram, IndexRequest, LitKind, RuleId};
@@ -199,70 +197,28 @@ impl WarmState {
     /// cannot seed one: a run that blocked groundings has consequences the
     /// warm invariant cannot represent.
     ///
-    /// Two paths restore the invariant. When the run retained its
-    /// program-derived marks ([`Engine::run_retaining`]), ended with an
-    /// empty deletion zone, and the program is negation-free, those marks
-    /// *are* the valid-grounding heads and are adopted directly. Otherwise —
-    /// deletions in the run, retained marks possibly stale under negation,
-    /// or no retained marks at all — the valid groundings are recomputed
-    /// from the committed state with one Γ pass, which also lets plain
-    /// [`Engine::run`] outcomes and deletion transactions seed warm states.
-    ///
-    /// [`Engine::run_retaining`]: crate::fixpoint::Engine::run_retaining
-    /// [`Engine::run`]: crate::fixpoint::Engine::run
+    /// The invariant is restored by recomputing the valid-grounding heads
+    /// over the committed state `S` with one Γ pass against `⟨∅, S⟩`. At a
+    /// blocked-free PARK fixpoint every such head is in `S`; a deleting or
+    /// escaping head means the outcome is not one (e.g. an uncertified
+    /// program mid-chain) and cannot seed a warm state.
     pub fn build(program: &CompiledProgram, outcome: &ParkOutcome) -> Option<WarmState> {
         if !outcome.blocked.is_empty() {
             return None;
         }
         let lowered = lower(program, &outcome.database);
-        let negation_free = program.rules().iter().all(|rule| {
-            !rule.body.iter().any(|lit| {
-                matches!(
-                    lit,
-                    CompiledLiteral::Atom {
-                        kind: LitKind::Neg,
-                        ..
-                    }
-                )
-            })
-        });
-        if negation_free && outcome.interpretation.minus().is_empty() {
-            if let Some(marks) = outcome.program_marks.as_ref() {
-                let mut interp = IInterpretation::from_database(outcome.database.clone());
-                for (p, r) in marks.iter_rows() {
-                    interp.zone_mut(MarkZone::Plus).insert_row(p, r);
-                }
-                for req in warm_index_requests(program, &lowered) {
-                    interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
-                }
-                return Some(WarmState { interp, lowered });
-            }
-        }
-        // General path: recompute the valid-grounding heads over the
-        // committed state `S` with one Γ pass against `⟨∅, S⟩`. At a blocked-
-        // free PARK fixpoint every such head is in `S`; a deleting or
-        // escaping head means the outcome is not one (e.g. an uncertified
-        // program mid-chain) and cannot seed a warm state.
         let mut interp = IInterpretation::from_database(outcome.database.clone());
         for req in warm_index_requests(program, &lowered) {
             interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
         }
-        let blocked = BlockedSet::new();
-        let fired = crate::gamma::fire_all(program, &blocked, &interp);
-        let mut heads: Vec<(PredId, Box<[Code]>)> = Vec::with_capacity(fired.len());
-        for f in fired {
+        let fired = crate::gamma::fire_all(program, &BlockedSet::new(), &interp);
+        for f in &fired {
             if f.sign != Sign::Insert || !interp.base().contains_row(f.pred, &f.tuple) {
                 return None;
             }
-            heads.push((f.pred, f.tuple));
         }
-        for (p, r) in &heads {
-            interp.zone_mut(MarkZone::Plus).insert_row(*p, r);
-        }
-        for req in warm_index_requests(program, &lowered) {
-            if req.zone == MarkZone::Plus {
-                interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
-            }
+        for f in &fired {
+            interp.zone_mut(MarkZone::Plus).insert_row(f.pred, &f.tuple);
         }
         Some(WarmState { interp, lowered })
     }
@@ -510,7 +466,7 @@ impl WarmState {
 
 /// Every index the warm zones carry: the lowered program's (delta
 /// propagation) and the interpreted planner's (stratum revalidation and
-/// the recompute path of [`WarmState::build`], which run [`crate::gamma`]).
+/// the seeding pass of [`WarmState::build`], which run [`crate::gamma`]).
 fn warm_index_requests<'a>(
     program: &'a CompiledProgram,
     lowered: &'a LoweredProgram,
@@ -545,7 +501,7 @@ mod tests {
 
     fn cold(engine: &Engine, db: &FactStore, updates: &UpdateSet) -> ParkOutcome {
         engine
-            .run_retaining(db, updates, &mut Inertia, &mut NoopMetrics)
+            .run_with_metrics(db, updates, &mut Inertia, &mut NoopMetrics)
             .unwrap()
     }
 
@@ -763,34 +719,23 @@ mod tests {
     #[test]
     fn warm_build_refuses_blocked_runs_but_accepts_deletion_and_plain_runs() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a). q(b).");
-        // A deletion-marked run now seeds a warm state via the recompute
-        // path, and chains byte-identically afterwards.
+        // A deletion-marked run seeds a warm state, and chains
+        // byte-identically afterwards.
         let out = cold(&engine, &db, &updates(&db, "-q(b)."));
-        let mut warm =
-            WarmState::build(engine.program(), &out).expect("deletion run seeds via recompute");
+        let mut warm = WarmState::build(engine.program(), &out).expect("deletion run seeds");
         let u = updates(warm.state(), "+p(c).");
         let next = cold(&engine, &out.database, &u);
         let report = warm.transact(engine.program(), &u).unwrap();
         let (cold_added, _) = out.database.diff(&next.database);
         assert_eq!(report.added, cold_added);
         assert!(warm.state().same_facts(&next.database));
-        // A run without retained marks seeds one too.
+        // A plain `Engine::run` outcome seeds one too.
         let plain = engine.run(&db, &UpdateSet::empty(), &mut Inertia).unwrap();
-        assert!(plain.program_marks.is_none());
         assert!(WarmState::build(engine.program(), &plain).is_some());
         // A blocked run cannot: the blocked set is not representable.
         let (engine3, db3) = setup("p(X) -> +q(X). p(X) -> -q(X).", "p(a).");
         let blocked_run = cold(&engine3, &db3, &UpdateSet::empty());
         assert!(!blocked_run.blocked.is_empty());
         assert!(WarmState::build(engine3.program(), &blocked_run).is_none());
-    }
-
-    #[test]
-    fn retained_marks_are_the_program_derived_heads() {
-        let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
-        let out = cold(&engine, &db, &updates(&db, "+z(k)."));
-        let marks = out.program_marks.as_ref().unwrap();
-        // q(a) is program-derived; the tx rule's z(k) is not.
-        assert_eq!(marks.sorted_display(), vec!["q(a)"]);
     }
 }

@@ -21,8 +21,8 @@
 //!
 //! Because the cost model only consults the immutable starting database,
 //! lowering is deterministic: the same program and database produce the
-//! same lowered ops regardless of thread count, warm/cold restarts, or
-//! which harness configuration is running.
+//! same lowered ops regardless of thread count, restarts, or which
+//! harness configuration is running.
 
 use crate::bytecode::{
     AccessOp, AccessZone, CheckSrc, ColBind, ColCheck, DeltaKind, KeySrc, LoweredRule, Op,

@@ -83,24 +83,6 @@ pub struct EngineOptions {
     /// (only `RunStats::eval_tasks` may differ). `None` (the default) and
     /// `Some(1)` run everything on the calling thread with no pool.
     pub parallelism: Option<usize>,
-    /// Warm restarts (the default): after a conflict resolution, replay the
-    /// previous run's fired-action log — filtered against the grown blocked
-    /// set — until the first divergent step, and only evaluate live from
-    /// there. Byte-identical results, traces, `SELECT` calls, and counters
-    /// (only `RunStats::eval_tasks`, `replayed_steps`, and
-    /// `replay_divergence_step` differ; see `crate::replay`). `false` is
-    /// the escape hatch: every restart re-runs every Γ step cold.
-    pub warm_restarts: bool,
-    /// Conflict-free certificates (the default): before evaluating, run the
-    /// condition-overlap refinement (`crate::refine`) on the program that
-    /// will execute (`P_U` for transactions). When every unifiable-head
-    /// pair is excluded by a sound argument, the run skips conflict
-    /// collection, provenance bookkeeping, and warm-restart log capture —
-    /// the same fast path conflict-free-by-construction programs already
-    /// take. Results are byte-identical either way (the certificate is a
-    /// proof that no conflict can arise); `false` is the escape hatch that
-    /// keeps the conflict machinery live regardless.
-    pub conflict_certificates: bool,
 }
 
 impl Default for EngineOptions {
@@ -112,8 +94,6 @@ impl Default for EngineOptions {
             max_steps: 1 << 22,
             max_restarts: 1 << 22,
             parallelism: None,
-            warm_restarts: true,
-            conflict_certificates: true,
         }
     }
 }
@@ -144,19 +124,6 @@ impl EngineOptions {
         self.parallelism = parallelism;
         self
     }
-
-    /// Enable or disable warm restarts (builder style).
-    pub fn with_warm_restarts(mut self, warm_restarts: bool) -> Self {
-        self.warm_restarts = warm_restarts;
-        self
-    }
-
-    /// Enable or disable the conflict-free certificate fast path (builder
-    /// style).
-    pub fn with_conflict_certificates(mut self, conflict_certificates: bool) -> Self {
-        self.conflict_certificates = conflict_certificates;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -170,11 +137,6 @@ mod tests {
         assert!(!o.trace);
         assert!(o.max_steps > 1_000_000);
         assert_eq!(o.parallelism, None);
-        assert!(o.warm_restarts, "warm restarts are on by default");
-        assert!(
-            o.conflict_certificates,
-            "certificate fast path is on by default"
-        );
     }
 
     #[test]
@@ -182,15 +144,11 @@ mod tests {
         let o = EngineOptions::traced()
             .with_scope(ResolutionScope::One)
             .with_evaluation(EvaluationMode::Compiled)
-            .with_parallelism(Some(4))
-            .with_warm_restarts(false)
-            .with_conflict_certificates(false);
+            .with_parallelism(Some(4));
         assert!(o.trace);
         assert_eq!(o.scope, ResolutionScope::One);
         assert_eq!(o.evaluation, EvaluationMode::Compiled);
         assert_eq!(o.parallelism, Some(4));
-        assert!(!o.warm_restarts);
-        assert!(!o.conflict_certificates);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! Conflict detection, provenance recording, tracing, and statistics all
 //! run through the engine's ordinary step path for replayed steps, which
 //! is what makes the warm result byte-identical to the cold one (see
-//! `docs/semantics.md` §9 for the full argument). The only observable
+//! `docs/semantics.md` §9 for the full argument; debug builds re-evaluate
+//! every replayed step live and assert the two agree). The only observable
 //! differences are `RunStats::replayed_steps` / `replay_divergence_step`
 //! and `eval_tasks` (replayed steps schedule no evaluation tasks).
 //!
@@ -54,16 +55,6 @@ impl StepLog {
     /// Append one step's fired actions.
     pub fn push_step(&mut self, fired: Vec<FiredAction>) {
         self.steps.push(fired);
-    }
-
-    /// Number of logged steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True if no steps were logged.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 }
 
@@ -192,7 +183,5 @@ mod tests {
         let mut r = Replayer::new(StepLog::new());
         assert!(r.next_step(&BlockedSet::new()).is_none());
         assert_eq!(r.served(), 0);
-        assert!(StepLog::new().is_empty());
-        assert_eq!(StepLog::new().len(), 0);
     }
 }

@@ -30,18 +30,17 @@ pub struct RunStats {
     /// predicate-level shard of the step's rule set (see
     /// `crate::gamma::plan_shards`): the decomposition depends only on the
     /// program, so the count is identical across thread counts and hosts —
-    /// sequential and parallel runs agree on it. It still differs between
-    /// warm and cold runs (replayed steps schedule no tasks), which is why
-    /// it stays out of `ParkOutcome::fingerprint`.
+    /// sequential and parallel runs agree on it. Replayed restart steps
+    /// schedule no tasks, so it differs from the paper's restart-from-`D`
+    /// construction, which is why it stays out of `ParkOutcome::fingerprint`.
     pub eval_tasks: u64,
     /// Γ steps served from the warm-restart replay log instead of being
     /// evaluated live (see `crate::replay`). Like `eval_tasks`, this is
-    /// scheduling information: it differs between warm and cold runs whose
-    /// results are otherwise byte-identical.
+    /// scheduling information, outside the fingerprint.
     pub replayed_steps: u64,
     /// The 1-based step at which the most recent warm replay diverged from
     /// its log (a newly blocked grounding was filtered out). `None` when no
-    /// replay diverged — cold runs, conflict-free runs.
+    /// replay diverged — runs without a restart, conflict-free runs.
     pub replay_divergence_step: Option<u64>,
     /// Largest number of marked atoms held at once.
     pub peak_marked_atoms: usize,

@@ -13,7 +13,7 @@
 //! must allocate *identically* on a no-op transaction.
 
 use park_engine::{
-    certify_incremental, CompiledProgram, Engine, EngineOptions, Inertia, NoopMetrics, WarmState,
+    certify_incremental, CompiledProgram, Engine, EngineOptions, Inertia, WarmState,
 };
 use park_storage::{FactStore, UpdateSet, Vocabulary};
 use park_syntax::parse_program;
@@ -66,9 +66,7 @@ fn warm_db(n: usize) -> (CompiledProgram, WarmState) {
         Engine::with_options(Arc::clone(&vocab), &program, EngineOptions::default()).unwrap();
     assert!(certify_incremental(engine.program()));
     let db = FactStore::from_source(vocab, &src).unwrap();
-    let settle = engine
-        .run_retaining(&db, &UpdateSet::empty(), &mut Inertia, &mut NoopMetrics)
-        .unwrap();
+    let settle = engine.run(&db, &UpdateSet::empty(), &mut Inertia).unwrap();
     let warm = WarmState::build(engine.program(), &settle).expect("warm state builds");
     (engine.program().clone(), warm)
 }

@@ -403,8 +403,8 @@ fn vocab_json(v: VocabStats) -> Json {
 }
 
 /// The deterministic slice of [`park::engine::RunStats`] for a delta
-/// frame: identical across thread counts, hosts, and warm/cold restarts
-/// (scheduling counters like `eval_tasks` stay out).
+/// frame: identical across thread counts and hosts (scheduling counters
+/// like `eval_tasks` and the replay counters stay out).
 fn stats_json(report: &TransactionReport) -> Json {
     Json::object([
         ("gamma_steps", Json::Int(report.stats.gamma_steps as i64)),

@@ -1,7 +1,7 @@
 //! Observable-identity comparison helpers.
 //!
-//! Both the differential harness and the hand-written identity tests (and
-//! the CLI's end-to-end tests) compare runs on the same surface: the
+//! Both the differential harness and the hand-written identity tests
+//! compare runs on the same surface: the
 //! mode-independent *fingerprint* of a [`ParkOutcome`] (final database,
 //! blocked set, key counters, and the full trace event stream — see
 //! [`ParkOutcome::fingerprint`]) plus the `SELECT` call transcript. The
@@ -49,31 +49,6 @@ pub fn diff_lines(label_a: &str, a: &str, label_b: &str, b: &str) -> Option<Stri
                 ));
             }
         }
-    }
-}
-
-/// Compare two byte streams (e.g. captured process stdout), reporting the
-/// first differing line; `None` when identical.
-pub fn diff_bytes(label_a: &str, a: &[u8], b_label: &str, b: &[u8]) -> Option<String> {
-    if a == b {
-        return None;
-    }
-    diff_lines(
-        label_a,
-        &String::from_utf8_lossy(a),
-        b_label,
-        &String::from_utf8_lossy(b),
-    )
-    .or_else(|| Some(format!("{label_a} and {b_label} differ in raw bytes")))
-}
-
-/// Assert byte-identical output, with a line-level failure message.
-///
-/// Shared by the CLI e2e tests (warm vs cold process output) and the
-/// engine-level identity tests.
-pub fn assert_identical_bytes(context: &str, label_a: &str, a: &[u8], label_b: &str, b: &[u8]) {
-    if let Some(d) = diff_bytes(label_a, a, label_b, b) {
-        panic!("{context}: {d}");
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! [`check_case`] runs one [`Case`] through the real engine under every
 //! configuration of the mode matrix — evaluation mode × parallelism ×
-//! restart strategy × resolution scope, under several `SELECT` policies —
+//! resolution scope, under several `SELECT` policies —
 //! and checks each run against the paper-literal oracle
 //! (`crate::oracle`). [`run_fuzz`] drives that check over a stream of
 //! generated cases and minimizes the first failure.
@@ -28,9 +28,13 @@
 //!   "first" genuinely depends on enumeration order, and resolving a
 //!   different conflict first steers the whole computation, so the oracle
 //!   is only a pivot for the ground naive runs. Instead every such
-//!   configuration must match the sequential warm run of its own
-//!   evaluation mode byte for byte — parallelism and restart strategy must
-//!   still be unobservable.
+//!   configuration must match the sequential run of its own evaluation
+//!   mode byte for byte — parallelism must still be unobservable.
+//!
+//! Every engine run restarts by replaying its previous run's firing log;
+//! the oracle restarts from `D` literally, so each oracle comparison is
+//! also a replay-vs-restart comparison (and debug builds check every
+//! replayed step against live evaluation inside the engine).
 //!
 //! Insert-only cases whose negated predicates are purely extensional are
 //! additionally cross-checked against the independent
@@ -65,44 +69,38 @@ pub struct EngineConfig {
     pub evaluation: EvaluationMode,
     /// Intra-step parallelism (`None` = sequential).
     pub parallelism: Option<usize>,
-    /// Warm (replaying) or cold restarts.
-    pub warm_restarts: bool,
     /// Conflicts resolved per restart.
     pub scope: ResolutionScope,
 }
 
 impl EngineConfig {
-    /// The full matrix: naive/compiled × sequential/4 threads × warm/cold ×
-    /// all/one — 16 configurations.
+    /// The full matrix: naive/compiled × sequential/4 threads × all/one —
+    /// 8 configurations.
     pub fn matrix() -> Vec<EngineConfig> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(8);
         for evaluation in [EvaluationMode::Naive, EvaluationMode::Compiled] {
             for parallelism in [None, Some(4)] {
-                for warm_restarts in [true, false] {
-                    for scope in [ResolutionScope::All, ResolutionScope::One] {
-                        out.push(EngineConfig {
-                            evaluation,
-                            parallelism,
-                            warm_restarts,
-                            scope,
-                        });
-                    }
+                for scope in [ResolutionScope::All, ResolutionScope::One] {
+                    out.push(EngineConfig {
+                        evaluation,
+                        parallelism,
+                        scope,
+                    });
                 }
             }
         }
         out
     }
 
-    /// A short label for failure reports, e.g. `compiled/4-threads/warm/one`.
+    /// A short label for failure reports, e.g. `compiled/4-threads/one`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}/{}",
+            "{}/{}/{}",
             self.evaluation.name(),
             match self.parallelism {
                 None => "seq".to_string(),
                 Some(n) => format!("{n}-threads"),
             },
-            if self.warm_restarts { "warm" } else { "cold" },
             match self.scope {
                 ResolutionScope::All => "all",
                 ResolutionScope::One => "one",
@@ -117,15 +115,13 @@ impl EngineConfig {
             .with_scope(self.scope)
             .with_evaluation(self.evaluation)
             .with_parallelism(self.parallelism)
-            .with_warm_restarts(self.warm_restarts)
     }
 
     /// The pivot this cell is compared against for variable `One`-scope
-    /// cases: the sequential warm run of the same evaluation mode.
+    /// cases: the sequential run of the same evaluation mode.
     fn pivot(&self) -> EngineConfig {
         EngineConfig {
             parallelism: None,
-            warm_restarts: true,
             ..*self
         }
     }
@@ -371,6 +367,30 @@ pub fn check_case_parsed(
     for (pi, policy) in POLICIES.iter().enumerate() {
         let oracle_all = run_oracle(ResolutionScope::All, policy);
         let oracle_one = run_oracle(ResolutionScope::One, policy);
+        // A conflict-free certificate is a hard promise: no run of a
+        // certified program may detect (let alone resolve) a conflict under
+        // any scope or policy. The oracle is the witness — it collects
+        // conflicts on every step, whereas a certified engine run skips
+        // the collection the certificate vouches for.
+        if lint.certified_conflict_free {
+            for (scope, res) in [("all", &oracle_all), ("one", &oracle_one)] {
+                if let RunOutcome::Done(o, _) = res {
+                    let c = o.stats.counters();
+                    if c.restarts > 0 || c.conflicts_resolved > 0 {
+                        return Err(Divergence {
+                            seed,
+                            policy: policy.to_string(),
+                            config: "lint-certificate".into(),
+                            detail: format!(
+                                "program was certified conflict-free, but the {scope}-scope \
+                                 oracle observed {} restart(s) and {} resolved conflict(s)",
+                                c.restarts, c.conflicts_resolved
+                            ),
+                        });
+                    }
+                }
+            }
+        }
 
         if pi == 0 {
             if let RunOutcome::Done(o, _) = &oracle_all {
@@ -410,27 +430,9 @@ pub fn check_case_parsed(
         }
 
         let results: Vec<RunOutcome> = engines.iter().map(|(_, e)| run_engine(e, policy)).collect();
-        for ((cfg, _), res) in engines.iter().zip(&results) {
+        for res in &results {
             if let RunOutcome::Done(o, _) = res {
                 stats.counters.absorb(&o.stats.counters());
-                // A conflict-free certificate is a hard promise: no run of
-                // a certified program may detect (let alone resolve) a
-                // conflict under any configuration or policy.
-                let c = o.stats.counters();
-                if lint.certified_conflict_free && (c.restarts > 0 || c.conflicts_resolved > 0) {
-                    return Err(Divergence {
-                        seed,
-                        policy: policy.to_string(),
-                        config: "lint-certificate".into(),
-                        detail: format!(
-                            "program was certified conflict-free, but {} observed \
-                             {} restart(s) and {} resolved conflict(s)",
-                            cfg.label(),
-                            c.restarts,
-                            c.conflicts_resolved
-                        ),
-                    });
-                }
             }
         }
         for ((cfg, _), res) in engines.iter().zip(&results) {
@@ -452,7 +454,7 @@ pub fn check_case_parsed(
                     .iter()
                     .position(|(c, _)| *c == pivot)
                     .map(|i| &results[i])
-                    .expect("the sequential warm pivot is in the matrix");
+                    .expect("the sequential pivot is in the matrix");
                 diff_outcomes("engine", res, "pivot", pivot_res, false)
             };
             if let Some(detail) = diff {
@@ -658,7 +660,7 @@ fn check_sequence(
                         .iter()
                         .position(|(c, _)| *c == pivot)
                         .map(|i| &results[i])
-                        .expect("the sequential warm pivot is in the matrix");
+                        .expect("the sequential pivot is in the matrix");
                     diff_outcomes("engine", res, "pivot", pivot_res, false)
                 };
                 if let Some(detail) = diff {

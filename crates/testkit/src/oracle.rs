@@ -238,7 +238,6 @@ pub fn evaluate(
             program: program.clone(),
             stats,
             trace,
-            program_marks: None,
         },
         decisions,
     })

@@ -1,8 +1,10 @@
 //! The engine's cross-mode identity suites, on the shared comparison
-//! helpers: parallel evaluation and warm restarts must be *observably
-//! identical* to their sequential/cold counterparts — same trace event
-//! stream, same `SELECT` call order, same database, blocked set, and
-//! semantic counters. Only the scheduling/replay counters may differ.
+//! helpers: parallel evaluation must be *observably identical* to the
+//! sequential run, and restarts that replay the previous run's firing log
+//! must be observably identical to the paper-literal oracle, which
+//! restarts cold from `D` — same trace event stream, same `SELECT` call
+//! order, same database, blocked set, and semantic counters. Only the
+//! scheduling/replay counters may differ.
 //!
 //! These lived in `park-engine`'s unit tests before `park-testkit`
 //! existed; they moved here to sit on the same `fingerprint`/transcript
@@ -11,7 +13,7 @@
 use park_engine::{Engine, EngineOptions, EvaluationMode, ParkOutcome, ResolutionScope};
 use park_storage::{FactStore, Vocabulary};
 use park_syntax::parse_program;
-use park_testkit::compare;
+use park_testkit::{check_case, compare, Case, OracleVariant};
 use std::sync::Arc;
 
 const SCENARIOS: [(&str, &str); 6] = [
@@ -80,40 +82,29 @@ fn parallel_runs_are_observably_identical_to_sequential() {
 }
 
 #[test]
-fn warm_restarts_are_observably_identical_to_cold() {
-    // Warm (replay) and cold restarts must agree on traces, SELECT call
-    // order, blocked sets, databases, and every stat except the
-    // replay/scheduling counters.
+fn replaying_restarts_match_the_oracle() {
+    // Every engine restart replays the previous run's firing log; the
+    // paper-literal oracle restarts cold from D. The harness holds every
+    // matrix cell to the oracle under every policy, in its comparison
+    // regimes (debug builds also check each replayed step against live
+    // evaluation inside the engine).
+    for (rules, facts) in SCENARIOS {
+        let case = Case {
+            seed: 0,
+            rules: vec![rules.to_string()],
+            facts: vec![facts.to_string()],
+            txs: Vec::new(),
+        };
+        check_case(&case, OracleVariant::Faithful).unwrap_or_else(|d| panic!("{rules}: {d}"));
+    }
+    // Replay telemetry, per run.
     for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
         for scope in [ResolutionScope::All, ResolutionScope::One] {
             for (rules, facts) in SCENARIOS {
-                let opts = |warm| {
-                    EngineOptions::traced()
-                        .with_evaluation(mode)
-                        .with_scope(scope)
-                        .with_warm_restarts(warm)
-                };
-                let (warm, warm_calls) = run_with(rules, facts, opts(true));
-                let (cold, cold_calls) = run_with(rules, facts, opts(false));
-                compare::assert_observably_identical(
-                    &format!("{mode:?}, {scope:?}: {rules}"),
-                    "warm",
-                    &warm,
-                    &warm_calls,
-                    "cold",
-                    &cold,
-                    &cold_calls,
-                );
-                assert_eq!(
-                    warm.stats.groundings_fired, cold.stats.groundings_fired,
-                    "{rules}"
-                );
-                assert_eq!(
-                    warm.stats.peak_marked_atoms, cold.stats.peak_marked_atoms,
-                    "{rules}"
-                );
-                assert_eq!(cold.stats.replayed_steps, 0, "{rules}");
-                assert_eq!(cold.stats.replay_divergence_step, None, "{rules}");
+                let options = EngineOptions::default()
+                    .with_evaluation(mode)
+                    .with_scope(scope);
+                let (warm, _) = run_with(rules, facts, options);
                 if warm.stats.restarts > 0 {
                     assert!(
                         warm.stats.replayed_steps > 0,

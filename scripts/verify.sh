@@ -26,6 +26,15 @@ cargo run -p park-cli --bin park --release --offline --quiet -- fuzz --seed 0 --
 cargo run -p park-cli --bin park --release --offline --quiet -- \
   fuzz --seed 0 --cases 100 --bias stratified
 
+echo "==> debug fuzz smoke (in-engine replay and certificate checks)"
+# A debug build compiles in the engine's reference checks: every replayed
+# restart step is re-evaluated live and compared, and certified runs still
+# collect conflicts and assert there are none. Sized to stay under about a
+# minute on a 2-vCPU host (~40 s + ~10 s).
+cargo run -p park-cli --bin park --offline --quiet -- fuzz --seed 0 --cases 500
+cargo run -p park-cli --bin park --offline --quiet -- \
+  fuzz --seed 0 --cases 100 --bias stratified
+
 echo "==> analyze --graph smoke (valid JSON, stable ordering, every example)"
 graph_dir="${TMPDIR:-/tmp}/park-graph-$$"
 mkdir -p "$graph_dir"

@@ -190,6 +190,12 @@ impl ActiveDatabase {
     /// [`ActiveDatabase::with_journal`] against the same program, initial
     /// state, and (deterministic) policy. The replayed database does *not*
     /// keep journaling.
+    ///
+    /// Only newline-terminated lines are records. An unterminated final
+    /// line is the torn tail of an append cut short by a crash — the
+    /// transaction it belonged to never reported success — so it is
+    /// dropped, whether or not it happens to parse. A malformed terminated
+    /// line is an error.
     pub fn replay(
         program: &Program,
         initial: FactStore,
@@ -203,8 +209,11 @@ impl ActiveDatabase {
             )))
         })?;
         let mut db = ActiveDatabase::open(program, initial)?;
-        for line in text.lines() {
-            db.transact_source(line, policy)?;
+        for line in text.split_inclusive('\n') {
+            let Some(record) = line.strip_suffix('\n') else {
+                break;
+            };
+            db.transact_source(record.strip_suffix('\r').unwrap_or(record), policy)?;
         }
         Ok(db)
     }
@@ -261,8 +270,8 @@ impl ActiveDatabase {
     }
 
     /// The incremental-mode transaction path: answer from the warm state
-    /// when the run is certified warm-equivalent, otherwise run cold while
-    /// retaining the marks that reseed the warm state. Deletion-bearing
+    /// when the run is certified warm-equivalent, otherwise run cold and
+    /// reseed the warm state from the cold outcome. Deletion-bearing
     /// update sets stay warm too — the warm path recomputes only the
     /// affected strata — unless the deletion provokes a genuine conflict,
     /// in which case the poisoned warm state is dropped and the
@@ -323,7 +332,7 @@ impl ActiveDatabase {
         }
         let outcome = self
             .engine
-            .run_retaining(&self.state, updates, policy, sink)?;
+            .run_with_metrics(&self.state, updates, policy, sink)?;
         self.append_journal(updates)?;
         self.warm = self
             .certified_incremental
@@ -347,12 +356,19 @@ impl ActiveDatabase {
             return Ok(());
         };
         use std::io::Write as _;
-        let line = updates.display(self.vocab());
+        // One `write_all` per record, newline included, then a data sync:
+        // a crash leaves at most one unterminated tail, which `replay`
+        // drops.
+        let mut record = updates.display(self.vocab());
+        record.push('\n');
         std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .and_then(|mut f| writeln!(f, "{line}"))
+            .and_then(|mut f| {
+                f.write_all(record.as_bytes())?;
+                f.sync_data()
+            })
             .map_err(|e| {
                 park_engine::EngineError::Storage(StorageError::Snapshot(format!(
                     "cannot append journal {}: {e}",
@@ -605,6 +621,39 @@ mod tests {
         assert_eq!(replayed.state().sorted_display(), final_state);
         assert_eq!(replayed.transactions(), 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Replay `journal` (raw bytes) for a two-rule reachability program
+    /// over `e(a, b).`, returning the replayed state or the error.
+    fn replay_bytes(name: &str, journal: &str) -> EngineResult<Vec<String>> {
+        let dir = std::env::temp_dir().join(format!("park-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, journal).unwrap();
+        let program = parse_program("e(X, Y) -> +r(X, Y).").unwrap();
+        let initial = FactStore::from_source(Vocabulary::new(), "e(a, b).").unwrap();
+        let replayed = ActiveDatabase::replay(&program, initial, &path, &mut Inertia);
+        let _ = std::fs::remove_file(&path);
+        replayed.map(|db| db.state().sorted_display())
+    }
+
+    #[test]
+    fn replay_drops_an_unparsable_torn_tail() {
+        let state = replay_bytes("unparsable.journal", "+e(b, c).\n+e(c, d").unwrap();
+        assert_eq!(state, vec!["e(a, b)", "e(b, c)", "r(a, b)", "r(b, c)"]);
+    }
+
+    #[test]
+    fn replay_drops_a_torn_tail_that_parses() {
+        // `+e(c, d). +e(d, e).` cut after its first update: the prefix
+        // parses, but the transaction never committed.
+        let state = replay_bytes("parsable.journal", "+e(b, c).\n+e(c, d).").unwrap();
+        assert_eq!(state, vec!["e(a, b)", "e(b, c)", "r(a, b)", "r(b, c)"]);
+    }
+
+    #[test]
+    fn replay_rejects_a_malformed_terminated_line() {
+        assert!(replay_bytes("malformed.journal", "+e(b, c\n+e(c, d).\n").is_err());
     }
 
     #[test]
