@@ -391,6 +391,16 @@ fn query_command_answers_conjunctive_queries() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // A syntax error is reported as one, not as a storage error.
+    let out = park()
+        .args(["query", "?- p(X", "--db", facts.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim(),
+        "park: query syntax error: 1:5: expected `)` or `,`, found end of input"
+    );
 }
 
 #[test]

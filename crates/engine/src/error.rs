@@ -1,7 +1,7 @@
 //! Engine error types.
 
 use park_storage::StorageError;
-use park_syntax::SafetyError;
+use park_syntax::{ParseError, SafetyError};
 use std::fmt;
 
 /// An error raised while compiling or evaluating a PARK program.
@@ -11,6 +11,8 @@ pub enum EngineError {
     Safety(SafetyError),
     /// A storage-level problem (arity mismatches, non-ground atoms, ...).
     Storage(StorageError),
+    /// A query source does not parse.
+    QuerySyntax(ParseError),
     /// The conflict-resolution policy failed (e.g. an interactive oracle ran
     /// out of scripted answers).
     Resolver {
@@ -47,6 +49,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Safety(e) => write!(f, "unsafe rule: {e}"),
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
+            EngineError::QuerySyntax(e) => write!(f, "query syntax error: {e}"),
             EngineError::Resolver { policy, message } => {
                 write!(f, "conflict-resolution policy `{policy}` failed: {message}")
             }
@@ -69,6 +72,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Safety(e) => Some(e),
             EngineError::Storage(e) => Some(e),
+            EngineError::QuerySyntax(e) => Some(e),
             _ => None,
         }
     }
@@ -106,5 +110,7 @@ mod tests {
             atom: "q(a)".into(),
         };
         assert!(e.to_string().contains("q(a)"));
+        let e = EngineError::QuerySyntax(park_syntax::parse_query("p(").unwrap_err());
+        assert!(e.to_string().starts_with("query syntax error: 1:"), "{e}");
     }
 }

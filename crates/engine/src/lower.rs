@@ -156,12 +156,14 @@ fn cost_of(lit: &CompiledLiteral, bound: &[bool], db: &FactStore) -> Cost {
 }
 
 /// Lower one binding literal into an access op, updating `bound` and the
-/// index-request set.
+/// index-request set. A `scan` op requests no index at all (see
+/// [`lower_once`]).
 fn lower_access(
     kind: LitKind,
     atom: &crate::compile::CompiledAtom,
     bound: &mut [bool],
     db: &FactStore,
+    scan: bool,
     requests: &mut HashMap<IndexRequest, ()>,
     index_picks: &mut u64,
 ) -> (AccessOp, DeltaKind) {
@@ -218,7 +220,8 @@ fn lower_access(
     // Base-zone indexing is a cost-model decision; the mark zones start
     // empty and grow during the run, so they always get their (lazy,
     // incrementally maintained) index when there is a key to probe.
-    let index_base = zone == AccessZone::Both && !mask.is_empty() && base_len >= INDEX_MIN_ROWS;
+    let index_base =
+        !scan && zone == AccessZone::Both && !mask.is_empty() && base_len >= INDEX_MIN_ROWS;
     if index_base {
         *index_picks += 1;
         requests.insert(
@@ -230,7 +233,7 @@ fn lower_access(
             (),
         );
     }
-    if !mask.is_empty() {
+    if !scan && !mask.is_empty() {
         match zone {
             AccessZone::Both | AccessZone::Plus => {
                 requests.insert(
@@ -278,6 +281,7 @@ fn keysrc_of(t: TermSlot) -> KeySrc {
 fn lower_rule(
     rule: &CompiledRule,
     db: &FactStore,
+    scan_first: bool,
     requests: &mut HashMap<IndexRequest, ()>,
     index_picks: &mut u64,
 ) -> LoweredRule {
@@ -334,7 +338,8 @@ fn lower_rule(
         let CompiledLiteral::Atom { kind, atom } = &rule.body[l] else {
             unreachable!("binding literals are atoms");
         };
-        let (op, dk) = lower_access(*kind, atom, &mut bound, db, requests, index_picks);
+        let scan = scan_first && binding_ops.is_empty();
+        let (op, dk) = lower_access(*kind, atom, &mut bound, db, scan, requests, index_picks);
         binding_ops.push(u32::try_from(ops.len()).expect("op count fits u32"));
         delta_kinds.push(dk);
         ops.push(Op::Access(op));
@@ -363,12 +368,28 @@ fn lower_rule(
 /// cost model's only input — see the module docs for why that keeps
 /// lowering deterministic).
 pub fn lower(program: &CompiledProgram, db: &FactStore) -> LoweredProgram {
+    lower_with(program, db, false)
+}
+
+/// Lowering for a program that runs exactly once over `db` — a query.
+///
+/// A full pass seeds one frame, so each rule's first access op runs once
+/// per evaluation: an index built for it would be read by a single probe,
+/// after a build that already visits every row. The first access op
+/// therefore scans (probing only through an index that exists anyway,
+/// such as the row hash of a full mask) and requests none; later ops keep
+/// [`lower`]'s index requests.
+pub(crate) fn lower_once(program: &CompiledProgram, db: &FactStore) -> LoweredProgram {
+    lower_with(program, db, true)
+}
+
+fn lower_with(program: &CompiledProgram, db: &FactStore, scan_first: bool) -> LoweredProgram {
     let mut requests: HashMap<IndexRequest, ()> = HashMap::new();
     let mut index_picks = 0u64;
     let rules: Vec<LoweredRule> = program
         .rules()
         .iter()
-        .map(|r| lower_rule(r, db, &mut requests, &mut index_picks))
+        .map(|r| lower_rule(r, db, scan_first, &mut requests, &mut index_picks))
         .collect();
     let op_count = rules.iter().map(|r| r.ops.len() as u64).sum();
     LoweredProgram {
@@ -512,6 +533,39 @@ mod tests {
         assert_eq!(probed, vec![false, true]);
         assert_eq!(lp.index_picks(), 1);
         assert!(lp.index_requests().iter().any(|r| r.zone == MarkZone::Base));
+    }
+
+    #[test]
+    fn run_once_lowering_scans_the_first_access() {
+        let facts: String = (0..40)
+            .map(|i| format!("edge(n{}, n{}). ", i, i + 1))
+            .collect();
+        let vocab = Vocabulary::new();
+        let rules = "edge(X, n7), edge(Y, X) -> +out(Y).";
+        let program =
+            CompiledProgram::compile(Arc::clone(&vocab), &parse_program(rules).unwrap()).unwrap();
+        let db = FactStore::from_source(vocab, &facts).unwrap();
+        let access = |lp: &LoweredProgram| -> Vec<(ColumnMask, bool)> {
+            lp.rules()[0]
+                .ops
+                .iter()
+                .filter_map(|o| match o {
+                    Op::Access(a) => Some((a.mask, a.index_base)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let col = |c: usize| ColumnMask::from_cols([c]);
+        // Same join order either way; only the first op's index differs.
+        let every_run = lower(&program, &db);
+        assert_eq!(access(&every_run), [(col(1), true), (col(1), true)]);
+        assert_eq!(every_run.index_picks(), 2);
+        let once = lower_once(&program, &db);
+        assert_eq!(access(&once), [(col(1), false), (col(1), true)]);
+        assert_eq!(once.index_picks(), 1);
+        // Only the second op's probe asks for indexes (base and I⁺).
+        assert_eq!(once.index_requests().len(), 2);
+        assert!(once.index_requests().iter().all(|r| r.mask == col(1)));
     }
 
     #[test]

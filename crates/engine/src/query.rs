@@ -3,10 +3,19 @@
 //! A query is a rule body evaluated for its satisfying substitutions —
 //! positive and negated conditions, event literals (meaningful when the
 //! target is a mid-run i-interpretation), and comparison guards all work,
-//! with the same safety discipline as rule bodies. Under the hood the
-//! query compiles into a rule with a synthetic head capturing the query's
-//! variables and runs through the ordinary Γ machinery, so query
-//! answering exercises exactly the planner and matcher the engine uses.
+//! with the same safety discipline as rule bodies. The query compiles
+//! into a rule with a synthetic head capturing the query's variables.
+//!
+//! Answering runs on the compiled path, in place: the rule is lowered
+//! against the state it reads ([`lowering`](mod@crate::lower)) and
+//! executed by [`crate::bytecode::fire_all_lowered`] over an
+//! i-interpretation that shares the caller's shards. A query runs exactly
+//! once, so its first access op scans instead of asking for an index, and
+//! a probe that binds every column reads the relation's row hash; only
+//! the partially bound probes after the first op request base indexes,
+//! and only those can copy a shared shard. Debug builds compare every
+//! answer set with the definitional [`crate::gamma::fire_all`] over the
+//! same state.
 //!
 //! ```
 //! use park_engine::query::Query;
@@ -22,11 +31,13 @@
 //! assert_eq!(q.render_rows(&rows), vec!["X = bob"]);
 //! ```
 
+use crate::bytecode;
 use crate::compile::CompiledProgram;
 use crate::error::{EngineError, EngineResult};
-use crate::gamma;
+use crate::gamma::FiredAction;
 use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
+use crate::lower;
 use park_storage::{FactStore, Tuple, Value, Vocabulary};
 use park_syntax::{parse_query, Atom, BodyLiteral, Head, Program, Rule, Sign, Term};
 use std::sync::Arc;
@@ -71,9 +82,7 @@ impl Query {
 
     /// Parse and compile a query source such as `"?- p(X), !q(X)."`.
     pub fn parse(vocab: &Arc<Vocabulary>, src: &str) -> EngineResult<Query> {
-        let body = parse_query(src).map_err(|e| {
-            EngineError::Storage(park_storage::StorageError::Snapshot(e.to_string()))
-        })?;
+        let body = parse_query(src).map_err(EngineError::QuerySyntax)?;
         Query::new(vocab, body)
     }
 
@@ -85,13 +94,37 @@ impl Query {
     /// Evaluate against an i-interpretation (event literals see its
     /// marks). Each row assigns the query's variables in order.
     ///
-    /// The query's own plan may probe predicates the hosting program never
-    /// indexes, so the indexes the plan requests are installed on `interp`
-    /// first (a no-op when already present) — without this, joins silently
-    /// fall back to full-relation scans.
+    /// The query is lowered against `interp`'s base zone, and the indexes
+    /// the lowered plan requests are installed on the non-empty relations
+    /// of `interp` first (a no-op when already present) — the first access
+    /// op and every full-mask probe request none.
     pub fn run(&self, interp: &mut IInterpretation) -> Vec<Tuple> {
-        self.ensure_indexes(interp);
-        let fired = gamma::fire_all(&self.program, &BlockedSet::new(), interp);
+        let lowered = lower::lower_once(&self.program, interp.base());
+        for req in lowered.index_requests() {
+            if interp
+                .zone(req.zone)
+                .relation(req.pred)
+                .is_some_and(|r| !r.is_empty())
+            {
+                interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
+            }
+        }
+        let blocked = BlockedSet::new();
+        let rows = self.answer_rows(bytecode::fire_all_lowered(&lowered, &blocked, interp));
+        #[cfg(debug_assertions)]
+        {
+            let reference = crate::gamma::fire_all(&self.program, &blocked, interp);
+            assert_eq!(
+                rows,
+                self.answer_rows(reference),
+                "compiled query answers differ from the Γ reference"
+            );
+        }
+        rows
+    }
+
+    /// Decode fired answer heads into rows, sorted and deduplicated.
+    fn answer_rows(&self, fired: Vec<FiredAction>) -> Vec<Tuple> {
         // Decode at the answer boundary and sort with the vocabulary-aware
         // comparator (symbols by name): raw `Value` order ranks symbols by
         // SymId, i.e. intern order, so the same database restored into a
@@ -104,19 +137,13 @@ impl Query {
         rows
     }
 
-    /// Install the indexes this query's plan probes through (shared by
-    /// [`Query::run`] and [`Query::run_on_database`]).
-    fn ensure_indexes(&self, interp: &mut IInterpretation) {
-        for req in self.program.index_requests() {
-            interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
-        }
-    }
-
     /// Evaluate against a plain database (no marks: positive literals are
     /// membership, negation is closed-world, event literals never match).
+    /// The evaluation shares `db`'s shards; a shard is copied only when a
+    /// partially bound probe after the query's first op needs a base index
+    /// `db` lacks.
     pub fn run_on_database(&self, db: &FactStore) -> Vec<Tuple> {
-        let mut interp = IInterpretation::from_database(db.clone());
-        self.run(&mut interp)
+        self.run(&mut IInterpretation::from_database(db.clone()))
     }
 
     /// True if the query has at least one answer.
@@ -156,6 +183,8 @@ pub fn row_value(query: &Query, row: &Tuple, name: &str) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::IndexRequest;
+    use crate::validity::MarkZone;
 
     fn db(src: &str) -> (Arc<Vocabulary>, FactStore) {
         let vocab = Vocabulary::new();
@@ -213,36 +242,63 @@ mod tests {
     #[test]
     fn run_installs_the_plan_requested_indexes() {
         // Regression: `run` used to evaluate against a caller-supplied
-        // interpretation without installing the plan's `index_requests()`
+        // interpretation without installing the plan's index requests
         // (unlike `run_on_database`), so mid-run queries joined through the
-        // unindexed scan fallback.
-        let (vocab, store) = db("p(a). p(b). e(a, b). e(a, c). e(b, d).");
-        let q = Query::parse(&vocab, "?- p(X), e(X, Y).").unwrap();
-        let requests = q.program.index_requests();
-        assert!(
-            !requests.is_empty(),
-            "the join plan must probe through at least one index"
-        );
+        // unindexed scan fallback. The requests are the run-once lowered
+        // plan's: its first access scans, later partial probes index.
+        let facts: String = (0..40)
+            .map(|i| format!("p(n{i}). e(n{i}, m{i}). e(n{i}, k{i}). q(n{i}, m{i}). "))
+            .collect();
+        let (vocab, store) = db(&facts);
+        // p scans, q is probed by X, e by X and Y (a full mask).
+        let q = Query::parse(&vocab, "?- p(X), e(X, Y), q(X, Y).").unwrap();
+        let lowered = lower::lower_once(&q.program, &store);
+        let (full, partial): (Vec<&IndexRequest>, Vec<_>) = lowered
+            .index_requests()
+            .iter()
+            .filter(|r| r.zone == MarkZone::Base)
+            .partition(|r| r.mask.covers_all(2));
+        assert_eq!((full.len(), partial.len()), (1, 1), "{partial:?} {full:?}");
+        let partial = partial[0];
         let mut interp = IInterpretation::from_database(store);
-        for req in requests {
-            let rel = interp.zone(req.zone).relation(req.pred);
-            assert!(
-                rel.is_none_or(|r| !r.has_index(req.mask)),
-                "precondition: the index is not there before the query runs"
-            );
-        }
+        let indexed = |interp: &IInterpretation| {
+            let rel = interp.base().relation(partial.pred);
+            rel.is_some_and(|r| r.has_index(partial.mask))
+        };
+        assert!(
+            !indexed(&interp),
+            "precondition: the index is not there before the query runs"
+        );
         let rows = q.run(&mut interp);
-        assert_eq!(rows.len(), 3);
-        for req in requests {
-            let rel = interp
-                .zone(req.zone)
-                .relation(req.pred)
-                .expect("probed relation exists");
-            assert!(
-                rel.has_index(req.mask),
-                "the indexed probe path is taken by `run` itself"
-            );
-        }
+        assert_eq!(rows.len(), 40);
+        assert!(
+            indexed(&interp),
+            "the indexed probe path is taken by `run` itself"
+        );
+        // The partial probe's index is the only one built: the full-mask
+        // probe reads the row hash, so no full-mask index exists.
+        let built: usize = [MarkZone::Base, MarkZone::Plus, MarkZone::Minus]
+            .into_iter()
+            .map(|zone| {
+                let store = interp.zone(zone);
+                store
+                    .nonempty_preds()
+                    .map(|p| store.relation(p).unwrap().index_count())
+                    .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(built, 1);
+    }
+
+    #[test]
+    fn syntax_errors_are_typed() {
+        let (vocab, _) = db("p(a).");
+        let err = Query::parse(&vocab, "?- p(X").unwrap_err();
+        assert!(matches!(err, EngineError::QuerySyntax(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "query syntax error: 1:5: expected `)` or `,`, found end of input"
+        );
     }
 
     #[test]

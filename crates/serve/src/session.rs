@@ -601,6 +601,34 @@ mod tests {
     }
 
     #[test]
+    fn query_syntax_errors_get_their_own_error_message() {
+        let mut s = open_payroll();
+        let (frames, closed) = s.handle(
+            1,
+            DbOp::Query {
+                query: Some("?- p(X".into()),
+                pred: None,
+            },
+        );
+        assert!(!closed);
+        let doc = park_json::parse(&frames[0]).unwrap();
+        assert_eq!(doc.get("frame").and_then(|j| j.as_str()), Some("error"));
+        assert_eq!(
+            doc.get("message").and_then(|j| j.as_str()),
+            Some("query syntax error: 1:5: expected `)` or `,`, found end of input")
+        );
+        // The session keeps answering.
+        let (frames, _) = s.handle(
+            2,
+            DbOp::Query {
+                query: Some("?- active(X).".into()),
+                pred: None,
+            },
+        );
+        assert!(frames[0].contains("X = ann"), "{}", frames[0]);
+    }
+
+    #[test]
     fn reload_and_compact_report_vocab_movement() {
         let mut s = open_payroll();
         s.handle(

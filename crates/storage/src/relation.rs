@@ -17,6 +17,14 @@
 //! indexes maintained incrementally, so an arena that only ever grows —
 //! the common case for restart states cloned from an indexed database —
 //! never rebuilds an index it already has.
+//!
+//! A probe whose mask binds *every* column is a point lookup, and the
+//! row-hash map that deduplication keeps is exactly the index it needs:
+//! the key hash of a full mask is the row hash. Full masks are therefore
+//! always indexed — [`Relation::index_bucket`] answers from the row-hash
+//! buckets, [`Relation::has_index`] is `true`, and
+//! [`Relation::ensure_index`] builds nothing — so no full-mask secondary
+//! index ever exists.
 
 use crate::hash::{hash_codes, hash_row, FxHashMap};
 use crate::value::Code;
@@ -59,6 +67,16 @@ impl ColumnMask {
     pub fn cols(self) -> impl Iterator<Item = usize> {
         (0..32).filter(move |&i| self.0 & (1 << i) != 0)
     }
+
+    /// True if the mask binds exactly the columns `0..arity` — every
+    /// column of a relation of that arity (the empty mask for arity 0).
+    pub fn covers_all(self, arity: usize) -> bool {
+        match arity {
+            0..=31 => self.0 == (1 << arity) - 1,
+            32 => self.0 == u32::MAX,
+            _ => false,
+        }
+    }
 }
 
 /// Hash the key of `row` under `mask` without materializing it.
@@ -94,7 +112,8 @@ pub struct Relation {
     /// position-based indexes (`remove`'s swap-remove, `clear`). Inserts
     /// never bump it — they maintain current indexes incrementally.
     generation: u64,
-    /// Row-hash → candidate positions, for dedup and point containment.
+    /// Row-hash → candidate positions, for dedup, point containment and
+    /// full-mask probes.
     positions: HashBuckets,
     /// Secondary indexes: key-hash → candidate positions per column mask,
     /// each tagged with the generation it reflects.
@@ -226,11 +245,12 @@ impl Relation {
     }
 
     /// Build the index for `mask` if absent or stale. The empty mask never
-    /// gets an index (a probe on it is a scan by definition). A stale
-    /// entry — invalidated by [`Relation::remove`]'s generation bump — is
-    /// rebuilt in place, reusing its bucket allocations.
+    /// gets an index (a probe on it is a scan by definition), and a full
+    /// mask needs none (the row-hash buckets serve it). A stale entry —
+    /// invalidated by [`Relation::remove`]'s generation bump — is rebuilt
+    /// in place, reusing its bucket allocations.
     pub fn ensure_index(&mut self, mask: ColumnMask) {
-        if mask.is_empty() {
+        if mask.is_empty() || mask.covers_all(self.arity) {
             return;
         }
         let generation = self.generation;
@@ -254,27 +274,36 @@ impl Relation {
         self.indexes.insert(mask, entry);
     }
 
-    /// True if a current (non-stale) index for `mask` is present.
+    /// True if a current (non-stale) index for `mask` is present — always
+    /// for a full mask, which the row-hash buckets serve.
     pub fn has_index(&self, mask: ColumnMask) -> bool {
-        self.indexes
-            .get(&mask)
-            .is_some_and(|e| e.built_at == self.generation)
+        mask.covers_all(self.arity)
+            || self
+                .indexes
+                .get(&mask)
+                .is_some_and(|e| e.built_at == self.generation)
     }
 
     /// Raw candidate positions for `key_hash` under the `mask` index, in
     /// ascending insertion order — or `None` when no current index for
-    /// `mask` exists. The positions are *hash candidates, not certainties*:
-    /// the caller must verify each row's masked columns itself. This is the
-    /// compiled evaluator's probe entry point — its register checks subsume
-    /// the verification [`Relation::probe`] would otherwise repeat per
-    /// candidate.
+    /// `mask` exists. A full mask reads the row-hash buckets (its key hash
+    /// is the row hash). The positions are *hash candidates, not
+    /// certainties*: the caller must verify each row's masked columns
+    /// itself. This is the compiled evaluator's probe entry point — its
+    /// register checks subsume the verification [`Relation::probe`] would
+    /// otherwise repeat per candidate.
     #[inline]
     pub fn index_bucket(&self, mask: ColumnMask, key_hash: u64) -> Option<&[u32]> {
-        let entry = self.indexes.get(&mask)?;
-        if entry.built_at != self.generation {
-            return None;
-        }
-        Some(entry.buckets.get(&key_hash).map_or(&[], Vec::as_slice))
+        let buckets = if mask.covers_all(self.arity) {
+            &self.positions
+        } else {
+            let entry = self.indexes.get(&mask)?;
+            if entry.built_at != self.generation {
+                return None;
+            }
+            &entry.buckets
+        };
+        Some(buckets.get(&key_hash).map_or(&[], Vec::as_slice))
     }
 
     /// Rows whose `mask` columns equal `key`, in insertion order.
@@ -326,7 +355,8 @@ impl Relation {
     }
 
     /// Number of secondary indexes currently materialized (stale retained
-    /// entries awaiting rebuild are not counted).
+    /// entries awaiting rebuild are not counted, and neither are the
+    /// row-hash buckets full masks probe through).
     pub fn index_count(&self) -> usize {
         self.indexes
             .values()
@@ -565,14 +595,124 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let mut r = rel_with(&[&[1], &[2]]);
+        // Mask {0} on an arity-2 relation: a full mask would always count
+        // as indexed (the row-hash buckets serve it).
+        let mut r = rel_with(&[&[1, 10], &[2, 20]]);
         let m = ColumnMask::from_cols([0]);
         r.ensure_index(m);
         r.clear();
         assert!(r.is_empty());
         assert!(!r.has_index(m));
-        assert!(!r.contains(&[c(1)]));
+        assert!(!r.contains(&[c(1), c(10)]));
         assert_eq!(r.encoded_bytes(), 0);
+    }
+
+    /// Every row a full-mask `probe`, `probe_in_range` and (verified)
+    /// `index_bucket` return for `key` in the window `lo..hi`, checked
+    /// against a filtered scan of the same window.
+    fn assert_full_mask_matches_scan(r: &Relation, key: &[Code], lo: u32, hi: u32) {
+        let m = ColumnMask::from_cols(0..r.arity());
+        let scan: Vec<u32> = (lo..hi.min(r.len() as u32))
+            .filter(|&p| r.row(p) == key)
+            .collect();
+        let rows = |ps: &[u32]| ps.iter().map(|&p| r.row(p).to_vec()).collect::<Vec<_>>();
+        let ranged: Vec<Vec<Code>> = r
+            .probe_in_range(m, key, lo, hi)
+            .map(<[Code]>::to_vec)
+            .collect();
+        assert_eq!(ranged, rows(&scan), "probe_in_range {key:?} {lo}..{hi}");
+        if (lo, hi) == (0, u32::MAX) {
+            let all: Vec<Vec<Code>> = r.probe(m, key).map(<[Code]>::to_vec).collect();
+            assert_eq!(all, rows(&scan), "probe {key:?}");
+        }
+        let bucket = r
+            .index_bucket(m, hash_codes(key.iter().copied()))
+            .expect("a full mask is always indexed");
+        assert!(bucket.windows(2).all(|w| w[0] < w[1]), "ascending bucket");
+        let verified: Vec<u32> = bucket
+            .iter()
+            .copied()
+            .filter(|&p| (lo..hi).contains(&p) && r.row(p) == key)
+            .collect();
+        assert_eq!(verified, scan, "index_bucket {key:?} {lo}..{hi}");
+    }
+
+    #[test]
+    fn full_mask_probes_read_the_row_hash() {
+        let mut r = rel_with(&[&[1, 2], &[3, 4], &[5, 6], &[7, 8]]);
+        let m = ColumnMask::from_cols([0, 1]);
+        assert!(r.has_index(m), "the row-hash buckets serve a full mask");
+        r.ensure_index(m);
+        assert_eq!(r.index_count(), 0, "no full-mask secondary index is built");
+        for key in [[c(1), c(2)], [c(5), c(6)], [c(7), c(8)], [c(1), c(4)]] {
+            assert_full_mask_matches_scan(&r, &key, 0, u32::MAX);
+            // Windows around every row position.
+            for lo in 0..4 {
+                for hi in lo..=5 {
+                    assert_full_mask_matches_scan(&r, &key, lo, hi);
+                }
+            }
+        }
+        // Swap-remove moves the last row into the hole; buckets stay
+        // ascending and still agree with the scan.
+        assert!(r.remove(&[c(1), c(2)]));
+        assert!(r.has_index(m));
+        for key in [[c(1), c(2)], [c(7), c(8)], [c(3), c(4)]] {
+            assert_full_mask_matches_scan(&r, &key, 0, u32::MAX);
+            assert_full_mask_matches_scan(&r, &key, 1, 3);
+        }
+        assert_eq!(r.probe(m, &[c(7), c(8)]).count(), 1);
+    }
+
+    #[test]
+    fn full_mask_probes_verify_row_hash_collisions() {
+        // Two distinct arity-2 rows with the same row hash.
+        let a = [c(3_122_331_942), c(0)];
+        let b = [c(105_167_146), c(1_074_384_266)];
+        assert_eq!(hash_row(&a), hash_row(&b), "precondition: a collision");
+        let mut r = Relation::new(2);
+        r.insert(&[c(1), c(1)]);
+        r.insert(&a);
+        r.insert(&b);
+        let m = ColumnMask::from_cols([0, 1]);
+        assert_eq!(r.index_bucket(m, hash_row(&a)).unwrap(), &[1, 2]);
+        for key in [a, b] {
+            assert_full_mask_matches_scan(&r, &key, 0, u32::MAX);
+            assert_full_mask_matches_scan(&r, &key, 2, 3);
+        }
+        assert_eq!(r.probe(m, &a).collect::<Vec<_>>(), vec![&a[..]]);
+        // Removing the first of the pair swaps the last row into its slot.
+        assert!(r.remove(&a));
+        assert_eq!(r.index_bucket(m, hash_row(&b)).unwrap(), &[1]);
+        assert_full_mask_matches_scan(&r, &a, 0, u32::MAX);
+        assert_full_mask_matches_scan(&r, &b, 0, u32::MAX);
+    }
+
+    #[test]
+    fn full_mask_of_arity_zero_is_the_empty_mask() {
+        let mut r = Relation::new(0);
+        assert!(ColumnMask::EMPTY.covers_all(0));
+        assert_full_mask_matches_scan(&r, &[], 0, u32::MAX);
+        assert!(r
+            .index_bucket(ColumnMask::EMPTY, hash_row(&[]))
+            .unwrap()
+            .is_empty());
+        r.insert(&[]);
+        assert_full_mask_matches_scan(&r, &[], 0, u32::MAX);
+        assert_full_mask_matches_scan(&r, &[], 1, u32::MAX);
+        assert_eq!(r.probe(ColumnMask::EMPTY, &[]).count(), 1);
+        r.ensure_index(ColumnMask::EMPTY);
+        assert_eq!(r.index_count(), 0);
+    }
+
+    #[test]
+    fn covers_all_matches_the_arity() {
+        assert!(ColumnMask::from_cols([0, 1]).covers_all(2));
+        assert!(!ColumnMask::from_cols([0, 1]).covers_all(3));
+        assert!(!ColumnMask::from_cols([1, 2]).covers_all(2));
+        assert!(!ColumnMask::from_cols([0]).covers_all(2));
+        assert!(ColumnMask::from_cols(0..32).covers_all(32));
+        assert!(!ColumnMask::EMPTY.covers_all(1));
     }
 
     #[test]

@@ -68,6 +68,23 @@ done
 cmp "$storage_dir/t1.out" "$storage_dir/t4.out"
 rm -rf "$storage_dir"
 
+echo "==> query smoke (debug and release answers byte-identical)"
+query_dir="${TMPDIR:-/tmp}/park-query-$$"
+mkdir -p "$query_dir"
+printf 'X = ann, S = 52000\nX = bob, S = 48000\n' > "$query_dir/want.out"
+# The debug build also compares every answer set with the definitional
+# Γ enumeration inside the engine.
+for profile in debug release; do
+  if [ "$profile" = release ]; then flag="--release"; else flag=""; fi
+  # shellcheck disable=SC2086
+  cargo run -p park-cli --bin park $flag --offline --quiet -- \
+    query "?- active(X), eligible(X), payroll(X, S), S > 40000." \
+    --db examples/data/payroll.facts > "$query_dir/$profile.out"
+done
+cmp "$query_dir/debug.out" "$query_dir/release.out"
+cmp "$query_dir/want.out" "$query_dir/release.out"
+rm -rf "$query_dir"
+
 echo "==> compiled evaluator smoke (byte-diff vs naive, threads 1 vs 4)"
 compiled_dir="${TMPDIR:-/tmp}/park-compiled-$$"
 mkdir -p "$compiled_dir/wl"

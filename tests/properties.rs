@@ -502,6 +502,119 @@ proptest! {
     }
 }
 
+/// Constants of the query-equivalence databases and queries: symbols and
+/// integers, so ordered guards see both.
+const QUERY_CONSTS: [&str; 6] = ["a", "b", "c", "1", "2", "3"];
+
+/// A random database over `e/2`, `f/2` and `g/1`: up to 48 facts, so `e`
+/// and `f` often pass the lowering cost model's index threshold.
+fn arb_query_db_src() -> impl Strategy<Value = String> {
+    let konst = prop::sample::select(QUERY_CONSTS.to_vec());
+    prop::collection::vec((0u8..5, konst.clone(), konst), 0..48).prop_map(|facts| {
+        facts
+            .into_iter()
+            .map(|(p, x, y)| match p {
+                0 | 1 => format!("e({x}, {y})."),
+                2 | 3 => format!("f({x}, {y})."),
+                _ => format!("g({x})."),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    })
+}
+
+/// A random safe conjunctive query: 1–4 positive literals over `e`, `f`
+/// and `g` (so one predicate often appears several times) whose terms mix
+/// the variables `X`, `Y`, `Z` (repeats included) with constants, then up
+/// to two negations and two guards over the variables those bind.
+fn arb_conjunctive_query() -> impl Strategy<Value = String> {
+    let atom = (0u8..3, 0u8..10, 0u8..10);
+    let positives = prop::collection::vec(atom.clone(), 1..5);
+    let negations = prop::collection::vec(atom, 0..3);
+    let guards = prop::collection::vec((0u8..6, 0u8..10, 0u8..10), 0..3);
+    (positives, negations, guards).prop_map(|(positives, negations, guards)| {
+        const VARS: [&str; 3] = ["X", "Y", "Z"];
+        // Choices below 6 pick a variable (weighted 2:1 over constants).
+        let free = |t: u8| {
+            if t < 6 {
+                VARS[usize::from(t % 3)].to_string()
+            } else {
+                QUERY_CONSTS[usize::from(t - 6)].to_string()
+            }
+        };
+        let atom = |(p, a, b): (u8, u8, u8), term: &dyn Fn(u8) -> String| match p {
+            0 => format!("e({}, {})", term(a), term(b)),
+            1 => format!("f({}, {})", term(a), term(b)),
+            _ => format!("g({})", term(a)),
+        };
+        let mut lits: Vec<String> = positives.iter().map(|&a| atom(a, &free)).collect();
+        // Variables the positives bind, in first-occurrence order.
+        let mut bound: Vec<String> = Vec::new();
+        for &(p, a, b) in &positives {
+            let cols = if p == 2 { vec![a] } else { vec![a, b] };
+            for t in cols {
+                let term = free(t);
+                if t < 6 && !bound.contains(&term) {
+                    bound.push(term);
+                }
+            }
+        }
+        let safe = |t: u8| {
+            if t < 6 && !bound.is_empty() {
+                bound[usize::from(t) % bound.len()].clone()
+            } else {
+                QUERY_CONSTS[usize::from(t % 6)].to_string()
+            }
+        };
+        lits.extend(negations.iter().map(|&a| format!("!{}", atom(a, &safe))));
+        for &(op, l, r) in &guards {
+            let op = ["=", "!=", "<", "<=", ">", ">="][usize::from(op)];
+            lits.push(format!("{} {op} {}", safe(l), safe(r)));
+        }
+        format!("?- {}.", lits.join(", "))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// In-place compiled query answering equals the definitional Γ
+    /// enumeration of the same body, row for row, in every build profile
+    /// (debug builds also check this inside `Query::run`).
+    #[test]
+    fn compiled_queries_match_the_gamma_reference(
+        facts in arb_query_db_src(),
+        query in arb_conjunctive_query(),
+    ) {
+        let vocab = Vocabulary::new();
+        let db = FactStore::from_source(Arc::clone(&vocab), facts.as_str()).unwrap();
+        let q = park::engine::Query::parse(&vocab, &query).unwrap();
+        let got = q.run_on_database(&db);
+
+        // The reference: the body as a rule whose head captures the
+        // query's variables, enumerated by naive Γ over the database.
+        let body = query.trim_start_matches("?- ").trim_end_matches('.');
+        let head = if q.vars().is_empty() {
+            "reference_answer".to_string()
+        } else {
+            format!("reference_answer({})", q.vars().join(", "))
+        };
+        let program = park::engine::CompiledProgram::compile(
+            Arc::clone(&vocab),
+            &parse_program(&format!("{body} -> +{head}.")).unwrap(),
+        )
+        .unwrap();
+        let interp = IInterpretation::from_database(db.clone());
+        let mut want: Vec<park::storage::Tuple> = fire_all(&program, &BlockedSet::new(), &interp)
+            .iter()
+            .map(|f| vocab.decode_row(&f.tuple))
+            .collect();
+        want.sort_by(|a, b| vocab.cmp_tuples(a, b));
+        want.dedup();
+        prop_assert_eq!(got, want, "query {} over {}", query, facts);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Syntax roundtrip properties
 // ---------------------------------------------------------------------
