@@ -648,8 +648,8 @@ fn bench_eval_json() {
         let settle = engine
             .run(&db, &UpdateSet::empty(), &mut Inertia)
             .expect("PARK terminates");
-        let warm0 = WarmState::build(engine.program(), &settle).expect("C9 warm state builds");
-        let base = settle.database;
+        let base = settle.database.clone();
+        let warm0 = WarmState::build(engine.program(), settle).expect("C9 warm state builds");
         let facts_n = base.len();
         let bytes = base.encoded_bytes();
         const K: usize = 8;
@@ -777,8 +777,8 @@ fn bench_eval_json() {
         let settle = engine
             .run(&db, &UpdateSet::empty(), &mut Inertia)
             .expect("PARK terminates");
-        let warm0 = WarmState::build(engine.program(), &settle).expect("C11 warm state builds");
-        let base = settle.database;
+        let base = settle.database.clone();
+        let warm0 = WarmState::build(engine.program(), settle).expect("C11 warm state builds");
         let facts_n = base.len();
         let bytes = base.encoded_bytes();
         const K: usize = 8;

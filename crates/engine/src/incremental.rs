@@ -19,6 +19,15 @@
 //! bailing to a cold run only when the deletion collides with a derived
 //! fact (a genuine PARK conflict the policy must resolve).
 //!
+//! A warm state *owns* the committed state `S`: its base zone is the only
+//! copy, so a commit writes `S` in place and copies no shard.
+//! [`WarmState::build`] takes a cold run's state by value. A transaction
+//! is split into [`WarmState::propagate`], which can bail but writes only
+//! the mark zones, and [`WarmState::commit`], which writes `S` and cannot
+//! fail. Whoever drops a warm state takes `S` back by move with
+//! [`WarmState::into_state`]; after a bail that is the untouched
+//! pre-transaction state.
+//!
 //! Why this is sound — the invariant the warm state maintains is
 //!
 //! > `base` = the committed state `S`, `plus` = exactly the heads of program
@@ -178,10 +187,12 @@ pub struct IncrementalReport {
 
 /// The live evaluation state a resident database keeps between transactions.
 ///
-/// Invariant (maintained by [`WarmState::build`] and every successful
-/// [`WarmState::transact`]): `base` is the committed state `S`, `plus` holds
+/// Invariant (maintained by [`WarmState::build`] and every
+/// [`WarmState::commit`]): `base` is the committed state `S`, `plus` holds
 /// exactly the heads of program groundings valid over `⟨∅, S⟩` (all of which
 /// are themselves in `S`, since `S` is a PARK fixpoint), `minus` is empty.
+/// The warm state owns `S`: nothing else holds its shards, so a commit
+/// writes them in place.
 #[derive(Debug, Clone)]
 pub struct WarmState {
     interp: IInterpretation,
@@ -193,34 +204,45 @@ pub struct WarmState {
 }
 
 impl WarmState {
-    /// Build a warm state from a finished cold run, or `None` when the run
-    /// cannot seed one: a run that blocked groundings has consequences the
-    /// warm invariant cannot represent.
+    /// Build a warm state over a finished cold run's committed state, which
+    /// it takes by value and becomes the only owner of. Hands the state back
+    /// untouched but for added indexes when the run cannot seed one: a run
+    /// that blocked groundings has consequences the warm invariant cannot
+    /// represent.
     ///
     /// The invariant is restored by recomputing the valid-grounding heads
     /// over the committed state `S` with one Γ pass against `⟨∅, S⟩`. At a
     /// blocked-free PARK fixpoint every such head is in `S`; a deleting or
     /// escaping head means the outcome is not one (e.g. an uncertified
     /// program mid-chain) and cannot seed a warm state.
-    pub fn build(program: &CompiledProgram, outcome: &ParkOutcome) -> Option<WarmState> {
-        if !outcome.blocked.is_empty() {
-            return None;
+    pub fn build(program: &CompiledProgram, outcome: ParkOutcome) -> Result<WarmState, FactStore> {
+        let ParkOutcome {
+            database,
+            blocked,
+            interpretation,
+            ..
+        } = outcome;
+        // The run's final interpretation shares shards with `database`:
+        // release them first, so the index builds below write in place.
+        drop(interpretation);
+        if !blocked.is_empty() {
+            return Err(database);
         }
-        let lowered = lower(program, &outcome.database);
-        let mut interp = IInterpretation::from_database(outcome.database.clone());
+        let lowered = lower(program, &database);
+        let mut interp = IInterpretation::from_database(database);
         for req in warm_index_requests(program, &lowered) {
             interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
         }
         let fired = crate::gamma::fire_all(program, &BlockedSet::new(), &interp);
         for f in &fired {
             if f.sign != Sign::Insert || !interp.base().contains_row(f.pred, &f.tuple) {
-                return None;
+                return Err(interp.into_base());
             }
         }
         for f in &fired {
             interp.zone_mut(MarkZone::Plus).insert_row(f.pred, &f.tuple);
         }
-        Some(WarmState { interp, lowered })
+        Ok(WarmState { interp, lowered })
     }
 
     /// The committed state `S` this warm state answers from.
@@ -228,51 +250,84 @@ impl WarmState {
         self.interp.base()
     }
 
-    /// Evaluate one transaction in place: delta propagation through the
-    /// warm state's lowered program, seeded from the zone-new `U` marks;
-    /// commit; then revalidate the affected strata. `program` must be the
-    /// one the warm state was built for.
-    /// Equivalent to (and byte-compatible with) a cold `PARK(S, P, U)` run
-    /// for certified `program`s — see the module docs for the argument.
-    ///
-    /// Returns `None` — **leaving the state poisoned; discard it** — when
-    /// the transaction provokes a genuine PARK conflict (a `U` deletion of a
-    /// derived fact, a `U` insert-delete clash, or a derivation of a deleted
-    /// fact): resolving it needs the policy, i.e. a cold run.
-    ///
-    /// The `U = ∅` fast path does per-update work only: no lens capture, no
-    /// enumeration, no per-fact allocation.
+    /// Drop the warm marks and hand the committed state `S` back by move.
+    /// After a bail (see [`WarmState::propagate`]) this is the untouched
+    /// pre-transaction state, rows in their original order.
+    pub fn into_state(self) -> FactStore {
+        self.interp.into_base()
+    }
+
+    /// Evaluate one transaction in place: [`WarmState::propagate`], then
+    /// [`WarmState::commit`]. `program` must be the one the warm state was
+    /// built for. Returns `None` on a bail, after which the warm state
+    /// is spent: [`WarmState::into_state`] hands back the untouched `S`.
     pub fn transact(
         &mut self,
         program: &CompiledProgram,
         updates: &UpdateSet,
     ) -> Option<IncrementalReport> {
+        let propagation = self.propagate(updates)?;
+        Some(self.commit(program, propagation))
+    }
+
+    /// The first half of a warm transaction: delta propagation through the
+    /// warm state's lowered program, seeded from the zone-new `U` marks.
+    /// Equivalent to (and byte-compatible with) a cold `PARK(S, P, U)` run
+    /// for certified programs — see the module docs for the argument.
+    ///
+    /// Propagation writes only the mark zones, never the base zone `S`
+    /// (debug builds check this), and it is the half that can fail. It
+    /// returns `None` — a *bail* — when the transaction provokes a genuine
+    /// PARK conflict (a `U` deletion of a derived fact, a `U`
+    /// insert-delete clash, or a derivation of a deleted fact): resolving
+    /// it needs the policy, i.e. a cold run. The marks are then left
+    /// mid-propagation, so the warm state is spent, but its base is still
+    /// exactly `S`: [`WarmState::into_state`] hands it back.
+    ///
+    /// The `U = ∅` fast path does per-update work only: no lens capture, no
+    /// enumeration, no per-fact allocation.
+    pub fn propagate(&mut self, updates: &UpdateSet) -> Option<Propagation> {
+        #[cfg(debug_assertions)]
+        let base_before = row_order_fingerprint(self.interp.base());
+        let propagation = self.propagate_marks(updates);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            row_order_fingerprint(self.interp.base()),
+            base_before,
+            "propagation must leave the base zone untouched"
+        );
+        propagation
+    }
+
+    fn propagate_marks(&mut self, updates: &UpdateSet) -> Option<Propagation> {
         let started = Instant::now();
         let mut stats = RunStats {
             effective_parallelism: 1,
             ..RunStats::default()
         };
+        let vocab = Arc::clone(self.interp.vocab());
+        let mut seed_marks: Vec<(PredId, Box<[Code]>)> = Vec::new();
+        let mut new_marks: Vec<(PredId, Box<[Code]>)> = Vec::new();
+        let mut fired_heads = FactStore::new(Arc::clone(&vocab));
         if updates.is_empty() {
             // Cold: step 1 marks every program-derived head (counts iff any
             // grounding is valid), the next step detects the fixpoint.
             stats.gamma_steps = if self.interp.plus().is_empty() { 1 } else { 2 };
             stats.peak_marked_atoms = self.interp.marked_len();
-            stats.elapsed = started.elapsed();
-            return Some(IncrementalReport {
-                added: Vec::new(),
-                removed: Vec::new(),
+            return Some(Propagation {
+                started,
                 stats,
+                seed_marks,
+                new_marks,
+                fired_heads,
             });
         }
-        let vocab = Arc::clone(self.interp.vocab());
         // Seed step — cold step 1: the body-less `tx` rules of `P_U` mark
         // the transaction's updates (the program-derived heads of that step
         // are already in `plus`, by the warm invariant). A `U` mark clashing
         // with the opposite zone is cold step 1's inconsistency — the
         // policy's problem, not ours.
         let mut prev = ZoneLens::capture(&self.interp);
-        let mut seed_marks: Vec<(PredId, Box<[Code]>)> = Vec::new();
-        let mut new_marks: Vec<(PredId, Box<[Code]>)> = Vec::new();
         for u in updates.iter() {
             let row: Box<[Code]> = u.tuple.values().iter().map(|&v| vocab.encode(v)).collect();
             let opposite = match u.sign {
@@ -294,7 +349,6 @@ impl WarmState {
         // enumeration, and the window holds exactly the previous round's
         // zone-new marks.
         let blocked = BlockedSet::new();
-        let mut fired_heads = FactStore::new(Arc::clone(&vocab));
         let mut rounds: u64 = 0;
         loop {
             let fired =
@@ -328,7 +382,33 @@ impl WarmState {
         // final fixpoint-detection step.
         stats.gamma_steps = 2 + rounds;
         stats.peak_marked_atoms = self.interp.marked_len();
+        Some(Propagation {
+            started,
+            stats,
+            seed_marks,
+            new_marks,
+            fired_heads,
+        })
+    }
 
+    /// The second half of a warm transaction, which cannot fail: fold a
+    /// [`Propagation`] of this warm state into the base zone (`incorp`
+    /// restricted to what changed), then revalidate the affected strata.
+    /// `program` must be the one the warm state was built for.
+    pub fn commit(
+        &mut self,
+        program: &CompiledProgram,
+        propagation: Propagation,
+    ) -> IncrementalReport {
+        let Propagation {
+            started,
+            mut stats,
+            seed_marks,
+            new_marks,
+            fired_heads,
+        } = propagation;
+        let vocab = Arc::clone(self.interp.vocab());
+        let blocked = BlockedSet::new();
         // Warm-plus hygiene: a `U` mark that no program grounding derives is
         // not a program-derived head over the new state — leaving it marked
         // would desynchronize the next transaction's step dedup from cold.
@@ -342,7 +422,8 @@ impl WarmState {
         // Commit — `incorp` restricted to what changed: zone-new plus marks
         // whose atom the base lacks enter it, deletion marks present in the
         // base leave it, each list sorted exactly as `FactStore::diff` sorts
-        // the cold run's.
+        // the cold run's. The base zone is this warm state's own, so these
+        // writes copy no shard.
         let mut added: Vec<(PredId, Tuple)> = Vec::new();
         for (p, row) in &new_marks {
             if self.interp.base().contains_row(*p, row) {
@@ -361,8 +442,8 @@ impl WarmState {
         let mut removed: Vec<(PredId, Tuple)> = Vec::new();
         let mut base_removed = false;
         for (p, row) in &minus_rows {
-            // The bail above guarantees `plus ∩ minus = ∅`, so a base
-            // removal never orphans a plus mark.
+            // The bail in `propagate` guarantees `plus ∩ minus = ∅`, so a
+            // base removal never orphans a plus mark.
             debug_assert!(!self.interp.plus().contains_row(*p, row));
             if self.interp.zone_mut(MarkZone::Base).remove_row(*p, row) {
                 removed.push((*p, vocab.decode_row(row)));
@@ -456,12 +537,43 @@ impl WarmState {
             }
         }
         stats.elapsed = started.elapsed();
-        Some(IncrementalReport {
+        IncrementalReport {
             added,
             removed,
             stats,
-        })
+        }
     }
+}
+
+/// A warm transaction between [`WarmState::propagate`] and
+/// [`WarmState::commit`]: the marks propagation added, which the commit
+/// folds into the base zone. Between the two halves the base zone is still
+/// the pre-transaction state, so a caller can do fallible work there (a
+/// journal append) and, if it fails, hand `S` back untouched with
+/// [`WarmState::into_state`] instead of committing.
+#[derive(Debug)]
+#[must_use = "an uncommitted propagation leaves the warm state spent"]
+pub struct Propagation {
+    started: Instant,
+    stats: RunStats,
+    /// `U`'s zone-new insertion marks, for the warm-plus hygiene pass.
+    seed_marks: Vec<(PredId, Box<[Code]>)>,
+    /// Every zone-new insertion mark, `U`'s first.
+    new_marks: Vec<(PredId, Box<[Code]>)>,
+    /// Every head the propagation rounds fired.
+    fired_heads: FactStore,
+}
+
+/// An order-sensitive hash of a store's rows: equal iff (up to hash
+/// collisions) the same rows sit in the same order.
+#[cfg(debug_assertions)]
+fn row_order_fingerprint(store: &FactStore) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for row in store.iter_rows() {
+        row.hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Every index the warm zones carry: the lowered program's (delta
@@ -516,8 +628,8 @@ mod tests {
         let (engine, db) = setup(rules, facts);
         assert!(certify_incremental(engine.program()));
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), &settle).expect("warm state builds");
-        let mut cold_state = settle.database;
+        let mut cold_state = settle.database.clone();
+        let mut warm = WarmState::build(engine.program(), settle).expect("warm state builds");
         for (i, tx) in txs.iter().enumerate() {
             let u = updates(&cold_state, tx);
             let out = cold(&engine, &cold_state, &u);
@@ -658,7 +770,7 @@ mod tests {
     fn deleting_a_derived_fact_bails_to_cold() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), &settle).unwrap();
+        let mut warm = WarmState::build(engine.program(), settle).unwrap();
         // q(a) is program-derived: deleting it is a PARK conflict only the
         // policy can resolve — the warm path must refuse.
         let u = updates(warm.state(), "-q(a).");
@@ -669,7 +781,7 @@ mod tests {
     fn insert_delete_clash_in_one_update_set_bails() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), &settle).unwrap();
+        let mut warm = WarmState::build(engine.program(), settle).unwrap();
         let u = updates(warm.state(), "+z(k). -z(k).");
         assert!(warm.transact(engine.program(), &u).is_none());
     }
@@ -678,7 +790,7 @@ mod tests {
     fn deriving_a_deleted_fact_bails() {
         let (engine, db) = setup("trig(X) -> +q(X).", "q0(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), &settle).unwrap();
+        let mut warm = WarmState::build(engine.program(), settle).unwrap();
         // +trig(a) derives q(a) while -q(a) is marked: cold resolves the
         // conflict through the policy; warm refuses.
         let u = updates(warm.state(), "+trig(a). -q(a).");
@@ -697,7 +809,7 @@ mod tests {
     fn noop_transaction_touches_nothing_and_counts_like_cold() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), &settle).unwrap();
+        let mut warm = WarmState::build(engine.program(), settle).unwrap();
         let before = warm.state().sorted_display();
         let report = warm
             .transact(engine.program(), &UpdateSet::empty())
@@ -709,7 +821,7 @@ mod tests {
         // A program with no valid grounding fixpoints in one step.
         let (engine2, db2) = setup("z(X) -> +q(X).", "p(a).");
         let settle2 = cold(&engine2, &db2, &UpdateSet::empty());
-        let mut warm2 = WarmState::build(engine2.program(), &settle2).unwrap();
+        let mut warm2 = WarmState::build(engine2.program(), settle2).unwrap();
         let report2 = warm2
             .transact(engine2.program(), &UpdateSet::empty())
             .unwrap();
@@ -722,20 +834,47 @@ mod tests {
         // A deletion-marked run seeds a warm state, and chains
         // byte-identically afterwards.
         let out = cold(&engine, &db, &updates(&db, "-q(b)."));
-        let mut warm = WarmState::build(engine.program(), &out).expect("deletion run seeds");
+        let out_state = out.database.clone();
+        let mut warm = WarmState::build(engine.program(), out).expect("deletion run seeds");
         let u = updates(warm.state(), "+p(c).");
-        let next = cold(&engine, &out.database, &u);
+        let next = cold(&engine, &out_state, &u);
         let report = warm.transact(engine.program(), &u).unwrap();
-        let (cold_added, _) = out.database.diff(&next.database);
+        let (cold_added, _) = out_state.diff(&next.database);
         assert_eq!(report.added, cold_added);
         assert!(warm.state().same_facts(&next.database));
         // A plain `Engine::run` outcome seeds one too.
         let plain = engine.run(&db, &UpdateSet::empty(), &mut Inertia).unwrap();
-        assert!(WarmState::build(engine.program(), &plain).is_some());
+        assert!(WarmState::build(engine.program(), plain).is_ok());
         // A blocked run cannot: the blocked set is not representable.
         let (engine3, db3) = setup("p(X) -> +q(X). p(X) -> -q(X).", "p(a).");
         let blocked_run = cold(&engine3, &db3, &UpdateSet::empty());
         assert!(!blocked_run.blocked.is_empty());
-        assert!(WarmState::build(engine3.program(), &blocked_run).is_none());
+        let blocked_state = blocked_run.database.sorted_display();
+        let handed_back = WarmState::build(engine3.program(), blocked_run).unwrap_err();
+        assert_eq!(handed_back.sorted_display(), blocked_state);
+    }
+
+    #[test]
+    fn a_bail_hands_back_the_base_zone_with_its_row_order() {
+        // Swap-remove reorders rows, and row order drives later
+        // enumeration: churn the state so its order is not the load order,
+        // then bail and compare the handed-back rows position by position.
+        let (engine, db) = setup("e(X, Y) -> +r(X, Y).", "e(a, b). e(b, c). e(c, d).");
+        let settle = cold(&engine, &db, &UpdateSet::empty());
+        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        for tx in ["-e(a, b).", "+e(d, e).", "-e(zz, zz)."] {
+            let u = updates(warm.state(), tx);
+            warm.transact(engine.program(), &u).expect("stays warm");
+        }
+        let rows = |s: &FactStore| -> Vec<(PredId, Vec<Code>)> {
+            s.iter_rows().map(|(p, r)| (p, r.to_vec())).collect()
+        };
+        let before = rows(warm.state());
+        // Deleting the derived r(b, c) while deriving more: a bail after
+        // propagation has marked the zones.
+        let u = updates(warm.state(), "+e(e, f). -r(b, c).");
+        assert!(warm.propagate(&u).is_none());
+        let state = warm.into_state();
+        assert_eq!(rows(&state), before);
     }
 }

@@ -45,6 +45,11 @@ impl IInterpretation {
         &self.base
     }
 
+    /// Drop the marked zones and hand the unmarked zone `I°` back by move.
+    pub(crate) fn into_base(self) -> FactStore {
+        self.base
+    }
+
     /// The insertion-marked zone `I⁺`.
     pub fn plus(&self) -> &FactStore {
         &self.plus

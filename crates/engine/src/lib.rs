@@ -75,7 +75,7 @@ pub use gamma::{fire_all, fire_all_par, FiredAction};
 pub use grounding::{BlockedSet, Grounding};
 pub use incremental::{
     certify_incremental, exclusions_with, incremental_exclusions, IncrementalBlocker,
-    IncrementalExclusion, IncrementalReport, WarmState,
+    IncrementalExclusion, IncrementalReport, Propagation, WarmState,
 };
 pub use interp::IInterpretation;
 pub use lower::{lower, LoweredProgram};

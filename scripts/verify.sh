@@ -134,11 +134,27 @@ rm -rf "$serve_dir"
 echo "==> incremental smoke (50-transaction session, --incremental on/off byte-identical)"
 inc_dir="${TMPDIR:-/tmp}/park-inc-$$"
 mkdir -p "$inc_dir"
+snap="$inc_dir/inc.snapshot.json"
 {
   printf '%s\n' '{"op":"create","db":"inc","program":"e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z).","facts":"e(n0, n1)."}'
   i=1
   while [ "$i" -le 50 ]; do
     printf '{"op":"transact","db":"inc","updates":"+e(n%s, n%s)."}\n' "$i" "$((i + 1))"
+    # Every ten inserts: a base-edge deletion (partial-stratum path), a
+    # deletion of a derived fact (a conflict: the warm path bails), then
+    # a snapshot, a restore of it, a policy change and a compaction, each
+    # of which drops the warm state.
+    case $((i % 10)) in
+      3) printf '{"op":"transact","db":"inc","updates":"-e(n%s, n%s)."}\n' "$((i - 1))" "$i" ;;
+      5) printf '{"op":"transact","db":"inc","updates":"-r(n%s, n%s)."}\n' "$((i - 1))" "$i" ;;
+      7) printf '{"op":"snapshot","db":"inc","path":"%s"}\n' "$snap" ;;
+      8) printf '{"op":"restore","db":"inc","path":"%s"}\n' "$snap" ;;
+      9)
+        if [ $(((i / 10) % 2)) -eq 0 ]; then policy=prefer-delete; else policy=inertia; fi
+        printf '{"op":"policy","db":"inc","policy":"%s"}\n' "$policy"
+        ;;
+      0) printf '%s\n' '{"op":"compact","db":"inc"}' ;;
+    esac
     i=$((i + 1))
   done
   printf '%s\n' '{"op":"settle","db":"inc"}'

@@ -7,6 +7,14 @@
 //! the chosen `SELECT` policy and *commits* the result as the new state,
 //! returning a [`TransactionReport`] with the net changes.
 //!
+//! The committed state has exactly one owner. Cold transactions keep it as
+//! a plain [`FactStore`]; in incremental mode the live [`WarmState`] holds
+//! it as its base zone and commits into it in place. Every path that drops
+//! the warm state (a bail, a refused journal append, `invalidate_warm`,
+//! `restore`, `reload`, `compact`, turning incremental mode off) takes the
+//! state back by move with [`WarmState::into_state`]; nothing keeps a
+//! second handle that would make a commit copy the shards it writes.
+//!
 //! ```
 //! use park::db::ActiveDatabase;
 //! use park::prelude::*;
@@ -28,8 +36,8 @@
 //! ```
 
 use park_engine::{
-    certify_incremental, ConflictResolver, Engine, EngineOptions, EngineResult, MetricsSink,
-    NoopMetrics, ParkOutcome, RunStats, Trace, WarmState,
+    certify_incremental, ConflictResolver, Engine, EngineOptions, EngineResult, IncrementalReport,
+    MetricsSink, NoopMetrics, ParkOutcome, RunStats, Trace, WarmState,
 };
 use park_storage::{FactStore, Snapshot, StorageError, UpdateSet, Vocabulary};
 use park_syntax::{Program, Sign};
@@ -64,7 +72,7 @@ impl TransactionReport {
 #[derive(Debug, Clone)]
 pub struct ActiveDatabase {
     engine: Engine,
-    state: FactStore,
+    committed: Committed,
     /// The installed program at the AST level, retained so
     /// [`ActiveDatabase::compact`] can re-compile it against a fresh
     /// vocabulary.
@@ -78,8 +86,44 @@ pub struct ActiveDatabase {
     /// Whether the installed program passes [`certify_incremental`]
     /// (recomputed on [`ActiveDatabase::reload`]).
     certified_incremental: bool,
-    warm: Option<WarmState>,
     stats: IncrementalStats,
+}
+
+/// The committed state `S` and its one owner: the store itself, or the
+/// live warm state whose base zone it is (incremental mode only).
+#[derive(Debug, Clone)]
+enum Committed {
+    Cold(FactStore),
+    Warm(WarmState),
+}
+
+impl Committed {
+    fn state(&self) -> &FactStore {
+        match self {
+            Committed::Cold(state) => state,
+            Committed::Warm(warm) => warm.state(),
+        }
+    }
+
+    /// Move the committed state out, leaving an empty store behind.
+    fn take(&mut self) -> FactStore {
+        let empty = Committed::Cold(FactStore::new(Arc::clone(self.state().vocab())));
+        match std::mem::replace(self, empty) {
+            Committed::Cold(state) => state,
+            Committed::Warm(warm) => warm.into_state(),
+        }
+    }
+
+    /// Drop the warm state, if any, keeping its base zone as the committed
+    /// state. Returns whether a warm state was live.
+    fn cool(&mut self) -> bool {
+        if matches!(self, Committed::Cold(_)) {
+            return false;
+        }
+        let state = self.take();
+        *self = Committed::Cold(state);
+        true
+    }
 }
 
 /// Counters for the incremental mode (all zero unless the database was
@@ -128,13 +172,12 @@ impl ActiveDatabase {
         let certified_incremental = certify_incremental(engine.program());
         Ok(ActiveDatabase {
             engine,
-            state: initial,
+            committed: Committed::Cold(initial),
             program: program.clone(),
             transactions: 0,
             journal: None,
             incremental: false,
             certified_incremental,
-            warm: None,
             stats: IncrementalStats::default(),
         })
     }
@@ -147,7 +190,7 @@ impl ActiveDatabase {
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         if !incremental {
-            self.warm = None;
+            self.committed.cool();
         }
         self
     }
@@ -167,11 +210,12 @@ impl ActiveDatabase {
         self.stats
     }
 
-    /// Drop the live warm state, if any. The next transaction runs cold and
-    /// reseeds it. Called by the serve layer when the session policy
-    /// changes; `reload`, `compact`, and `restore` invalidate implicitly.
+    /// Drop the live warm state, if any, keeping the committed state it
+    /// owned. The next transaction runs cold and reseeds it. Called by the
+    /// serve layer when the session policy changes; `reload`, `compact`,
+    /// and `restore` invalidate implicitly.
     pub fn invalidate_warm(&mut self) {
-        if self.warm.take().is_some() {
+        if self.committed.cool() {
             self.stats.invalidations += 1;
         }
     }
@@ -220,12 +264,12 @@ impl ActiveDatabase {
 
     /// The shared vocabulary.
     pub fn vocab(&self) -> &Arc<Vocabulary> {
-        self.state.vocab()
+        self.state().vocab()
     }
 
     /// The current committed state.
     pub fn state(&self) -> &FactStore {
-        &self.state
+        self.committed.state()
     }
 
     /// The compiled engine (e.g. for `park_engine::analysis`).
@@ -264,18 +308,18 @@ impl ActiveDatabase {
         }
         let outcome = self
             .engine
-            .run_with_metrics(&self.state, updates, policy, sink)?;
-        self.append_journal(updates)?;
-        Ok(self.commit(outcome))
+            .run_with_metrics(self.state(), updates, policy, sink)?;
+        append_journal(self.journal.as_deref(), self.vocab(), updates)?;
+        Ok(self.commit(outcome, false))
     }
 
     /// The incremental-mode transaction path: answer from the warm state
     /// when the run is certified warm-equivalent, otherwise run cold and
     /// reseed the warm state from the cold outcome. Deletion-bearing
     /// update sets stay warm too — the warm path recomputes only the
-    /// affected strata — unless the deletion provokes a genuine conflict,
-    /// in which case the poisoned warm state is dropped and the
-    /// transaction re-runs cold under the policy.
+    /// affected strata — unless the deletion provokes a genuine conflict:
+    /// then the warm propagation bails, the warm state hands back the
+    /// untouched state, and the transaction re-runs cold under the policy.
     fn transact_incremental(
         &mut self,
         updates: &UpdateSet,
@@ -284,60 +328,32 @@ impl ActiveDatabase {
     ) -> EngineResult<TransactionReport> {
         let warm_eligible =
             self.certified_incremental && !self.engine.options().trace && !sink.enabled();
-        if warm_eligible && self.warm.is_some() {
-            let attempt = self
-                .warm
-                .as_mut()
-                .and_then(|warm| warm.transact(self.engine.program(), updates));
-            match attempt {
-                Some(report) => {
-                    if let Err(e) = self.append_journal(updates) {
-                        // The warm state already holds the transaction the
-                        // journal refused: drop it, so the committed state
-                        // stays the single source of truth.
-                        self.warm = None;
+        if let (true, Committed::Warm(warm)) = (warm_eligible, &mut self.committed) {
+            match warm.propagate(updates) {
+                Some(propagation) => {
+                    // Journal between the propagation, which can bail, and
+                    // the commit, which cannot fail: a refused append drops
+                    // the spent warm state and leaves `S` as it was.
+                    if let Err(e) =
+                        append_journal(self.journal.as_deref(), warm.state().vocab(), updates)
+                    {
+                        self.committed.cool();
                         return Err(e);
                     }
-                    let warm = self.warm.as_ref().expect("warm state survives success");
-                    if !report.added.is_empty() || !report.removed.is_empty() {
-                        // COW: the relation shards stay shared with the warm
-                        // base zone until one side mutates.
-                        self.state = warm.state().clone();
-                    }
-                    self.transactions += 1;
-                    if updates.iter().any(|u| u.sign == Sign::Delete) {
-                        self.stats.partial_stratum_txs += 1;
-                    } else {
-                        self.stats.incremental_txs += 1;
-                    }
-                    let vocab = self.state.vocab();
-                    let render = |xs: &[(park_storage::PredId, park_storage::Tuple)]| {
-                        xs.iter().map(|(p, t)| vocab.display_fact(*p, t)).collect()
-                    };
-                    return Ok(TransactionReport {
-                        number: self.transactions,
-                        added: render(&report.added),
-                        removed: render(&report.removed),
-                        blocked: Vec::new(),
-                        stats: report.stats,
-                        trace: Trace::new(),
-                    });
+                    let report = warm.commit(self.engine.program(), propagation);
+                    return Ok(self.warm_report(report, updates));
                 }
+                // The bail left the base zone untouched; the cold run below
+                // answers from it and reseeds a fresh warm state.
                 None => {
-                    // The bail left the warm marks mid-seed; the cold run
-                    // below reseeds a fresh state from its outcome.
-                    self.warm = None;
+                    self.committed.cool();
                 }
             }
         }
         let outcome = self
             .engine
-            .run_with_metrics(&self.state, updates, policy, sink)?;
-        self.append_journal(updates)?;
-        self.warm = self
-            .certified_incremental
-            .then(|| WarmState::build(self.engine.program(), &outcome))
-            .flatten();
+            .run_with_metrics(self.state(), updates, policy, sink)?;
+        append_journal(self.journal.as_deref(), self.vocab(), updates)?;
         self.stats.cold_txs += 1;
         // Attribute the miss: an uncertified program dominates (nothing
         // about this transaction could have gone warm), then a conflicting
@@ -348,33 +364,29 @@ impl ActiveDatabase {
         } else if updates.iter().any(|u| u.sign == Sign::Delete) {
             self.stats.cold_txs_deletion += 1;
         }
-        Ok(self.commit(outcome))
+        Ok(self.commit(outcome, self.certified_incremental))
     }
 
-    fn append_journal(&self, updates: &UpdateSet) -> EngineResult<()> {
-        let Some(path) = &self.journal else {
-            return Ok(());
+    /// Count and render a committed warm transaction.
+    fn warm_report(&mut self, report: IncrementalReport, updates: &UpdateSet) -> TransactionReport {
+        self.transactions += 1;
+        if updates.iter().any(|u| u.sign == Sign::Delete) {
+            self.stats.partial_stratum_txs += 1;
+        } else {
+            self.stats.incremental_txs += 1;
+        }
+        let vocab = self.vocab();
+        let render = |xs: &[(park_storage::PredId, park_storage::Tuple)]| {
+            xs.iter().map(|(p, t)| vocab.display_fact(*p, t)).collect()
         };
-        use std::io::Write as _;
-        // One `write_all` per record, newline included, then a data sync:
-        // a crash leaves at most one unterminated tail, which `replay`
-        // drops.
-        let mut record = updates.display(self.vocab());
-        record.push('\n');
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| {
-                f.write_all(record.as_bytes())?;
-                f.sync_data()
-            })
-            .map_err(|e| {
-                park_engine::EngineError::Storage(StorageError::Snapshot(format!(
-                    "cannot append journal {}: {e}",
-                    path.display()
-                )))
-            })
+        TransactionReport {
+            number: self.transactions,
+            added: render(&report.added),
+            removed: render(&report.removed),
+            blocked: Vec::new(),
+            stats: report.stats,
+            trace: Trace::new(),
+        }
     }
 
     /// Parse and apply a textual update set such as `"+q(b). -p(a)."`.
@@ -394,9 +406,11 @@ impl ActiveDatabase {
         self.transact(&UpdateSet::empty(), policy)
     }
 
-    fn commit(&mut self, outcome: ParkOutcome) -> TransactionReport {
+    /// Commit a cold run's outcome as the new state; with `reseed`, hand
+    /// it to a fresh warm state, which owns it from then on.
+    fn commit(&mut self, mut outcome: ParkOutcome, reseed: bool) -> TransactionReport {
         self.transactions += 1;
-        let (added, removed) = self.state.diff(&outcome.database);
+        let (added, removed) = self.state().diff(&outcome.database);
         let vocab = self.vocab();
         let render = |xs: &[(park_storage::PredId, park_storage::Tuple)]| -> Vec<String> {
             xs.iter().map(|(p, t)| vocab.display_fact(*p, t)).collect()
@@ -406,10 +420,21 @@ impl ActiveDatabase {
             added: render(&added),
             removed: render(&removed),
             blocked: outcome.blocked_display(),
-            stats: outcome.stats,
-            trace: outcome.trace,
+            stats: std::mem::take(&mut outcome.stats),
+            trace: std::mem::take(&mut outcome.trace),
         };
-        self.state = outcome.database;
+        // Release the old state before seeding: it shares every shard the
+        // transaction left alone with the outcome, and the warm state's
+        // first write to such a shard would copy it.
+        drop(self.committed.take());
+        self.committed = if reseed {
+            match WarmState::build(self.engine.program(), outcome) {
+                Ok(warm) => Committed::Warm(warm),
+                Err(state) => Committed::Cold(state),
+            }
+        } else {
+            Committed::Cold(outcome.database)
+        };
         report
     }
 
@@ -417,7 +442,7 @@ impl ActiveDatabase {
     /// against the current state; rows are rendered `X = a, Y = 3`.
     pub fn query_rows(&self, query_src: &str) -> EngineResult<Vec<String>> {
         let q = park_engine::Query::parse(self.vocab(), query_src)?;
-        let rows = q.run_on_database(&self.state);
+        let rows = q.run_on_database(self.state());
         Ok(q.render_rows(&rows))
     }
 
@@ -427,7 +452,7 @@ impl ActiveDatabase {
         let Some(p) = self.vocab().lookup_pred(pred) else {
             return Vec::new();
         };
-        let Some(rel) = self.state.relation(p) else {
+        let Some(rel) = self.state().relation(p) else {
             return Vec::new();
         };
         let mut rows: Vec<String> = rel.rows().map(|t| self.vocab().display_row(p, t)).collect();
@@ -437,13 +462,14 @@ impl ActiveDatabase {
 
     /// Snapshot the current state.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::of(&self.state)
+        Snapshot::of(self.state())
     }
 
     /// Replace the current state from a snapshot (same vocabulary).
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), StorageError> {
-        self.state = snapshot.restore(Arc::clone(self.vocab()))?;
+        let state = snapshot.restore(Arc::clone(self.vocab()))?;
         self.invalidate_warm();
+        self.committed = Committed::Cold(state);
         Ok(())
     }
 
@@ -457,7 +483,7 @@ impl ActiveDatabase {
     /// released. Fails (leaving the database unchanged) on unsafe rules or
     /// arity clashes between the new program and the live state.
     pub fn reload(&mut self, program: &Program) -> EngineResult<()> {
-        let snapshot = Snapshot::of(&self.state);
+        let snapshot = Snapshot::of(self.state());
         let vocab = Vocabulary::new();
         let engine = Engine::with_options(Arc::clone(&vocab), program, *self.engine.options())?;
         let state = snapshot
@@ -465,9 +491,9 @@ impl ActiveDatabase {
             .map_err(park_engine::EngineError::Storage)?;
         self.certified_incremental = certify_incremental(engine.program());
         self.engine = engine;
-        self.state = state;
-        self.program = program.clone();
         self.invalidate_warm();
+        self.committed = Committed::Cold(state);
+        self.program = program.clone();
         Ok(())
     }
 
@@ -490,6 +516,37 @@ impl ActiveDatabase {
             int_spills: vocab.spill_count(),
         }
     }
+}
+
+/// Append one committed transaction's update set to the journal at
+/// `path`, if one is attached.
+fn append_journal(
+    path: Option<&std::path::Path>,
+    vocab: &Vocabulary,
+    updates: &UpdateSet,
+) -> EngineResult<()> {
+    let Some(path) = path else {
+        return Ok(());
+    };
+    use std::io::Write as _;
+    // One `write_all` per record, newline included, then a data sync: a
+    // crash leaves at most one unterminated tail, which `replay` drops.
+    let mut record = updates.display(vocab);
+    record.push('\n');
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| {
+            f.write_all(record.as_bytes())?;
+            f.sync_data()
+        })
+        .map_err(|e| {
+            park_engine::EngineError::Storage(StorageError::Snapshot(format!(
+                "cannot append journal {}: {e}",
+                path.display()
+            )))
+        })
 }
 
 /// Sizes of a vocabulary's append-only intern tables (see
@@ -963,6 +1020,140 @@ mod tests {
         assert_eq!(replayed.state().sorted_display(), final_state);
         assert_eq!(replayed.transactions(), db.transactions());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_refused_journal_append_leaves_the_warm_state_uncommitted() {
+        let dir = std::env::temp_dir().join(format!("park-warmjournal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("warm.journal");
+        let _ = std::fs::remove_file(&path);
+
+        let mut db = reachability_db(true).with_journal(&path);
+        let mut cold = reachability_db(false);
+        for tx in ["+e(c, d).", "+e(d, e)."] {
+            db.transact_source(tx, &mut Inertia).unwrap();
+            cold.transact_source(tx, &mut Inertia).unwrap();
+        }
+        assert_eq!(db.incremental_stats().incremental_txs, 1);
+
+        // The first append fails after a warm propagation, the second after
+        // a cold run (the refused warm state was dropped): neither commits.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let before = db.state().sorted_display();
+        let stats = db.incremental_stats();
+        for tx in ["+e(e, f).", "-e(a, b)."] {
+            assert!(db.transact_source(tx, &mut Inertia).is_err(), "tx {tx:?}");
+            assert_eq!(db.transactions(), 2, "tx {tx:?}");
+            assert_eq!(db.state().sorted_display(), before, "tx {tx:?}");
+        }
+        assert_eq!(db.incremental_stats(), stats);
+
+        // With the journal back, the chain goes on exactly as a cold
+        // database runs it, cold first (the warm state was dropped), then
+        // warm again.
+        std::fs::create_dir_all(&dir).unwrap();
+        for tx in ["+e(e, f).", "-e(a, b).", "+e(f, g)."] {
+            let r = db.transact_source(tx, &mut Inertia).unwrap();
+            let c = cold.transact_source(tx, &mut Inertia).unwrap();
+            assert_eq!(r.number, c.number, "tx {tx:?}");
+            assert_eq!(r.added, c.added, "tx {tx:?}");
+            assert_eq!(r.removed, c.removed, "tx {tx:?}");
+            assert_eq!(db.state().sorted_display(), cold.state().sorted_display());
+        }
+        let after = db.incremental_stats();
+        assert_eq!(after.cold_txs, stats.cold_txs + 1);
+        assert_eq!(after.partial_stratum_txs, stats.partial_stratum_txs + 1);
+        assert_eq!(after.incremental_txs, stats.incremental_txs + 1);
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(journal.lines().count(), 3, "only committed transactions");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An incremental database and its always-cold twin after a chain that
+    /// ends warm, with the twin's snapshot from midway.
+    fn warmed_pair() -> (ActiveDatabase, ActiveDatabase, Snapshot) {
+        let mut inc = reachability_db(true);
+        let mut cold = reachability_db(false);
+        let mut snap = None;
+        for tx in ["+e(c, d).", "+e(d, e).", "-e(a, b).", "+e(e, a)."] {
+            inc.transact_source(tx, &mut Inertia).unwrap();
+            cold.transact_source(tx, &mut Inertia).unwrap();
+            snap.get_or_insert_with(|| cold.snapshot());
+        }
+        let stats = inc.incremental_stats();
+        assert_eq!((stats.cold_txs, stats.incremental_txs), (1, 2));
+        assert_eq!(stats.partial_stratum_txs, 1);
+        (inc, cold, snap.unwrap())
+    }
+
+    /// Both databases answer the next transactions identically.
+    fn assert_chains_agree(inc: &mut ActiveDatabase, cold: &mut ActiveDatabase, op: &str) {
+        for tx in ["+e(a, f).", "-e(c, d).", "+e(f, g)."] {
+            let ri = inc.transact_source(tx, &mut Inertia).unwrap();
+            let rc = cold.transact_source(tx, &mut Inertia).unwrap();
+            assert_eq!(ri.added, rc.added, "{op}: tx {tx:?}");
+            assert_eq!(ri.removed, rc.removed, "{op}: tx {tx:?}");
+            assert_eq!(ri.number, rc.number, "{op}: tx {tx:?}");
+            assert!(inc.state().same_facts(cold.state()), "{op}: tx {tx:?}");
+        }
+    }
+
+    #[test]
+    fn dropping_the_warm_state_hands_back_the_committed_state() {
+        type Op = fn(&mut ActiveDatabase, &Snapshot);
+        let ops: [(&str, Op); 5] = [
+            ("with_incremental(false)", |db, _| {
+                *db = db.clone().with_incremental(false);
+            }),
+            ("invalidate_warm", |db, _| db.invalidate_warm()),
+            ("restore", |db, snap| db.restore(snap).unwrap()),
+            ("reload", |db, _| {
+                let program = db.program.clone();
+                db.reload(&program).unwrap();
+            }),
+            ("compact", |db, _| {
+                db.compact().unwrap();
+            }),
+        ];
+        for (name, op) in ops {
+            let (mut inc, mut cold, snap) = warmed_pair();
+            let before = inc.state().sorted_display();
+            op(&mut inc, &snap);
+            if name == "restore" {
+                cold.restore(&snap).unwrap();
+                assert_ne!(inc.state().sorted_display(), before, "{name}");
+            } else {
+                assert_eq!(inc.state().sorted_display(), before, "{name}");
+            }
+            assert_eq!(
+                inc.state().sorted_display(),
+                cold.state().sorted_display(),
+                "{name}"
+            );
+            assert_eq!(inc.transactions(), 4, "{name}");
+            if name == "compact" || name == "reload" {
+                // Both re-intern into a fresh vocabulary; re-intern the twin
+                // alike, so `same_facts` compares codes of one interning.
+                cold.reload(&cold.program.clone()).unwrap();
+            }
+            assert_chains_agree(&mut inc, &mut cold, name);
+        }
+    }
+
+    #[test]
+    fn a_clone_of_a_warm_database_transacts_independently() {
+        let (inc, mut cold, _) = warmed_pair();
+        let before = inc.state().sorted_display();
+        let mut copy = inc.clone();
+        let mut twin = cold.clone();
+        assert_chains_agree(&mut copy, &mut twin, "clone");
+        assert_ne!(copy.state().sorted_display(), before);
+        assert_eq!(inc.state().sorted_display(), before);
+        assert_eq!(inc.transactions(), 4);
+        let mut inc = inc;
+        assert_chains_agree(&mut inc, &mut cold, "original");
+        assert_eq!(inc.incremental_stats().incremental_txs, 4);
     }
 
     #[test]
