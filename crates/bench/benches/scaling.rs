@@ -57,9 +57,11 @@ fn bench_closure_parallel(c: &mut Criterion) {
         let session = Session::new(
             &wl::transitive_closure_program(),
             &facts,
-            EngineOptions::default()
-                .with_evaluation(park_engine::EvaluationMode::Compiled)
-                .with_parallelism(if threads == 1 { None } else { Some(threads) }),
+            EngineOptions::default().with_parallelism(if threads == 1 {
+                None
+            } else {
+                Some(threads)
+            }),
         );
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
             b.iter(|| black_box(session.run_inertia().database.len()))

@@ -6,7 +6,7 @@
 //!
 //! Prints markdown: one row per worked example (E1–E8) with the paper's
 //! printed result next to the measured one, followed by the quantitative
-//! experiments (C1–C6).
+//! experiments (C1–C5, C7–C9, C11).
 
 use park_baselines::naive_mark_eliminate;
 use park_bench::{growth_exponent, median_time_ms, Session};
@@ -414,38 +414,6 @@ fn c5_ablation() {
     println!();
 }
 
-fn c6_evaluation() {
-    use park_engine::EvaluationMode;
-    println!("## C6 — naive vs compiled (delta-driven) Γ evaluation (implementation ablation)\n");
-    println!("Transitive closure over G(n, 4/n), seed 9 — identical results:\n");
-    println!("| n | naive ms | compiled ms | speedup | fired naive | fired compiled |");
-    println!("|---|----------|-------------|---------|-------------|----------------|");
-    for n in [32usize, 64, 128, 256] {
-        let facts = wl::erdos_renyi_edges(n, 4.0 / n as f64, 9);
-        let naive = Session::new(
-            &wl::transitive_closure_program(),
-            &facts,
-            EngineOptions::default(),
-        );
-        let compiled = Session::new(
-            &wl::transitive_closure_program(),
-            &facts,
-            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
-        );
-        let (no, co) = (naive.run_inertia(), compiled.run_inertia());
-        assert!(no.database.same_facts(&co.database));
-        let nm = median_time_ms(5, || naive.run_inertia());
-        let cm = median_time_ms(5, || compiled.run_inertia());
-        println!(
-            "| {n} | {nm:.2} | {cm:.2} | {:.1}x | {} | {} |",
-            nm / cm.max(1e-6),
-            no.stats.groundings_fired,
-            co.stats.groundings_fired
-        );
-    }
-    println!();
-}
-
 /// C7 — restart replay counters, and the `BENCH_restarts.json` artifact.
 /// Staggered chains under prefer-insert block each chain's late-firing
 /// `kill` rule, so nearly the whole previous run replays after every
@@ -457,7 +425,6 @@ fn c6_evaluation() {
 /// Γ application (its conflicting step), which may itself be replayed. So
 /// live steps = `gamma_steps + restarts − replayed_steps`.
 fn c7_replay_counters(smoke: bool) {
-    use park_engine::EvaluationMode;
     use park_json::Json;
     println!("## C7 — restart replay counters\n");
     println!("Staggered conflict chains, prefer-insert:\n");
@@ -467,42 +434,34 @@ fn c7_replay_counters(smoke: bool) {
     let mut results: Vec<Json> = Vec::new();
     for &k in sizes {
         let (rules, facts) = wl::staggered_conflicts(k);
-        for (mode_name, mode) in [
-            ("naive", EvaluationMode::Naive),
-            ("compiled", EvaluationMode::Compiled),
-        ] {
-            let session = Session::new(
-                &rules,
-                &facts,
-                EngineOptions::default().with_evaluation(mode),
-            );
-            let out = session.run(&mut PreferInsert);
-            let stats = &out.stats;
-            assert!(stats.restarts > 0 && stats.replayed_steps > 0);
-            let live_steps = stats.gamma_steps + stats.restarts - stats.replayed_steps;
-            let ms = median_time_ms(5, || session.run(&mut PreferInsert));
-            let diverged = stats
-                .replay_divergence_step
-                .map_or("-".to_string(), |d| d.to_string());
-            println!(
-                "| {k} | {mode_name} | {} | {} | {} | {live_steps} | {diverged} | {ms:.2} |",
-                stats.restarts, stats.gamma_steps, stats.replayed_steps,
-            );
-            results.push(Json::object([
-                ("workload", Json::str(format!("staggered_conflicts_{k}"))),
-                ("mode", Json::str(mode_name)),
-                ("policy", Json::str("prefer_insert")),
-                ("restarts", Json::from(stats.restarts)),
-                ("gamma_steps", Json::from(stats.gamma_steps)),
-                ("replayed_steps", Json::from(stats.replayed_steps)),
-                ("live_steps", Json::from(live_steps)),
-                (
-                    "divergence_step",
-                    stats.replay_divergence_step.map_or(Json::Null, Json::from),
-                ),
-                ("warm_ms", Json::Float(ms)),
-            ]));
-        }
+        let mode_name = "compiled";
+        let session = Session::new(&rules, &facts, EngineOptions::default());
+        let out = session.run(&mut PreferInsert);
+        let stats = &out.stats;
+        assert!(stats.restarts > 0 && stats.replayed_steps > 0);
+        let live_steps = stats.gamma_steps + stats.restarts - stats.replayed_steps;
+        let ms = median_time_ms(5, || session.run(&mut PreferInsert));
+        let diverged = stats
+            .replay_divergence_step
+            .map_or("-".to_string(), |d| d.to_string());
+        println!(
+            "| {k} | {mode_name} | {} | {} | {} | {live_steps} | {diverged} | {ms:.2} |",
+            stats.restarts, stats.gamma_steps, stats.replayed_steps,
+        );
+        results.push(Json::object([
+            ("workload", Json::str(format!("staggered_conflicts_{k}"))),
+            ("mode", Json::str(mode_name)),
+            ("policy", Json::str("prefer_insert")),
+            ("restarts", Json::from(stats.restarts)),
+            ("gamma_steps", Json::from(stats.gamma_steps)),
+            ("replayed_steps", Json::from(stats.replayed_steps)),
+            ("live_steps", Json::from(live_steps)),
+            (
+                "divergence_step",
+                stats.replay_divergence_step.map_or(Json::Null, Json::from),
+            ),
+            ("warm_ms", Json::Float(ms)),
+        ]));
     }
     let doc = Json::object([
         ("schema", Json::str("park-bench/restarts-v2")),
@@ -530,79 +489,10 @@ fn c7_replay_counters(smoke: bool) {
     }
 }
 
-/// Measure every (mode, workload, threads) cell and write the grid as
-/// machine-readable JSON to `BENCH_eval.json` (median nanoseconds per full
-/// PARK evaluation). Thread count 1 is the sequential path; the parallel
-/// cells are observably identical runs (deterministic ordered merge), so
-/// the file is a pure performance artifact. Rows requesting more threads
-/// than the host offers are flagged `oversubscribed` — the engine clamps
-/// the pool to the host, so their timings measure contention-free
-/// decomposition overhead, not extra parallelism.
-fn bench_eval_json() {
-    use park_engine::EvaluationMode;
-    use park_json::Json;
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let workloads: Vec<(&str, String, String)> = vec![
-        (
-            "tc_erdos_renyi_128",
-            wl::transitive_closure_program(),
-            wl::erdos_renyi_edges(128, 4.0 / 128.0, 9),
-        ),
-        (
-            "tc_path_64",
-            wl::transitive_closure_program(),
-            wl::path_edges(64),
-        ),
-    ];
-    let mut results: Vec<Json> = Vec::new();
-    for (workload, rules, facts) in &workloads {
-        let mut first_state: Option<Vec<String>> = None;
-        for (mode_name, mode) in [
-            ("naive", EvaluationMode::Naive),
-            ("compiled", EvaluationMode::Compiled),
-        ] {
-            for threads in [1usize, 2, 4] {
-                let session = Session::new(
-                    rules,
-                    facts,
-                    EngineOptions::default()
-                        .with_evaluation(mode)
-                        .with_parallelism(if threads == 1 { None } else { Some(threads) }),
-                );
-                let out = session.run_inertia();
-                // The evaluators must agree before anything is timed.
-                let state = out.database.sorted_display();
-                match &first_state {
-                    None => first_state = Some(state),
-                    Some(s) => assert_eq!(s, &state, "{workload}: evaluators disagree"),
-                }
-                let facts_n = out.database.len();
-                let bytes = out.database.encoded_bytes();
-                let ms = median_time_ms(5, || session.run_inertia());
-                results.push(Json::object([
-                    ("mode", Json::str(mode_name)),
-                    ("workload", Json::str(*workload)),
-                    ("threads", Json::from(threads)),
-                    ("host_parallelism", Json::from(cores)),
-                    // A timing row only validates a parallelism claim when
-                    // the host can actually run that many threads at once.
-                    ("cores_validated", Json::from(cores >= threads)),
-                    ("oversubscribed", Json::from(threads > cores)),
-                    ("median_ns", Json::Float(ms * 1e6)),
-                    ("facts", Json::from(facts_n)),
-                    ("encoded_bytes", Json::from(bytes)),
-                    (
-                        "bytes_per_fact",
-                        if facts_n > 0 {
-                            Json::Float(bytes as f64 / facts_n as f64)
-                        } else {
-                            Json::Null
-                        },
-                    ),
-                ]));
-            }
-        }
-    }
+/// C8, C9 and C11: the conflict-free certificate verdict and the two
+/// cross-transaction incremental experiments (warm vs cold, timed after
+/// their outcomes are asserted identical).
+fn c8_c11_certificate_and_incremental() {
     // C8: the conflict-free certificate verdict. The workload carries
     // syntactic conflict pairs, but guard refinement certifies it
     // conflict-free, so the run skips conflict provenance and the per-step
@@ -623,12 +513,10 @@ fn bench_eval_json() {
     // C9: cross-transaction incremental evaluation. A certified two-rule
     // program over a 100k-fact base; a chain of small insert transactions
     // is answered by the live warm state and, separately, re-run from
-    // scratch per transaction. The cold baseline uses compiled
-    // evaluation — the best from-scratch configuration — so the reported
-    // speedup is conservative. Warm and cold outcomes are asserted
+    // scratch per transaction. Warm and cold outcomes are asserted
     // identical per transaction before anything is timed (the soundness
     // contract of docs/incremental.md).
-    let c9_speedup = {
+    {
         use park_engine::{certify_incremental, WarmState};
         let rules = "p(X) -> +q(X). q(X), r(X) -> +s(X).";
         let mut facts = String::with_capacity(2 << 20);
@@ -637,12 +525,8 @@ fn bench_eval_json() {
         }
         let vocab = Vocabulary::new();
         let program = parse_program(rules).expect("C9 program parses");
-        let engine = Engine::with_options(
-            Arc::clone(&vocab),
-            &program,
-            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
-        )
-        .expect("C9 program compiles");
+        let engine = Engine::with_options(Arc::clone(&vocab), &program, EngineOptions::default())
+            .expect("C9 program compiles");
         assert!(certify_incremental(engine.program()));
         let db = FactStore::from_source(vocab, &facts).expect("C9 facts parse");
         let settle = engine
@@ -651,7 +535,6 @@ fn bench_eval_json() {
         let base = settle.database.clone();
         let warm0 = WarmState::build(engine.program(), settle).expect("C9 warm state builds");
         let facts_n = base.len();
-        let bytes = base.encoded_bytes();
         const K: usize = 8;
         let chain: Vec<UpdateSet> = (0..K)
             .map(|i| {
@@ -707,28 +590,6 @@ fn bench_eval_json() {
                     .database;
             }
         }) / K as f64;
-        for (mode_name, ms) in [("incremental_warm", warm_ms), ("incremental_cold", cold_ms)] {
-            results.push(Json::object([
-                ("mode", Json::str(mode_name)),
-                ("workload", Json::str("c9_small_updates_100k")),
-                ("threads", Json::from(1usize)),
-                ("host_parallelism", Json::from(cores)),
-                ("cores_validated", Json::from(cores >= 1)),
-                ("oversubscribed", Json::from(false)),
-                ("median_ns", Json::Float(ms * 1e6)),
-                ("facts", Json::from(facts_n)),
-                ("encoded_bytes", Json::from(bytes)),
-                (
-                    "bytes_per_fact",
-                    if facts_n > 0 {
-                        Json::Float(bytes as f64 / facts_n as f64)
-                    } else {
-                        Json::Null
-                    },
-                ),
-                ("amortized_over_txs", Json::from(K)),
-            ]));
-        }
         let speedup = cold_ms / warm_ms.max(1e-9);
         println!("## C9 — cross-transaction incremental evaluation\n");
         println!(
@@ -737,8 +598,7 @@ fn bench_eval_json() {
              ({speedup:.1}x; single-threaded, algorithmic — no parallelism claim).\n",
             warm_ms, cold_ms,
         );
-        speedup
-    };
+    }
     // C11: deletion-affected-stratum reuse. A certified two-stratum program
     // over a ~100k-fact settled base: a heavy positive stratum (50k `p → q`
     // derivations) and a small negation stratum (`flag, !mute → alert`).
@@ -748,7 +608,7 @@ fn bench_eval_json() {
     // while the cold baseline re-fires all 50k+ groundings from scratch.
     // Warm and cold outcomes are asserted identical per transaction before
     // anything is timed.
-    let c11_speedup = {
+    {
         use park_engine::{certify_incremental, WarmState};
         let rules = "p(X) -> +q(X). flag(X), !mute(X) -> +alert(X).";
         let mut facts = String::with_capacity(2 << 20);
@@ -763,12 +623,8 @@ fn bench_eval_json() {
         }
         let vocab = Vocabulary::new();
         let program = parse_program(rules).expect("C11 program parses");
-        let engine = Engine::with_options(
-            Arc::clone(&vocab),
-            &program,
-            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
-        )
-        .expect("C11 program compiles");
+        let engine = Engine::with_options(Arc::clone(&vocab), &program, EngineOptions::default())
+            .expect("C11 program compiles");
         assert!(
             certify_incremental(engine.program()),
             "stratified negation certifies"
@@ -780,7 +636,6 @@ fn bench_eval_json() {
         let base = settle.database.clone();
         let warm0 = WarmState::build(engine.program(), settle).expect("C11 warm state builds");
         let facts_n = base.len();
-        let bytes = base.encoded_bytes();
         const K: usize = 8;
         let chain: Vec<UpdateSet> = (0..K)
             .map(|i| {
@@ -841,31 +696,6 @@ fn bench_eval_json() {
                     .database;
             }
         }) / K as f64;
-        for (mode_name, ms) in [
-            ("partial_stratum_warm", warm_ms),
-            ("partial_stratum_cold", cold_ms),
-        ] {
-            results.push(Json::object([
-                ("mode", Json::str(mode_name)),
-                ("workload", Json::str("c11_top_stratum_deletions_100k")),
-                ("threads", Json::from(1usize)),
-                ("host_parallelism", Json::from(cores)),
-                ("cores_validated", Json::from(cores >= 1)),
-                ("oversubscribed", Json::from(false)),
-                ("median_ns", Json::Float(ms * 1e6)),
-                ("facts", Json::from(facts_n)),
-                ("encoded_bytes", Json::from(bytes)),
-                (
-                    "bytes_per_fact",
-                    if facts_n > 0 {
-                        Json::Float(bytes as f64 / facts_n as f64)
-                    } else {
-                        Json::Null
-                    },
-                ),
-                ("amortized_over_txs", Json::from(K)),
-            ]));
-        }
         let speedup = cold_ms / warm_ms.max(1e-9);
         println!("## C11 — deletion-affected-stratum reuse\n");
         println!(
@@ -875,18 +705,6 @@ fn bench_eval_json() {
              parallelism claim).\n",
             warm_ms, cold_ms,
         );
-        speedup
-    };
-    let doc = Json::object([
-        ("schema", Json::str("park-bench/eval-v1")),
-        ("host_parallelism", Json::from(cores)),
-        ("c9_small_update_speedup", Json::Float(c9_speedup)),
-        ("c11_partial_stratum_speedup", Json::Float(c11_speedup)),
-        ("results", Json::Array(results)),
-    ]);
-    match std::fs::write("BENCH_eval.json", doc.to_pretty() + "\n") {
-        Ok(()) => println!("Machine-readable evaluation grid written to `BENCH_eval.json`.\n"),
-        Err(e) => println!("(could not write BENCH_eval.json: {e})\n"),
     }
 }
 
@@ -924,9 +742,8 @@ fn main() {
     if let Some(section) = only {
         match section.as_str() {
             "restarts" => c7_replay_counters(smoke),
-            "eval" => bench_eval_json(),
             other => {
-                eprintln!("unknown --only section `{other}` (expected: restarts, eval)");
+                eprintln!("unknown --only section `{other}` (expected: restarts)");
                 std::process::exit(2);
             }
         }
@@ -943,9 +760,8 @@ fn main() {
     c3_policies();
     c4_baseline();
     c5_ablation();
-    c6_evaluation();
     c7_replay_counters(smoke);
-    bench_eval_json();
+    c8_c11_certificate_and_incremental();
     if let Some(path) = metrics {
         write_bench_metrics(&path);
     }

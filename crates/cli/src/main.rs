@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! park run <program.park> [--db <data.facts>] [--updates <tx.updates>]
-//!          [--policy <name>] [--scope all|one] [--eval naive|compiled]
-//!          [--threads <n>] [--trace] [--trace-json <f>]
+//!          [--policy <name>] [--scope all|one] [--threads <n>]
+//!          [--trace] [--trace-json <f>]
 //!          [--stats] [--snapshot <out.json>] [--metrics <out.json>]
 //! park check <program.park>...
 //! park lint <program.park>... [--format text|json]
@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 
 use park_baselines::{immediate_fire, naive_mark_eliminate, ImmediateConfig, ImmediateResult};
-use park_engine::{Engine, EngineOptions, EvaluationMode, JsonMetrics, ResolutionScope};
+use park_engine::{Engine, EngineOptions, JsonMetrics, ResolutionScope};
 use park_json::Json;
 use park_policies::{parse_answer, CallbackOracle, ConflictResolver, Interactive};
 use park_storage::{FactStore, Snapshot, UpdateSet, Vocabulary};
@@ -92,7 +92,7 @@ USAGE:
                                          ndjson requests on stdin (or a TCP
                                          socket) answered with park-serve/v1
                                          frames; accepts --policy/--scope/
-                                         --eval/--threads/--trace/--incremental
+                                         --threads/--trace/--incremental
                                          session defaults (see docs/serve.md
                                          and docs/incremental.md)
   park query '<body>' --db <data.facts>  conjunctive query over a database
@@ -113,13 +113,8 @@ OPTIONS (run/baseline):
   --policy <name>     inertia | anti-inertia | prefer-insert | prefer-delete |
                       priority | specificity | transactions-win |
                       random[:seed] | interactive        (default: inertia)
-  --scope <all|one>   conflicts resolved per restart     (default: all)
-  --eval <naive|compiled>
-                      grounding enumeration strategy     (default: naive);
-                      `compiled` lowers rules to register bytecode with
-                      cost-model join ordering and index selection and
-                      joins each step against the previous step's delta
-                      (see docs/compile.md; `semi` is accepted for it)
+  --scope <all|one>   conflicts resolved per restart     (default: all);
+                      `one` resolves the least conflicting atom first
   --threads <n>       evaluate each step on n threads with a deterministic
                       ordered merge: identical results
                       (default: no pool, single-threaded)
@@ -140,7 +135,6 @@ struct RunArgs {
     updates: Option<String>,
     policy: String,
     scope: ResolutionScope,
-    evaluation: EvaluationMode,
     threads: Option<usize>,
     trace: bool,
     trace_json: Option<String>,
@@ -171,7 +165,6 @@ fn parse_run_args(args: Vec<String>) -> Result<RunArgs, String> {
                     other => return Err(format!("unknown scope `{other}`")),
                 }
             }
-            "--eval" => out.evaluation = grab("--eval")?.parse()?,
             "--threads" => {
                 let raw = grab("--threads")?;
                 let n: usize = raw
@@ -287,7 +280,6 @@ fn cmd_run(args: Vec<String>, _baseline: bool) -> Result<(), String> {
     let options = EngineOptions {
         trace: a.trace || a.trace_json.is_some(),
         scope: a.scope,
-        evaluation: a.evaluation,
         parallelism: a.threads,
         ..EngineOptions::default()
     };
@@ -360,7 +352,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                     other => return Err(format!("unknown scope `{other}`")),
                 }
             }
-            "--eval" => opts.evaluation = grab("--eval")?.parse()?,
             "--threads" => {
                 let raw = grab("--threads")?;
                 let n: usize = raw
@@ -1115,7 +1106,7 @@ struct MetricsDoc {
     path: String,
     source: String,
     policy: String,
-    config: String,
+    scope: String,
     threads: String,
     counters: park_engine::StatCounters,
     elapsed_ns: u64,
@@ -1165,7 +1156,7 @@ fn load_metrics_doc(path: &str) -> Result<MetricsDoc, String> {
     let elapsed_ns = require_u64(totals, "elapsed_ns", path)?;
     let str_of = |v: Option<&Json>| v.and_then(Json::as_str).unwrap_or("-").to_string();
     let options = doc.get("options");
-    let (config, threads) = match options {
+    let (scope, threads) = match options {
         Some(o) => {
             let requested = o
                 .get("requested_threads")
@@ -1180,10 +1171,7 @@ fn load_metrics_doc(path: &str) -> Result<MetricsDoc, String> {
             } else {
                 requested.to_string()
             };
-            (
-                format!("{}/{}", str_of(o.get("evaluation")), str_of(o.get("scope")),),
-                threads,
-            )
+            (str_of(o.get("scope")), threads)
         }
         None => ("-".to_string(), "-".to_string()),
     };
@@ -1246,7 +1234,7 @@ fn load_metrics_doc(path: &str) -> Result<MetricsDoc, String> {
         path: path.to_string(),
         source: str_of(doc.get("source")),
         policy: str_of(doc.get("policy")),
-        config,
+        scope,
         threads,
         counters,
         elapsed_ns,
@@ -1292,7 +1280,7 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
     let _ = writeln!(md);
     let _ = writeln!(
         md,
-        "| file | source | policy | config | threads | steps | restarts | conflicts | fired | blocked | tasks | replayed | peak | elapsed ms |"
+        "| file | source | policy | scope | threads | steps | restarts | conflicts | fired | blocked | tasks | replayed | peak | elapsed ms |"
     );
     let _ = writeln!(
         md,
@@ -1308,7 +1296,7 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
             d.path,
             d.source,
             d.policy,
-            d.config,
+            d.scope,
             d.threads,
             c.gamma_steps,
             c.restarts,

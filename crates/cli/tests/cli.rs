@@ -946,7 +946,7 @@ fn analyze_graph_dumps_condensation_and_strata() {
 }
 
 #[test]
-fn eval_compiled_matches_semi_and_analyze_dumps_the_plan() {
+fn analyze_dumps_the_compiled_plan() {
     let dir = tempdir("compiled");
     let program = write(
         &dir,
@@ -954,31 +954,18 @@ fn eval_compiled_matches_semi_and_analyze_dumps_the_plan() {
         "edge(X, Y) -> +tc(X, Y). tc(X, Y), edge(Y, Z) -> +tc(X, Z).",
     );
     let facts = write(&dir, "d.facts", "edge(a, b). edge(b, c). edge(c, a).");
-    let run = |eval: &str| {
-        let out = park()
-            .args([
-                "run",
-                program.to_str().unwrap(),
-                "--db",
-                facts.to_str().unwrap(),
-                "--eval",
-                eval,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "--eval {eval}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let naive = run("naive");
-    let compiled = run("compiled");
-    assert_eq!(naive, compiled, "committed results must be byte-identical");
-    assert!(compiled.contains("tc(a, c)."), "{compiled}");
-    // The retired semi-naive spelling selects the compiled evaluator.
-    assert_eq!(run("semi"), compiled);
+    let out = park()
+        .args([
+            "run",
+            program.to_str().unwrap(),
+            "--db",
+            facts.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("tc(a, c)."), "{stdout}");
 
     let out = park()
         .args([

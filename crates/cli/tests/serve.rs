@@ -5,7 +5,7 @@
 //! byte-identical to the same transactions applied as chained one-shot
 //! `park run` processes, and to the paper-literal testkit oracle —
 //! across pinned cases, regression-corpus cases, and generated fuzz
-//! cases, under two policies and both evaluation modes.
+//! cases, under two policies.
 
 use park_json::Json;
 use std::io::{BufRead, BufReader, Write as _};
@@ -99,14 +99,7 @@ fn fact_set(source: &str) -> std::collections::BTreeSet<String> {
 
 /// Apply `updates` to the facts in `db_src` via a one-shot `park run`
 /// process; returns the result database source.
-fn one_shot_run(
-    dir: &Path,
-    program: &Path,
-    db_src: &str,
-    updates: &str,
-    policy: &str,
-    eval: &str,
-) -> String {
+fn one_shot_run(dir: &Path, program: &Path, db_src: &str, updates: &str, policy: &str) -> String {
     let db = write(dir, "chain.facts", db_src);
     let mut cmd = park();
     cmd.args([
@@ -119,7 +112,7 @@ fn one_shot_run(
         let u = write(dir, "chain.updates", updates);
         cmd.args(["--updates", u.to_str().unwrap()]);
     }
-    cmd.args(["--policy", policy, "--eval", eval]);
+    cmd.args(["--policy", policy]);
     let out = cmd.output().unwrap();
     assert!(
         out.status.success(),
@@ -260,12 +253,12 @@ fn oracle_deltas(scenario: &Scenario, policy: &str) -> Vec<Delta> {
 
 /// The chained one-shot view: each transaction is its own `park run`
 /// process whose output database feeds the next.
-fn chained_deltas(dir: &Path, scenario: &Scenario, policy: &str, eval: &str) -> Vec<Delta> {
+fn chained_deltas(dir: &Path, scenario: &Scenario, policy: &str) -> Vec<Delta> {
     let program = write(dir, "chain.park", &scenario.program);
     let mut db_src = scenario.facts.clone();
     let mut deltas = Vec::new();
     for u in &scenario.updates {
-        let next = one_shot_run(dir, &program, &db_src, u, policy, eval);
+        let next = one_shot_run(dir, &program, &db_src, u, policy);
         let before = fact_set(&db_src);
         let after = fact_set(&next);
         let mut added: Vec<String> = after.difference(&before).cloned().collect();
@@ -284,14 +277,13 @@ fn chained_deltas(dir: &Path, scenario: &Scenario, policy: &str, eval: &str) -> 
     deltas
 }
 
-fn serve_scenario_deltas(scenario: &Scenario, policy: &str, eval: &str) -> Vec<Delta> {
+fn serve_scenario_deltas(scenario: &Scenario, policy: &str) -> Vec<Delta> {
     let mut lines = vec![Json::object([
         ("op", Json::str("create")),
         ("db", Json::str("d")),
         ("program", Json::str(&scenario.program)),
         ("facts", Json::str(&scenario.facts)),
         ("policy", Json::str(policy)),
-        ("eval", Json::str(eval)),
     ])
     .to_compact()];
     for u in &scenario.updates {
@@ -320,31 +312,29 @@ fn served_streams_match_chained_one_shots_and_the_oracle() {
     for scenario in &scenarios {
         for policy in ["inertia", "prefer-insert"] {
             let oracle = oracle_deltas(scenario, policy);
-            for eval in ["naive", "compiled"] {
-                let served = serve_scenario_deltas(scenario, policy, eval);
-                let chained = chained_deltas(&dir, scenario, policy, eval);
+            let served = serve_scenario_deltas(scenario, policy);
+            let chained = chained_deltas(&dir, scenario, policy);
+            assert_eq!(
+                served.len(),
+                scenario.updates.len(),
+                "{}/{policy}: every transaction must answer with a delta",
+                scenario.name
+            );
+            for (k, ((s, c), o)) in served.iter().zip(&chained).zip(&oracle).enumerate() {
                 assert_eq!(
-                    served.len(),
-                    scenario.updates.len(),
-                    "{}/{policy}/{eval}: every transaction must answer with a delta",
-                    scenario.name
+                    (&s.added, &s.removed),
+                    (&c.added, &c.removed),
+                    "{}/{policy}: serve vs chained one-shots diverge at U{}",
+                    scenario.name,
+                    k + 1
                 );
-                for (k, ((s, c), o)) in served.iter().zip(&chained).zip(&oracle).enumerate() {
-                    assert_eq!(
-                        (&s.added, &s.removed),
-                        (&c.added, &c.removed),
-                        "{}/{policy}/{eval}: serve vs chained one-shots diverge at U{}",
-                        scenario.name,
-                        k + 1
-                    );
-                    assert_eq!(
-                        (&s.added, &s.removed, &s.blocked),
-                        (&o.added, &o.removed, &o.blocked),
-                        "{}/{policy}/{eval}: serve vs oracle diverge at U{}",
-                        scenario.name,
-                        k + 1
-                    );
-                }
+                assert_eq!(
+                    (&s.added, &s.removed, &s.blocked),
+                    (&o.added, &o.removed, &o.blocked),
+                    "{}/{policy}: serve vs oracle diverge at U{}",
+                    scenario.name,
+                    k + 1
+                );
             }
         }
     }
@@ -471,7 +461,7 @@ fn multi_tenant_session_matches_chained_runs_through_a_reload() {
     let mut db_src = String::new();
     for (k, u) in tx_a.iter().enumerate() {
         let program = if k < 25 { &p1 } else { &p2 };
-        let next = one_shot_run(&dir, program, &db_src, u, "inertia", "naive");
+        let next = one_shot_run(&dir, program, &db_src, u, "inertia");
         let (before, after) = (fact_set(&db_src), fact_set(&next));
         let mut added: Vec<String> = after.difference(&before).cloned().collect();
         let mut removed: Vec<String> = before.difference(&after).cloned().collect();
@@ -487,7 +477,7 @@ fn multi_tenant_session_matches_chained_runs_through_a_reload() {
     }
     let mut db_src = String::new();
     for (k, u) in tx_b.iter().enumerate() {
-        let next = one_shot_run(&dir, &pb, &db_src, u, "inertia", "naive");
+        let next = one_shot_run(&dir, &pb, &db_src, u, "inertia");
         let (before, after) = (fact_set(&db_src), fact_set(&next));
         let mut added: Vec<String> = after.difference(&before).cloned().collect();
         let mut removed: Vec<String> = before.difference(&after).cloned().collect();

@@ -1,8 +1,8 @@
 //! The compiled evaluator: flat register bytecode for rule bodies, and the
-//! engine's only delta (semi-naive) evaluator.
+//! engine's only Γ evaluator.
 //!
-//! `EvaluationMode::Compiled` lowers each [`crate::compile::CompiledRule`]
-//! into a flat sequence of register-style ops ([`Op`]) over interned
+//! Every run lowers each [`crate::compile::CompiledRule`] into a flat
+//! sequence of register-style ops ([`Op`]) over interned
 //! [`Code`] values — see [`crate::lower`](mod@crate::lower) for the
 //! lowering pass and its cost model. This module holds the lowered program
 //! representation and the batch executor that runs it. Warm incremental
@@ -49,30 +49,31 @@
 //! ## Identity with naive evaluation
 //!
 //! Per Γ step the *set* of enumerated groundings new to the run equals
-//! naive evaluation's (the lockstep tests below drive both evaluators
-//! through whole runs and compare per step). The heads of *old* groundings
-//! are already marked in `I`, so the inflationary step adds the same marks
-//! either way, and conflict sides are always merged with the run's
-//! provenance (which holds every grounding that ever fired), so `SELECT`
-//! sees identical `(a, ins, del)` triples. Only the emission order within a
-//! step may differ when the cost model reorders a join: the differential
-//! harness compares compiled runs under the order-free regime, and
-//! One-scope runs against their own sequential pivot (see
-//! `park_testkit::harness`).
+//! naive evaluation's (the lockstep tests below drive naive Γ and this
+//! executor through whole runs and compare per step, and a debug build
+//! checks every live step of the fixpoint loop against
+//! [`crate::gamma::fire_all`]). The
+//! heads of *old* groundings are already marked in `I`, so the
+//! inflationary step adds the same marks either way, and conflict sides are
+//! always merged with the run's provenance (which holds every grounding
+//! that ever fired), so `SELECT` sees identical `(a, ins, del)` triples.
+//! Only the emission order within a step may differ when the cost model
+//! reorders a join; conflicts are handed to `SELECT` in rendered-atom
+//! order ([`crate::conflict::collect_conflicts`]), so that order is never
+//! observable through resolution.
 //!
 //! ## Parallel evaluation: shard ownership
 //!
 //! The enumeration decomposes into *units* — one full unit per
 //! negation-delta rule, one unit per `(rule, delta position)` pair
 //! otherwise, in sequential emission order. Units are grouped into shard
-//! tasks by the predicate their rule's first op enumerates, exactly as in
-//! [`crate::gamma`]: each stored relation is driven by one task, and
-//! per-unit buffers are merged back into unit order, so the fired stream is
+//! tasks by the predicate their rule's first op enumerates: each stored
+//! relation is driven by one task, and per-unit buffers are merged back into unit order, so the fired stream is
 //! byte-identical to the sequential one. The decomposition depends only on
 //! the program and the step's deltas — never on the thread count.
 
 use crate::compile::RuleId;
-use crate::gamma::{merge_units, FiredAction};
+use crate::gamma::FiredAction;
 use crate::grounding::{BlockedSet, Grounding};
 use crate::interp::IInterpretation;
 use crate::validity;
@@ -673,8 +674,8 @@ fn plan_units(rules: &[LoweredRule], prev: &ZoneLens, curr: &ZoneLens) -> Vec<Co
 
 /// Group unit indices into shard tasks by the predicate their rule's first
 /// op enumerates (first-appearance order); rules enumerating no shard get
-/// their own task — the same decomposition as [`crate::gamma`]'s, so the
-/// task count is thread-independent.
+/// their own task. The decomposition depends only on the program and the
+/// step's deltas, so the task count is thread-independent.
 fn plan_shards(rules: &[LoweredRule], units: &[CompiledUnit]) -> Vec<Vec<usize>> {
     let mut tasks: Vec<Vec<usize>> = Vec::new();
     let mut by_pred: FxHashMap<PredId, usize> = FxHashMap::default();
@@ -699,6 +700,17 @@ fn plan_shards(rules: &[LoweredRule], units: &[CompiledUnit]) -> Vec<Vec<usize>>
         }
     }
     tasks
+}
+
+/// Flatten per-unit buffers (tagged with their unit index) back into the
+/// sequential emission order. Each unit appears at most once.
+fn merge_units(n_units: usize, tagged: Vec<(usize, Vec<FiredAction>)>) -> Vec<FiredAction> {
+    let mut slots: Vec<Vec<FiredAction>> = Vec::new();
+    slots.resize_with(n_units, Vec::new);
+    for (unit, buf) in tagged {
+        slots[unit] = buf;
+    }
+    slots.into_iter().flatten().collect()
 }
 
 /// Run a list of units (sequentially or on the shard-task pool) and return
@@ -735,7 +747,7 @@ fn run_units(
     let tagged = crate::parallel::run_ordered(
         &tasks,
         workers,
-        |task: &Vec<usize>, _gamma_scratch, buf: &mut Vec<(usize, Vec<FiredAction>)>| {
+        |task: &Vec<usize>, buf: &mut Vec<(usize, Vec<FiredAction>)>| {
             let mut scratch = ExecScratch::new();
             for &u in task {
                 let mut ubuf = Vec::new();
@@ -824,7 +836,7 @@ pub(crate) fn fire_new_lowered_metered(
 pub(crate) mod tests {
     use super::*;
     use crate::compile::CompiledProgram;
-    use crate::gamma::{fire_all, fire_all_par};
+    use crate::gamma::fire_all;
     use crate::lower::{lower, LoweredProgram};
     use park_storage::{FactStore, Vocabulary};
     use park_syntax::parse_program;
@@ -906,9 +918,8 @@ pub(crate) mod tests {
                         )
                         .0
                     }
-                    (0, Seeding::Gamma) => {
-                        fire_all_par(&program, &blocked, &interp, Some(threads)).0
-                    }
+                    // Γ is sequential only: nothing to compare.
+                    (0, Seeding::Gamma) => break,
                     _ => {
                         fire_new_lowered_metered(
                             &lowered,

@@ -257,13 +257,26 @@ impl Provenance {
     fn sides(&self, pred: PredId, row: &[Code]) -> Option<&Sides> {
         self.map.get(&pred).and_then(|m| m.get(row))
     }
+
+    /// Whether `f`'s grounding has already fired for its head in this run.
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_fired(&self, f: &FiredAction) -> bool {
+        self.sides(f.pred, &f.tuple).is_some_and(|s| match f.sign {
+            Sign::Insert => s.ins.contains(&f.grounding),
+            Sign::Delete => s.del.contains(&f.grounding),
+        })
+    }
 }
 
 /// Collect the conflicts among `fired` (one step into the future from `I`),
 /// merged with the run's provenance.
 ///
-/// Returns conflicts in order of first appearance in `fired` — the engine's
-/// deterministic resolution order. Each side is deduplicated and sorted by
+/// Returns conflicts sorted by the rendered contested atom
+/// ([`Vocabulary::display_fact`]) — the engine's resolution order, and the
+/// order `SELECT` is consulted in. It is defined by the atoms alone, not by
+/// the order the evaluator emitted `fired` in, so every evaluator and
+/// thread count resolves the same conflict first under
+/// [`crate::ResolutionScope::One`]. Each side is deduplicated and sorted by
 /// `(rule, substitution)` under the *decoded* value ordering, so the
 /// observable resolution transcript does not depend on interning order.
 /// Contested atoms are decoded here: conflicts are the SELECT boundary,
@@ -274,21 +287,17 @@ pub fn collect_conflicts(
     provenance: &Provenance,
 ) -> Vec<Conflict> {
     // Group current firings by head atom (encoded).
-    let mut order: Vec<(PredId, Box<[Code]>)> = Vec::new();
     let mut sides: FxHashMap<(PredId, Box<[Code]>), Sides> = FxHashMap::default();
     for f in fired {
-        let key = (f.pred, f.tuple.clone());
-        let entry = sides.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Sides::default()
-        });
-        entry.insert(f.sign, &f.grounding);
+        sides
+            .entry((f.pred, f.tuple.clone()))
+            .or_default()
+            .insert(f.sign, &f.grounding);
     }
 
     let empty = HashSet::new();
     let mut out = Vec::new();
-    for key in order {
-        let current = &sides[&key];
+    for (key, current) in &sides {
         let hist = provenance.sides(key.0, &key.1);
         let merge = |cur: &HashSet<Grounding>, hist: &HashSet<Grounding>| -> Vec<Grounding> {
             let mut v: Vec<Grounding> = cur.iter().cloned().collect();
@@ -311,6 +320,7 @@ pub fn collect_conflicts(
             });
         }
     }
+    out.sort_by_cached_key(|c| vocab.display_fact(c.pred, &c.tuple));
     out
 }
 
@@ -384,7 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn conflict_order_follows_first_appearance() {
+    fn conflict_order_follows_the_rendered_atom() {
+        // q(2) appears first in `fired`, but q(1) renders first: the
+        // resolution order is the atoms', not the evaluator's.
         let v = Vocabulary::new();
         let q = v.pred("q", 1).unwrap();
         let fs = vec![
@@ -395,8 +407,12 @@ mod tests {
         ];
         let cs = collect_conflicts(&v, &fs, &Provenance::new());
         assert_eq!(cs.len(), 2);
-        assert_eq!(cs[0].tuple, Tuple::new(vec![Value::Int(2)]));
-        assert_eq!(cs[1].tuple, Tuple::new(vec![Value::Int(1)]));
+        assert_eq!(cs[0].tuple, Tuple::new(vec![Value::Int(1)]));
+        assert_eq!(cs[1].tuple, Tuple::new(vec![Value::Int(2)]));
+        // Any emission order of the same firings gives the same list.
+        let mut reversed = fs.clone();
+        reversed.reverse();
+        assert_eq!(collect_conflicts(&v, &reversed, &Provenance::new()), cs);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::bytecode::{self, ZoneLens};
 use crate::compile::CompiledProgram;
 use crate::conflict::{collect_conflicts, ConflictResolver, Provenance, Resolution, SelectContext};
 use crate::error::{EngineError, EngineResult};
-use crate::gamma::{self, FiredAction};
+use crate::gamma::FiredAction;
 use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
 use crate::lower::LoweredProgram;
@@ -27,7 +27,7 @@ use crate::metrics::{
     FinishEvent, MetricsSink, ReplayEvent, RestartEvent, StepEvent, StepOutcome, StorageCounters,
     TaskSpan,
 };
-use crate::options::{EngineOptions, EvaluationMode, ResolutionScope};
+use crate::options::{EngineOptions, ResolutionScope};
 use crate::replay::{Replayer, StepLog};
 use crate::stats::RunStats;
 use crate::trace::{Trace, TraceEvent};
@@ -60,15 +60,15 @@ impl ParkOutcome {
         self.blocked.display(&self.program)
     }
 
-    /// The run's *mode-independent observables*, rendered one per line:
-    /// the final database (sorted), the blocked set, the counters the
+    /// The run's *configuration-independent observables*, rendered one per
+    /// line: the final database (sorted), the blocked set, the counters the
     /// semantics fixes (restarts, Γ steps, conflicts resolved, blocked
     /// instances), and the full trace event stream as JSON.
     ///
     /// Two evaluations of the same `PARK(D, P)` instance must produce
-    /// byte-identical fingerprints no matter which evaluation mode or
-    /// thread count they ran under — this is the comparison surface of the
-    /// differential test harness (`park-testkit`), which also holds the
+    /// byte-identical fingerprints no matter which thread count they ran
+    /// under — this is the comparison surface of the differential test
+    /// harness (`park-testkit`), which also holds the
     /// engine's replaying restarts to the paper-literal oracle's
     /// restart-from-`D` runs.
     /// Scheduling counters (`eval_tasks`, `replayed_steps`, timings) are
@@ -186,12 +186,11 @@ impl Engine {
         );
         let started = Instant::now();
         let working = self.program.with_updates(updates);
-        // Compiled evaluation lowers `P_U` once per run-set: the cost model
-        // reads only the immutable starting database, so the lowered
-        // program is shared by every restart and deterministic across
-        // hosts and thread counts (see `crate::lower`).
-        let lowered = (self.options.evaluation == EvaluationMode::Compiled)
-            .then(|| crate::lower::lower(&working, db));
+        // `P_U` is lowered once per run-set: the cost model reads only the
+        // immutable starting database, so the lowered program is shared by
+        // every restart and deterministic across hosts and thread counts
+        // (see `crate::lower`).
+        let lowered = crate::lower::lower(&working, db);
         // Statically conflict-free programs never need provenance or
         // conflict collection; the run degenerates to the pure inflationary
         // fixpoint. A refinement certificate (`crate::refine`) extends the
@@ -217,8 +216,8 @@ impl Engine {
         let mut stats = RunStats {
             effective_parallelism: effective_threads,
             certified_conflict_free: certified,
-            lowered_ops: lowered.as_ref().map_or(0, |l| l.op_count()),
-            index_picks: lowered.as_ref().map_or(0, |l| l.index_picks()),
+            lowered_ops: lowered.op_count(),
+            index_picks: lowered.index_picks(),
             ..RunStats::default()
         };
         let mut trace = Trace::new();
@@ -240,17 +239,12 @@ impl Engine {
         // blocked set (see `crate::replay`).
         let mut replayer: Option<Replayer> = None;
 
-        // The evaluator's index requests: under compiled evaluation the
-        // cost model's selections replace the interpreted planner's.
-        let index_requests: &[crate::compile::IndexRequest] = match &lowered {
-            Some(lp) => lp.index_requests(),
-            None => working.index_requests(),
-        };
-        // Build base-zone indexes once, *outside* the restart loop: every
-        // restart clones this pre-indexed store, and `ensure_index` on a
-        // clone whose shared shard already carries the index is a no-copy
-        // no-op. Without the hoist each restart would COW-clone and
-        // re-index every probed base shard from scratch.
+        // Build the cost model's base-zone indexes once, *outside* the
+        // restart loop: every restart clones this pre-indexed store, and
+        // `ensure_index` on a clone whose shared shard already carries the
+        // index is a no-copy no-op. Without the hoist each restart would
+        // COW-clone and re-index every probed base shard from scratch.
+        let index_requests = lowered.index_requests();
         let seed_db = {
             let mut seed = db.clone();
             for req in index_requests {
@@ -305,8 +299,7 @@ impl Engine {
                         assert_eq!(
                             fired,
                             eval_step(
-                                &working,
-                                lowered.as_ref(),
+                                &lowered,
                                 &blocked,
                                 &interp,
                                 step_in_run,
@@ -322,23 +315,35 @@ impl Engine {
                         // Keep the delta boundary current so a live
                         // hand-off after the log sees the right
                         // (prev, curr] window.
-                        if lowered.is_some() {
-                            prev_lens = ZoneLens::capture(&interp);
-                        }
+                        prev_lens = ZoneLens::capture(&interp);
                         stats.replayed_steps += 1;
                         (fired, 0)
                     }
-                    None => eval_step(
-                        &working,
-                        lowered.as_ref(),
-                        &blocked,
-                        &interp,
-                        step_in_run,
-                        &mut prev_lens,
-                        self.options.parallelism,
-                        effective_threads,
-                        if metered { Some(&mut spans) } else { None },
-                    ),
+                    None => {
+                        let live = eval_step(
+                            &lowered,
+                            &blocked,
+                            &interp,
+                            step_in_run,
+                            &mut prev_lens,
+                            self.options.parallelism,
+                            effective_threads,
+                            if metered { Some(&mut spans) } else { None },
+                        );
+                        // Debug builds check the live step against the
+                        // definitional Γ on the same state and blocked set.
+                        #[cfg(debug_assertions)]
+                        check_against_gamma(
+                            &working,
+                            &blocked,
+                            &interp,
+                            &provenance,
+                            &live.0,
+                            run,
+                            step_in_run + 1,
+                        );
+                        live
+                    }
                 };
                 stats.eval_tasks += tasks;
                 stats.groundings_fired += fired.len() as u64;
@@ -591,16 +596,14 @@ impl Engine {
     }
 }
 
-/// One live Γ step: the evaluator dispatch of the fixpoint loop, shared by
-/// its live arm and the debug replay check. Naive evaluation re-enumerates
-/// every valid grounding; compiled evaluation enumerates everything at a
-/// run's first step and only the `(prev_lens, now]` delta window after it,
-/// advancing `prev_lens` to the current boundary. Returns the fired
-/// actions and the number of evaluation tasks scheduled.
+/// One live Γ step on the compiled bytecode, shared by the fixpoint loop's
+/// live arm and its debug replay check: everything at a run's first step,
+/// and only the `(prev_lens, now]` delta window after it, advancing
+/// `prev_lens` to the current boundary. Returns the fired actions and the
+/// number of evaluation tasks scheduled.
 #[allow(clippy::too_many_arguments)]
 fn eval_step(
-    working: &CompiledProgram,
-    lowered: Option<&LoweredProgram>,
+    lowered: &LoweredProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
     step_in_run: u64,
@@ -609,19 +612,53 @@ fn eval_step(
     workers: usize,
     spans: Option<&mut Vec<TaskSpan>>,
 ) -> (Vec<FiredAction>, u64) {
-    match lowered {
-        None => gamma::fire_all_metered(working, blocked, interp, threads, workers, spans),
-        Some(lowered) if step_in_run == 0 => {
-            bytecode::fire_all_lowered_metered(lowered, blocked, interp, threads, workers, spans)
-        }
-        Some(lowered) => {
-            let curr = ZoneLens::capture(interp);
-            let fired = bytecode::fire_new_lowered_metered(
-                lowered, blocked, interp, prev_lens, &curr, threads, workers, spans,
-            );
-            *prev_lens = curr;
-            fired
-        }
+    if step_in_run == 0 {
+        return bytecode::fire_all_lowered_metered(
+            lowered, blocked, interp, threads, workers, spans,
+        );
+    }
+    let curr = ZoneLens::capture(interp);
+    let fired = bytecode::fire_new_lowered_metered(
+        lowered, blocked, interp, prev_lens, &curr, threads, workers, spans,
+    );
+    *prev_lens = curr;
+    fired
+}
+
+/// The debug reference check of one live step: the definitional Γ
+/// ([`crate::gamma::fire_all`]) runs on the same state and blocked set,
+/// and every grounding it fires that this run has not fired yet (the
+/// run's provenance holds the ones it has) must be in the compiled step,
+/// while every compiled grounding must be one Γ fires too. Runs
+/// sequentially and touches no counter, span, or state.
+#[cfg(debug_assertions)]
+fn check_against_gamma(
+    program: &CompiledProgram,
+    blocked: &BlockedSet,
+    interp: &IInterpretation,
+    provenance: &Provenance,
+    fired: &[FiredAction],
+    run: u64,
+    step: u64,
+) {
+    use std::collections::HashSet;
+    let reference = crate::gamma::fire_all(program, blocked, interp);
+    let compiled: HashSet<_> = fired.iter().map(|f| &f.grounding).collect();
+    if let Some(missed) = reference
+        .iter()
+        .find(|f| !compiled.contains(&f.grounding) && !provenance.has_fired(f))
+    {
+        panic!(
+            "step {step} of run {run}: the compiled step misses the Γ grounding {}",
+            missed.grounding.display(program)
+        );
+    }
+    let gamma: HashSet<_> = reference.iter().map(|f| &f.grounding).collect();
+    if let Some(extra) = fired.iter().find(|f| !gamma.contains(&f.grounding)) {
+        panic!(
+            "step {step} of run {run}: the compiled step fires {}, which Γ does not",
+            extra.grounding.display(program)
+        );
     }
 }
 
@@ -875,6 +912,17 @@ mod tests {
     }
 
     #[test]
+    fn a_deletion_mark_makes_a_negated_literal_valid() {
+        // `!c` turns valid only at step 2, through the `-c` mark step 1
+        // adds: no binding literal gains a delta, so the delta evaluator
+        // must fall back to full enumeration of `w`'s rule (a debug build
+        // checks each live step against naive Γ).
+        let out = run("p -> -c. !c -> +w. w, !c -> +v.", "p. c.");
+        assert_eq!(out.database.sorted_display(), vec!["p", "v", "w"]);
+        assert_eq!(out.stats.gamma_steps, 4);
+    }
+
+    #[test]
     fn stats_are_populated() {
         let out = run("p -> +q. p -> -a. q -> +a.", "p.");
         assert!(out.stats.gamma_steps >= 2);
@@ -887,65 +935,66 @@ mod tests {
 
     #[test]
     fn seminaive_mode_reproduces_every_inline_scenario() {
-        // Every (rules, facts, expected) triple from this module's tests,
-        // re-run under semi-naive evaluation (the compiled delta
-        // evaluator): results, restarts, steps and blocked sets must be
-        // identical to naive evaluation.
-        let scenarios = [
-            ("p -> +q. p -> -a. q -> +a.", "p."),
-            ("p -> +q. p -> -a. q -> +a. !a -> +r. a -> +s.", "p."),
-            ("p -> +q. p -> -q. q -> +a. q -> -a. p -> +a.", "p."),
+        // Every (rules, facts) pair from this module's tests, with its
+        // expected result, on the delta evaluator: sequential and 4-thread
+        // runs must both give the result and byte-identical fingerprints.
+        // (A debug build also checks each live step against naive Γ.)
+        let scenarios: [(&str, &str, &[&str]); 8] = [
+            ("p -> +q. p -> -a. q -> +a.", "p.", &["p", "q"]),
+            (
+                "p -> +q. p -> -a. q -> +a. !a -> +r. a -> +s.",
+                "p.",
+                &["p", "q", "r"],
+            ),
+            (
+                "p -> +q. p -> -q. q -> +a. q -> -a. p -> +a.",
+                "p.",
+                &["a", "p"],
+            ),
             (
                 "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
                 "p.",
+                &["a", "b", "p"],
             ),
             (
                 "r1: a -> +b. r2: a -> +d. r3: b -> +c. r4: b -> -d. r5: c -> -b.",
                 "a.",
+                &["a"],
             ),
             (
                 "e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z).",
                 "e(a, b). e(b, c). e(c, d).",
+                &[
+                    "e(a, b)", "e(b, c)", "e(c, d)", "r(a, b)", "r(a, c)", "r(a, d)", "r(b, c)",
+                    "r(b, d)", "r(c, d)",
+                ],
             ),
-            ("r1: !q -> +a. r2: p -> +q. r3: q -> -a.", "p."),
+            ("r1: !q -> +a. r2: p -> +q. r3: q -> -a.", "p.", &["p", "q"]),
             (
                 "r1: p(X), p(Y) -> +q(X, Y). r2: q(X, X) -> -q(X, X).
                  r3: q(X, Y), q(X, Z), q(Z, Y) -> -q(X, Y).",
                 "p(a). p(b). p(c).",
+                &["p(a)", "p(b)", "p(c)"],
             ),
         ];
-        for (rules, facts) in scenarios {
-            let naive = run_opts(rules, facts, EngineOptions::default());
-            let compiled = run_opts(
+        for (rules, facts, expected) in scenarios {
+            let seq = run_opts(rules, facts, EngineOptions::traced());
+            assert_eq!(seq.database.sorted_display(), expected, "{rules}");
+            let par = run_opts(
                 rules,
                 facts,
-                EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
+                EngineOptions::traced().with_parallelism(Some(4)),
             );
-            assert!(
-                naive.database.same_facts(&compiled.database),
-                "database mismatch for {rules}: {:?} vs {:?}",
-                naive.database.sorted_display(),
-                compiled.database.sorted_display()
-            );
-            assert_eq!(naive.stats.restarts, compiled.stats.restarts, "{rules}");
-            assert_eq!(
-                naive.stats.gamma_steps, compiled.stats.gamma_steps,
-                "{rules}"
-            );
-            assert_eq!(
-                naive.blocked_display(),
-                compiled.blocked_display(),
-                "{rules}"
-            );
-            assert!(
-                compiled.stats.groundings_fired <= naive.stats.groundings_fired,
-                "delta evaluation must not enumerate more: {rules}"
-            );
+            assert_eq!(seq.fingerprint(), par.fingerprint(), "{rules}");
         }
     }
 
     #[test]
     fn seminaive_eca_examples_agree() {
+        // Section 4.3's conflicting ECA example: both resolution scopes and
+        // both thread counts commit the same database and blocked set (the
+        // run has a single conflict, so `One` resolves exactly what `All`
+        // does).
         let vocab = Vocabulary::new();
         let program = park_syntax::parse_program(
             "r1: q(X, a) -> -p(X, a). r2: q(a, X) -> +r(a, X). r3: +r(X, Y) -> +p(X, Y).",
@@ -953,24 +1002,26 @@ mod tests {
         .unwrap();
         let db = FactStore::from_source(Arc::clone(&vocab), "p(a, a). p(a, b). p(a, c).").unwrap();
         let updates = UpdateSet::from_source(&vocab, "+q(a, a).").unwrap();
-        let naive = Engine::new(Arc::clone(&vocab), &program)
-            .unwrap()
-            .run(&db, &updates, &mut Inertia)
-            .unwrap();
-        let compiled = Engine::with_options(
-            Arc::clone(&vocab),
-            &program,
-            EngineOptions::default().with_evaluation(EvaluationMode::Compiled),
-        )
-        .unwrap()
-        .run(&db, &updates, &mut Inertia)
-        .unwrap();
-        assert!(naive.database.same_facts(&compiled.database));
-        assert_eq!(naive.blocked_display(), compiled.blocked_display());
+        let run = |options: EngineOptions| {
+            Engine::with_options(Arc::clone(&vocab), &program, options)
+                .unwrap()
+                .run(&db, &updates, &mut Inertia)
+                .unwrap()
+        };
+        let reference = run(EngineOptions::default());
+        for scope in [ResolutionScope::All, ResolutionScope::One] {
+            for threads in [None, Some(4)] {
+                let out = run(EngineOptions::default()
+                    .with_scope(scope)
+                    .with_parallelism(threads));
+                assert!(reference.database.same_facts(&out.database));
+                assert_eq!(reference.blocked_display(), out.blocked_display());
+            }
+        }
     }
 
-    // The cross-mode identity suites (parallel vs sequential, replaying
-    // restarts vs the oracle's restart-from-D runs) live in
+    // The identity suites (parallel vs sequential, replaying restarts vs
+    // the oracle's restart-from-D runs) live in
     // `park-testkit`'s `tests/identity.rs`, on top of the shared
     // fingerprint/transcript comparison helpers; the differential harness
     // there extends them to generated programs. Every replayed step of
@@ -1026,8 +1077,8 @@ mod tests {
     #[test]
     fn scope_one_trace_lists_only_the_resolved_conflict() {
         // Two simultaneous conflicts (q and a); under One-scope only the
-        // first is handed to SELECT per restart, and the Inconsistent event
-        // must say so, listing the other as deferred.
+        // least atom, `a`, is handed to SELECT per restart, and the
+        // Inconsistent event must say so, listing `q` as deferred.
         let out = run_opts(
             "p -> +q. p -> -q. p -> +a. p -> -a.",
             "p.",
@@ -1044,8 +1095,8 @@ mod tests {
                 _ => None,
             })
             .expect("an inconsistency is traced");
-        assert_eq!(first_inconsistent.0, vec!["q".to_string()]);
-        assert_eq!(first_inconsistent.1, vec!["a".to_string()]);
+        assert_eq!(first_inconsistent.0, vec!["a".to_string()]);
+        assert_eq!(first_inconsistent.1, vec!["q".to_string()]);
         // All-scope: everything is resolved, nothing deferred.
         let out = run_opts(
             "p -> +q. p -> -q. p -> +a. p -> -a.",
@@ -1056,6 +1107,61 @@ mod tests {
             if let TraceEvent::Inconsistent { deferred, .. } = e {
                 assert!(deferred.is_empty(), "{deferred:?}");
             }
+        }
+    }
+
+    #[test]
+    fn scope_one_resolves_the_least_atom_whatever_the_emission_order() {
+        // The fuzz corpus' `seminaive-conflict-order` program: step 2 of
+        // run 1 conflicts on `g` (rule 1 inserts it, rule 4 deletes it)
+        // and on `f` (rules 2 and 3). Rule order emits `g` first; One
+        // scope still resolves `f`, the least rendered atom.
+        struct PreferInsert;
+        impl ConflictResolver for PreferInsert {
+            fn name(&self) -> &str {
+                "prefer-insert"
+            }
+            fn select(
+                &mut self,
+                _: &SelectContext<'_>,
+                _: &crate::conflict::Conflict,
+            ) -> Result<Resolution, String> {
+                Ok(Resolution::Insert)
+            }
+        }
+        for threads in [None, Some(4)] {
+            let vocab = Vocabulary::new();
+            let engine = Engine::with_options(
+                Arc::clone(&vocab),
+                &parse_program("c -> +g. g -> +f. c -> -f. g -> -g.").unwrap(),
+                EngineOptions::traced()
+                    .with_scope(ResolutionScope::One)
+                    .with_parallelism(threads),
+            )
+            .unwrap();
+            let db = FactStore::from_source(vocab, "c.").unwrap();
+            let out = engine.park(&db, &mut PreferInsert).unwrap();
+            let resolved: Vec<(u64, Vec<String>, Vec<String>)> = out
+                .trace
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Inconsistent {
+                        run,
+                        atoms,
+                        deferred,
+                        ..
+                    } => Some((*run, atoms.clone(), deferred.clone())),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                resolved[0],
+                (1, vec!["f".to_string()], vec!["g".to_string()]),
+                "{resolved:?}"
+            );
+            let rendered = out.trace.render();
+            assert!(rendered.contains("(f, "), "{rendered}");
         }
     }
 

@@ -16,24 +16,17 @@
 //! decoded at the SELECT/trace boundary. Results are deterministic: rules
 //! in id order, rows in relation insertion order.
 //!
-//! ## Parallel evaluation: shard ownership
-//!
-//! [`fire_all_par`] decomposes the step into *shard tasks*: rules are
-//! grouped by the predicate their first plan step enumerates, so each
-//! stored relation (shard) is driven end-to-end by exactly one task —
-//! rules that scan the same shard share its cache lines and indexes, and
-//! no shard is enumerated by two tasks at once. Each task evaluates its
-//! rules in id order into per-rule buffers; the buffers are then merged by
-//! rule id, which makes the fired stream byte-identical to the sequential
-//! one. The decomposition depends only on the program — never on the
-//! thread count — so the `eval_tasks` statistic is identical across
-//! sequential and parallel runs.
+//! The engine itself evaluates on the compiled bytecode
+//! ([`crate::bytecode`]). [`fire_all`] is its definitional reference: a
+//! debug build checks every live Γ step of the fixpoint loop against it,
+//! and the oracle, the baselines and the query reference check evaluate
+//! through it.
 
 use crate::compile::{CompiledLiteral, CompiledProgram, CompiledRule, LitKind, TermSlot};
 use crate::grounding::{BlockedSet, Grounding};
 use crate::interp::IInterpretation;
 use crate::validity;
-use park_storage::{Code, ColumnMask, FxHashMap, PredId};
+use park_storage::{Code, ColumnMask, PredId};
 use park_syntax::Sign;
 
 /// One firing of a rule grounding: the update its head demands.
@@ -49,18 +42,18 @@ pub struct FiredAction {
     pub tuple: Box<[Code]>,
 }
 
-/// Reusable per-task evaluation buffers: the variable bindings and one probe
-/// key per plan step. Reusing them across groundings (and across rules within
-/// a task) keeps the innermost join loop free of heap allocation.
+/// Reusable evaluation buffers: the variable bindings and one probe key per
+/// plan step. Reusing them across groundings (and across rules) keeps the
+/// innermost join loop free of heap allocation.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     bindings: Vec<Option<Code>>,
     keys: Vec<Vec<Code>>,
 }
 
 impl Scratch {
     /// Fresh, empty scratch.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Scratch::default()
     }
 
@@ -95,127 +88,20 @@ impl Scratch {
     }
 }
 
-/// One unit of parallel Γ evaluation: a group of rules that all enumerate
-/// the same step-0 shard, in rule-id order.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardTask {
-    /// Rule indices, ascending.
-    pub(crate) units: Vec<usize>,
-}
-
-/// The predicate whose shard `rule`'s first plan step enumerates, if any.
-/// Negated step-0 literals (possible only when the rule has no variables to
-/// bind) and empty plans enumerate nothing.
-fn step0_pred(rule: &CompiledRule) -> Option<PredId> {
-    let planned = rule.plan.first()?;
-    match &rule.body[planned.lit] {
-        CompiledLiteral::Atom { kind, atom } if *kind != LitKind::Neg => Some(atom.pred),
-        _ => None,
-    }
-}
-
-/// Group rules into shard tasks: rules sharing a step-0 predicate form one
-/// task (in first-appearance order); rules that enumerate no shard get
-/// singleton tasks. Depends only on the program, so the decomposition — and
-/// the `eval_tasks` count — is identical for every thread configuration.
-pub(crate) fn plan_shards(program: &CompiledProgram) -> Vec<ShardTask> {
-    let mut tasks: Vec<ShardTask> = Vec::new();
-    let mut by_pred: FxHashMap<PredId, usize> = FxHashMap::default();
-    for (i, rule) in program.rules().iter().enumerate() {
-        match step0_pred(rule) {
-            Some(p) => match by_pred.get(&p) {
-                Some(&t) => tasks[t].units.push(i),
-                None => {
-                    by_pred.insert(p, tasks.len());
-                    tasks.push(ShardTask { units: vec![i] });
-                }
-            },
-            None => tasks.push(ShardTask { units: vec![i] }),
-        }
-    }
-    tasks
-}
-
-/// Flatten per-unit buffers (tagged with their unit index) back into the
-/// sequential emission order. Each unit appears at most once.
-pub(crate) fn merge_units(
-    n_units: usize,
-    tagged: Vec<(usize, Vec<FiredAction>)>,
-) -> Vec<FiredAction> {
-    let mut slots: Vec<Vec<FiredAction>> = Vec::new();
-    slots.resize_with(n_units, Vec::new);
-    for (unit, buf) in tagged {
-        slots[unit] = buf;
-    }
-    slots.into_iter().flatten().collect()
-}
-
 /// Compute every non-blocked rule grounding whose body is valid in `interp`,
-/// with the update each one derives.
+/// with the update each one derives: rules in id order, on the calling
+/// thread.
 pub fn fire_all(
     program: &CompiledProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
 ) -> Vec<FiredAction> {
-    fire_all_par(program, blocked, interp, None).0
-}
-
-/// [`fire_all`] with optional intra-step parallelism. With `threads` `None`
-/// or `Some(1)` this is the sequential enumeration on the calling thread (no
-/// pool is spun up); otherwise the shard tasks run on a scoped pool via
-/// `crate::parallel::run_ordered`, whose per-rule buffer merge makes the
-/// output byte-identical to the sequential stream. Returns the actions and
-/// the number of shard tasks in the decomposition (the same number either
-/// way).
-pub fn fire_all_par(
-    program: &CompiledProgram,
-    blocked: &BlockedSet,
-    interp: &IInterpretation,
-    threads: Option<usize>,
-) -> (Vec<FiredAction>, u64) {
-    let requested = threads.unwrap_or(1).max(1);
-    fire_all_metered(program, blocked, interp, threads, requested, None)
-}
-
-/// [`fire_all_par`] with the pool size decoupled from the decomposition and
-/// optional per-task span collection (the fixpoint loop's metered entry
-/// point). The shard decomposition is fixed by the program; `workers` only
-/// caps how many threads run the tasks (the host-parallelism clamp), and
-/// cannot change any output.
-pub(crate) fn fire_all_metered(
-    program: &CompiledProgram,
-    blocked: &BlockedSet,
-    interp: &IInterpretation,
-    threads: Option<usize>,
-    workers: usize,
-    spans: Option<&mut Vec<crate::metrics::TaskSpan>>,
-) -> (Vec<FiredAction>, u64) {
-    let threads = threads.unwrap_or(1).max(1);
-    let tasks = plan_shards(program);
-    let n_tasks = tasks.len() as u64;
-    if threads == 1 && spans.is_none() {
-        // Fast sequential path: same stream, no per-unit buffers.
-        let mut out = Vec::new();
-        let mut scratch = Scratch::new();
-        for rule in program.rules() {
-            fire_rule_in(rule, blocked, interp, &mut scratch, &mut out);
-        }
-        return (out, n_tasks);
+    let mut out = Vec::new();
+    let mut scratch = Scratch::new();
+    for rule in program.rules() {
+        fire_rule_in(rule, blocked, interp, &mut scratch, &mut out);
     }
-    let workers = if threads == 1 { 1 } else { workers };
-    let tagged = crate::parallel::run_ordered(
-        &tasks,
-        workers,
-        |task: &ShardTask, scratch, buf: &mut Vec<(usize, Vec<FiredAction>)>| {
-            for &unit in &task.units {
-                let mut ubuf = Vec::new();
-                fire_rule_in(&program.rules()[unit], blocked, interp, scratch, &mut ubuf);
-                buf.push((unit, ubuf));
-            }
-        },
-        spans,
-    );
-    (merge_units(program.rules().len(), tagged), n_tasks)
+    out
 }
 
 /// Compute the firings of a single rule.
@@ -661,44 +547,5 @@ mod tests {
         let a = fire_all(&p, &BlockedSet::new(), &i);
         let b = fire_all(&p, &BlockedSet::new(), &i);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shard_tasks_group_rules_by_step0_predicate() {
-        let (p, _) = setup(
-            "r1: p(X) -> +q(X).
-             r2: s(X) -> +t(X).
-             r3: p(X) -> -t(X).
-             r4: -> +u.",
-            "p(a).",
-        );
-        let tasks = plan_shards(&p);
-        // p-shard owns r1 and r3; s-shard owns r2; the bodyless r4 is its
-        // own task.
-        assert_eq!(tasks.len(), 3);
-        assert_eq!(tasks[0].units, vec![0, 2]);
-        assert_eq!(tasks[1].units, vec![1]);
-        assert_eq!(tasks[2].units, vec![3]);
-    }
-
-    #[test]
-    fn parallel_stream_is_byte_identical_to_sequential() {
-        let (p, i) = setup(
-            "r1: e(X, Y), e(Y, Z) -> +tc(X, Z).
-             r2: e(X, Y) -> +tc(X, Y).
-             r3: p(X), p(Y) -> +q(X, Y).",
-            "e(a, b). e(b, c). e(c, d). e(d, a). p(a). p(b). p(c).",
-        );
-        let (seq, seq_tasks) = fire_all_par(&p, &BlockedSet::new(), &i, Some(1));
-        for threads in [2, 3, 8] {
-            let (par, par_tasks) = fire_all_par(&p, &BlockedSet::new(), &i, Some(threads));
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(
-                par_tasks, seq_tasks,
-                "task count must be thread-independent"
-            );
-        }
-        // e-shard (r1, r2) and p-shard (r3).
-        assert_eq!(seq_tasks, 2);
     }
 }

@@ -11,8 +11,10 @@
 //! ActiveDBSemantics = DeclarativeSemantics + ConflictResolutionPolicy
 //! ```
 //!
-//! The declarative half is the inflationary consequence operator
-//! [`gamma::fire_all`] over [`IInterpretation`]s; the policy half is any
+//! The declarative half is the inflationary consequence operator Γ over
+//! [`IInterpretation`]s — evaluated on compiled bytecode
+//! ([`fire_all_lowered`], [`fire_new_lowered`]) and defined by its
+//! reference enumeration [`gamma::fire_all`]; the policy half is any
 //! [`ConflictResolver`] (the paper's `SELECT` oracle). [`Engine::run`]
 //! iterates the transition operator Δ to its fixpoint ω and applies
 //! [`IInterpretation::incorp`]:
@@ -71,7 +73,7 @@ pub use conflict::{
 };
 pub use error::{EngineError, EngineResult};
 pub use fixpoint::{Engine, ParkOutcome};
-pub use gamma::{fire_all, fire_all_par, FiredAction};
+pub use gamma::{fire_all, FiredAction};
 pub use grounding::{BlockedSet, Grounding};
 pub use incremental::{
     certify_incremental, exclusions_with, incremental_exclusions, IncrementalBlocker,
@@ -83,7 +85,7 @@ pub use metrics::{
     FinishEvent, JsonMetrics, MetricsSink, NoopMetrics, ReplayEvent, RestartEvent, StepEvent,
     StepOutcome, StorageCounters, TaskSpan,
 };
-pub use options::{EngineOptions, EvaluationMode, ResolutionScope};
+pub use options::{EngineOptions, ResolutionScope};
 pub use query::Query;
 pub use refine::{
     always_blocked_rules, certify_conflict_free, never_fire_rules, refine_conflicts,

@@ -25,7 +25,7 @@
 //! Its [`JsonMetrics::totals`] are derived from the event stream alone,
 //! independently of [`RunStats`] — the testkit cross-check asserts the two
 //! bookkeeping paths agree exactly on every corpus case across the full
-//! 8-configuration mode matrix.
+//! 4-configuration matrix.
 
 use crate::compile::CompiledProgram;
 use crate::conflict::Resolution;
@@ -259,7 +259,6 @@ struct RestartRecord {
 #[derive(Debug)]
 struct FinishRecord {
     policy: String,
-    evaluation: &'static str,
     scope: &'static str,
     requested_threads: usize,
     effective_threads: usize,
@@ -446,7 +445,6 @@ impl JsonMetrics {
             members.push((
                 "options".into(),
                 Json::object([
-                    ("evaluation", Json::str(f.evaluation)),
                     ("scope", Json::str(f.scope)),
                     ("requested_threads", Json::from(f.requested_threads)),
                     ("effective_threads", Json::from(f.effective_threads)),
@@ -568,7 +566,6 @@ impl MetricsSink for JsonMetrics {
             .collect();
         self.finish = Some(FinishRecord {
             policy: ev.policy.to_string(),
-            evaluation: ev.options.evaluation.name(),
             scope: scope_str(ev.options.scope),
             requested_threads: ev.requested_threads,
             effective_threads: ev.effective_threads,
@@ -594,7 +591,6 @@ mod tests {
     use super::*;
     use crate::conflict::Inertia;
     use crate::fixpoint::Engine;
-    use crate::options::EvaluationMode;
     use park_storage::{FactStore, Vocabulary};
     use std::sync::Arc;
 
@@ -630,9 +626,7 @@ mod tests {
         let (sink, counters) = metered(
             "e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z). r(X, X) -> -r(X, X).",
             "e(a, b). e(b, c). e(c, a).",
-            EngineOptions::default()
-                .with_evaluation(EvaluationMode::Compiled)
-                .with_parallelism(Some(4)),
+            EngineOptions::default().with_parallelism(Some(4)),
         );
         assert_eq!(sink.totals(), counters);
         // The restart replays a logged prefix, and both bookkeeping paths

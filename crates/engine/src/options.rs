@@ -9,58 +9,13 @@ pub enum ResolutionScope {
     /// each conflict).
     #[default]
     All,
-    /// Resolve only the first conflict (in derivation order) per restart.
-    /// Permitted by the paper's closing remark in Section 4.2: blocking only
-    /// a non-empty part of the conflicts avoids unnecessary blocking at the
-    /// cost of more restarts. See the ablation benchmark.
+    /// Resolve only the least conflict per restart, ordered by the rendered
+    /// contested atom (`Vocabulary::display_fact`), so the choice does not
+    /// depend on evaluation order or thread count. Permitted by the paper's
+    /// closing remark in Section 4.2: blocking only a non-empty part of the
+    /// conflicts avoids unnecessary blocking at the cost of more restarts.
+    /// See the ablation benchmark.
     One,
-}
-
-/// How the Γ operator enumerates firable groundings each step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvaluationMode {
-    /// Re-enumerate every valid grounding per step — the paper's
-    /// definitional immediate-consequence operator, verbatim.
-    #[default]
-    Naive,
-    /// Compiled delta (semi-naive) enumeration: each rule is lowered once
-    /// per run into flat register bytecode (`crate::lower`) with
-    /// cost-model-driven join ordering and index selection, and each step
-    /// after the first joins only against the marks added in the previous
-    /// step, with a per-rule fallback when a negated literal gains a new
-    /// `-b` mark (`crate::bytecode`). The per-step grounding *sets* are
-    /// identical to naive evaluation; the emission order within a step may
-    /// differ where the cost model reorders a join.
-    Compiled,
-}
-
-impl EvaluationMode {
-    /// The canonical name, as `park --eval`, the serve protocol's `eval`
-    /// field, and `park-metrics/v1` documents spell it.
-    pub fn name(self) -> &'static str {
-        match self {
-            EvaluationMode::Naive => "naive",
-            EvaluationMode::Compiled => "compiled",
-        }
-    }
-}
-
-impl std::str::FromStr for EvaluationMode {
-    type Err = String;
-
-    /// Parse an evaluation-mode name. Besides the canonical names this
-    /// accepts `compile` and `bytecode`, and the retired semi-naive
-    /// spellings (`semi`, `semi-naive`, `seminaive`), which select the
-    /// compiled delta evaluator.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "naive" => Ok(EvaluationMode::Naive),
-            "compiled" | "compile" | "bytecode" | "semi" | "semi-naive" | "seminaive" => {
-                Ok(EvaluationMode::Compiled)
-            }
-            other => Err(format!("unknown evaluation mode `{other}`")),
-        }
-    }
 }
 
 /// Tunables for a PARK evaluation.
@@ -68,8 +23,6 @@ impl std::str::FromStr for EvaluationMode {
 pub struct EngineOptions {
     /// Conflict-resolution scope per restart.
     pub scope: ResolutionScope,
-    /// Grounding enumeration strategy.
-    pub evaluation: EvaluationMode,
     /// Record a full execution trace (costs string rendering per step).
     pub trace: bool,
     /// Upper bound on Γ applications across all runs; exceeding it is an
@@ -89,7 +42,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             scope: ResolutionScope::All,
-            evaluation: EvaluationMode::default(),
             trace: false,
             max_steps: 1 << 22,
             max_restarts: 1 << 22,
@@ -110,12 +62,6 @@ impl EngineOptions {
     /// Set the resolution scope (builder style).
     pub fn with_scope(mut self, scope: ResolutionScope) -> Self {
         self.scope = scope;
-        self
-    }
-
-    /// Set the evaluation mode (builder style).
-    pub fn with_evaluation(mut self, evaluation: EvaluationMode) -> Self {
-        self.evaluation = evaluation;
         self
     }
 
@@ -143,30 +89,9 @@ mod tests {
     fn builders() {
         let o = EngineOptions::traced()
             .with_scope(ResolutionScope::One)
-            .with_evaluation(EvaluationMode::Compiled)
             .with_parallelism(Some(4));
         assert!(o.trace);
         assert_eq!(o.scope, ResolutionScope::One);
-        assert_eq!(o.evaluation, EvaluationMode::Compiled);
         assert_eq!(o.parallelism, Some(4));
-    }
-
-    #[test]
-    fn default_evaluation_is_the_definitional_operator() {
-        assert_eq!(EngineOptions::default().evaluation, EvaluationMode::Naive);
-    }
-
-    #[test]
-    fn evaluation_names_round_trip_and_keep_the_semi_naive_spellings() {
-        for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
-            assert_eq!(mode.name().parse::<EvaluationMode>(), Ok(mode));
-        }
-        for alias in ["compile", "bytecode", "semi", "semi-naive", "seminaive"] {
-            assert_eq!(alias.parse(), Ok(EvaluationMode::Compiled), "{alias}");
-        }
-        assert_eq!(
-            "fast".parse::<EvaluationMode>(),
-            Err("unknown evaluation mode `fast`".to_string())
-        );
     }
 }

@@ -1,15 +1,14 @@
 //! Deterministic ordered-merge parallel executor.
 //!
-//! The evaluators ([`crate::gamma`], [`crate::bytecode`]) decompose one Γ
-//! step into a fixed, sequentially-ordered list of independent *shard
-//! tasks* over an immutable pre-step snapshot — each task owns the rules
-//! (or delta units) that enumerate one predicate's relation shard.
-//! This module runs those tasks on a small pool of scoped threads, each
-//! task firing into its own buffer, and then concatenates the buffers in
-//! task-index order. The evaluators tag their output with unit indices and
-//! re-merge per unit, so the final [`FiredAction`] stream is byte-identical
-//! to the sequential one — marks, conflict detection order, SELECT inputs,
-//! and traces do not change.
+//! The compiled evaluator ([`crate::bytecode`]) decomposes one Γ step into
+//! a fixed, sequentially-ordered list of independent *shard tasks* over an
+//! immutable pre-step snapshot — each task owns the delta units that
+//! enumerate one predicate's relation shard. This module runs those tasks
+//! on a small pool of scoped threads, each task firing into its own
+//! buffer, and then concatenates the buffers in task-index order. The
+//! evaluator tags its output with unit indices and re-merges per unit, so
+//! the final [`FiredAction`] stream is byte-identical to the sequential
+//! one — marks, SELECT inputs, and traces do not change.
 //!
 //! Threads are spawned per call with [`std::thread::scope`]; no pool lives
 //! beyond a Γ step, and nothing is spawned at all when parallelism is off
@@ -23,7 +22,7 @@
 //! 1.45× *slower* than threads=1 on a 1-core host — and since the merge
 //! order is deterministic, shrinking the pool cannot change any output.
 
-use crate::gamma::{FiredAction, Scratch};
+use crate::gamma::FiredAction;
 use crate::metrics::TaskSpan;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -65,10 +64,8 @@ impl SpanWeight for (usize, Vec<FiredAction>) {
 /// is supplied, one [`TaskSpan`] per task (fired count + wall-clock nanos)
 /// is appended to it, in task-index order.
 ///
-/// Each worker owns a [`Scratch`] that is reused across the tasks it pulls,
-/// so per-grounding allocations are amortised exactly as in the sequential
-/// path. Falls back to a plain sequential loop when the task count or the
-/// worker count makes spawning pointless.
+/// Falls back to a plain sequential loop when the task count or the worker
+/// count makes spawning pointless.
 pub(crate) fn run_ordered<T, R, F>(
     tasks: &[T],
     workers: usize,
@@ -78,18 +75,17 @@ pub(crate) fn run_ordered<T, R, F>(
 where
     T: Sync,
     R: Send + SpanWeight,
-    F: Fn(&T, &mut Scratch, &mut Vec<R>) + Sync,
+    F: Fn(&T, &mut Vec<R>) + Sync,
 {
     let timed = spans.is_some();
     let workers = workers.min(tasks.len());
     if workers <= 1 {
-        let mut scratch = Scratch::new();
         let mut out = Vec::new();
         if let Some(spans) = spans {
             for (idx, task) in tasks.iter().enumerate() {
                 let before = out.len();
                 let started = Instant::now();
-                run(task, &mut scratch, &mut out);
+                run(task, &mut out);
                 spans.push(TaskSpan {
                     index: idx,
                     fired: out[before..].iter().map(SpanWeight::weight).sum(),
@@ -98,7 +94,7 @@ where
             }
         } else {
             for task in tasks {
-                run(task, &mut scratch, &mut out);
+                run(task, &mut out);
             }
         }
         return out;
@@ -113,7 +109,6 @@ where
             let next = &next;
             let run = &run;
             handles.push(scope.spawn(move || {
-                let mut scratch = Scratch::new();
                 let mut done: Vec<(usize, Vec<R>, u64)> = Vec::new();
                 loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
@@ -122,7 +117,7 @@ where
                     }
                     let mut buf = Vec::new();
                     let started = timed.then(Instant::now);
-                    run(&tasks[idx], &mut scratch, &mut buf);
+                    run(&tasks[idx], &mut buf);
                     let nanos = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     done.push((idx, buf, nanos));
                 }
@@ -171,15 +166,14 @@ mod tests {
         // Tasks emit differing numbers of actions; the merge must preserve
         // the task order regardless of which worker ran which task.
         let tasks: Vec<usize> = (0..37).collect();
-        let run = |t: &usize, _s: &mut Scratch, out: &mut Vec<FiredAction>| {
+        let run = |t: &usize, out: &mut Vec<FiredAction>| {
             for k in 0..(*t % 5) {
                 out.push(action(*t, (*t * 10 + k) as i64));
             }
         };
         let mut expected = Vec::new();
-        let mut scratch = Scratch::new();
         for t in &tasks {
-            run(t, &mut scratch, &mut expected);
+            run(t, &mut expected);
         }
         for threads in [1, 2, 4, 8] {
             let got = run_ordered(&tasks, threads, run, None);
@@ -189,7 +183,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_task_lists() {
-        let run = |t: &usize, _s: &mut Scratch, out: &mut Vec<FiredAction>| {
+        let run = |t: &usize, out: &mut Vec<FiredAction>| {
             out.push(action(*t, *t as i64));
         };
         assert!(run_ordered(&[], 4, run, None).is_empty());
@@ -200,7 +194,7 @@ mod tests {
     #[test]
     fn spans_cover_every_task_in_merge_order() {
         let tasks: Vec<usize> = (0..9).collect();
-        let run = |t: &usize, _s: &mut Scratch, out: &mut Vec<FiredAction>| {
+        let run = |t: &usize, out: &mut Vec<FiredAction>| {
             for k in 0..(*t % 3) {
                 out.push(action(*t, (*t * 10 + k) as i64));
             }
@@ -222,7 +216,7 @@ mod tests {
         // Shard tasks emit (unit, buffer) pairs; spans must count firings,
         // not units.
         let tasks: Vec<usize> = (0..4).collect();
-        let run = |t: &usize, _s: &mut Scratch, out: &mut Vec<(usize, Vec<FiredAction>)>| {
+        let run = |t: &usize, out: &mut Vec<(usize, Vec<FiredAction>)>| {
             let buf: Vec<FiredAction> = (0..*t as i64).map(|k| action(*t, k)).collect();
             out.push((*t, buf));
         };

@@ -27,9 +27,10 @@ pub struct RunStats {
     /// Size of the final blocked set `B`.
     pub blocked_instances: u64,
     /// Evaluation tasks executed across all Γ steps. One task per
-    /// predicate-level shard of the step's rule set (see
-    /// `crate::gamma::plan_shards`): the decomposition depends only on the
-    /// program, so the count is identical across thread counts and hosts —
+    /// predicate-level shard of the step's delta units (see
+    /// `crate::bytecode`): the decomposition depends only on the program
+    /// and the step's deltas, so the count is identical across thread
+    /// counts and hosts —
     /// sequential and parallel runs agree on it. Replayed restart steps
     /// schedule no tasks, so it differs from the paper's restart-from-`D`
     /// construction, which is why it stays out of `ParkOutcome::fingerprint`.
@@ -52,15 +53,14 @@ pub struct RunStats {
     /// byte-identical with or without it, so it is not part of
     /// [`StatCounters`].
     pub certified_conflict_free: bool,
-    /// Total bytecode ops in the lowered program under
-    /// `EvaluationMode::Compiled` (see `crate::lower`); 0 under the
-    /// interpreted modes. Lowering telemetry, not an execution counter:
-    /// deterministic for a given program + database, but mode-specific, so
-    /// it stays out of [`StatCounters`].
+    /// Total bytecode ops in the lowered program (see `crate::lower`).
+    /// Lowering telemetry, not an execution counter: deterministic for a
+    /// given program + database, but not part of the paper's construction,
+    /// so it stays out of [`StatCounters`].
     pub lowered_ops: u64,
     /// Access ops whose base-zone probe the compiled cost model routed
-    /// through a hash index rather than a scan; 0 under the interpreted
-    /// modes. Lowering telemetry like `lowered_ops`.
+    /// through a hash index rather than a scan. Lowering telemetry like
+    /// `lowered_ops`.
     pub index_picks: u64,
     /// The worker-pool size actually used, after clamping the requested
     /// `EngineOptions::parallelism` to the host's available parallelism

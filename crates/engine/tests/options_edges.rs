@@ -2,9 +2,7 @@
 //! beyond the available work, empty programs, empty databases, and
 //! self-undoing rules.
 
-use park_engine::{
-    Engine, EngineOptions, EvaluationMode, Inertia, ParkOutcome, ResolutionScope, TraceEvent,
-};
+use park_engine::{Engine, EngineOptions, Inertia, ParkOutcome, ResolutionScope, TraceEvent};
 use park_storage::{FactStore, Vocabulary};
 use park_syntax::parse_program;
 use std::sync::Arc;
@@ -68,22 +66,11 @@ fn self_undoing_rule_deletes_without_conflict() {
     // no two-sided conflict — incorp simply removes a. The body stays
     // valid after the mark (validity of `a` looks at I° ∪ I⁺), so the run
     // converges rather than oscillating.
-    for evaluation in [EvaluationMode::Naive, EvaluationMode::Compiled] {
-        for scope in [ResolutionScope::All, ResolutionScope::One] {
-            let out = run(
-                "a -> -a.",
-                "a.",
-                EngineOptions::traced()
-                    .with_evaluation(evaluation)
-                    .with_scope(scope),
-            );
-            assert!(
-                out.database.sorted_display().is_empty(),
-                "{evaluation:?}/{scope:?}"
-            );
-            assert_eq!(out.stats.restarts, 0);
-            assert_eq!(out.stats.conflicts_resolved, 0);
-            assert!(out.blocked_display().is_empty());
-        }
+    for scope in [ResolutionScope::All, ResolutionScope::One] {
+        let out = run("a -> -a.", "a.", EngineOptions::traced().with_scope(scope));
+        assert!(out.database.sorted_display().is_empty(), "{scope:?}");
+        assert_eq!(out.stats.restarts, 0);
+        assert_eq!(out.stats.conflicts_resolved, 0);
+        assert!(out.blocked_display().is_empty());
     }
 }

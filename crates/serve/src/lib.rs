@@ -45,7 +45,7 @@ pub use pipeline::serve;
 pub use protocol::SCHEMA;
 pub use session::{resolve_policy, DbSession};
 
-use park::engine::{EvaluationMode, ResolutionScope};
+use park::engine::ResolutionScope;
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
 
@@ -55,8 +55,6 @@ pub struct ServeOptions {
     /// Default `SELECT` policy name (never `interactive`; see
     /// [`resolve_policy`]).
     pub policy: String,
-    /// Default grounding enumeration strategy.
-    pub evaluation: EvaluationMode,
     /// Default conflict-resolution scope.
     pub scope: ResolutionScope,
     /// Default intra-step evaluation parallelism (`None` = sequential).
@@ -74,7 +72,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             policy: "inertia".into(),
-            evaluation: EvaluationMode::default(),
             scope: ResolutionScope::default(),
             threads: None,
             trace: false,
@@ -148,7 +145,6 @@ mod tests {
     fn serve_options_defaults_are_the_cli_defaults() {
         let o = ServeOptions::default();
         assert_eq!(o.policy, "inertia");
-        assert_eq!(o.evaluation, EvaluationMode::Naive);
         assert_eq!(o.scope, ResolutionScope::All);
         assert_eq!(o.threads, None);
         assert!(!o.trace);

@@ -13,14 +13,74 @@
 //! Invariant the sink relies on: every consumed sequence number produces
 //! exactly one batch (workers answer even when the database failed to
 //! open; the receiver answers unknown-database and parse errors itself).
+//!
+//! Request lines are read with a bound: a line longer than
+//! [`MAX_REQUEST_BYTES`] or not valid UTF-8 consumes a sequence number
+//! with an `error` frame, and the session keeps serving.
 
 use crate::protocol::{self, error_frame, frame, DbOp, Request};
 use crate::session::DbSession;
 use crate::ServeOptions;
 use park_json::Json;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
+
+/// The longest request line the receiver accepts, newline excluded. A
+/// longer line is answered with an `error` frame and skipped without being
+/// buffered, so one request cannot make a session hold unbounded input.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// One request line as read from the input.
+enum Line {
+    /// A UTF-8 line of at most [`MAX_REQUEST_BYTES`], newline stripped.
+    Text(String),
+    /// A line that cannot be served, with the reason for its error frame.
+    Rejected(String),
+}
+
+/// Read the next request line, or `None` at the end of the input. Buffers
+/// at most [`MAX_REQUEST_BYTES`] + 1 bytes; the rest of an oversize line
+/// is consumed and dropped.
+fn read_line(input: &mut impl BufRead) -> std::io::Result<Option<Line>> {
+    let mut buf = Vec::new();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if Read::take(&mut *input, limit).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        skip_line(input)?;
+        return Ok(Some(Line::Rejected(format!(
+            "request line exceeds {MAX_REQUEST_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(match String::from_utf8(buf) {
+        Ok(line) => Line::Text(line),
+        Err(_) => Line::Rejected("request line is not valid UTF-8".into()),
+    }))
+}
+
+/// Consume input up to and including the next newline (or the end).
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                input.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                input.consume(n);
+            }
+        }
+    }
+}
 
 /// One unit of work for a database worker.
 enum Job {
@@ -33,7 +93,7 @@ enum Job {
 /// `shutdown` op arrives — both paths emit a final `bye` frame with a
 /// summary per open database.
 pub fn serve(
-    input: impl BufRead,
+    mut input: impl BufRead,
     output: impl Write + Send,
     opts: &ServeOptions,
 ) -> std::io::Result<()> {
@@ -50,8 +110,15 @@ pub fn serve(
         let mut snapshot_dir: Option<String> = None;
         let mut graceful = false;
 
-        for line in input.lines() {
-            let Ok(line) = line else { break };
+        while let Ok(Some(line)) = read_line(&mut input) {
+            let line = match line {
+                Line::Text(line) => line,
+                Line::Rejected(msg) => {
+                    seq += 1;
+                    let _ = sink_tx.send((seq, vec![error_frame(seq, None, &msg)]));
+                    continue;
+                }
+            };
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
@@ -186,7 +253,6 @@ fn hello_frame(opts: &ServeOptions) -> String {
         vec![
             ("schema", Json::str(protocol::SCHEMA)),
             ("policy", Json::str(&opts.policy)),
-            ("eval", Json::str(opts.evaluation.name())),
             ("scope", Json::str(protocol::scope_name(opts.scope))),
         ],
     )
@@ -453,6 +519,54 @@ mod tests {
             .map(|f| f.get("seq").and_then(|j| j.as_i64()).unwrap())
             .collect();
         assert_eq!(seqs, (0..=10).collect::<Vec<i64>>());
+    }
+
+    fn run_bytes(input: &[u8]) -> Vec<Json> {
+        let mut out: Vec<u8> = Vec::new();
+        serve(input, &mut out, &ServeOptions::default()).unwrap();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| park_json::parse(l).unwrap())
+            .collect()
+    }
+
+    fn seqs(frames: &[Json]) -> Vec<i64> {
+        frames
+            .iter()
+            .map(|f| f.get("seq").and_then(|j| j.as_i64()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_an_error_frame_and_the_session_continues() {
+        let frames = run_bytes(b"{\"op\":\"ping\"}\n\xff\n{\"op\":\"ping\"}\n");
+        assert_eq!(kinds(&frames), ["hello", "pong", "error", "pong", "bye"]);
+        assert_eq!(seqs(&frames), [0, 1, 2, 3, 4]);
+        let msg = frames[2].get("message").and_then(|j| j.as_str()).unwrap();
+        assert!(msg.contains("UTF-8"), "{msg}");
+    }
+
+    #[test]
+    fn an_oversize_line_gets_an_error_frame_and_the_session_continues() {
+        // One byte over the bound, then a request on the same read: the
+        // oversize line is skipped up to its newline, nothing more.
+        let mut input = b"{\"op\":\"ping\"}\n".to_vec();
+        input.resize(input.len() + MAX_REQUEST_BYTES + 1, b'x');
+        input.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
+        // A line of exactly the bound is read (and fails to parse).
+        input.resize(input.len() + MAX_REQUEST_BYTES - 1, b' ');
+        input.extend_from_slice(b"x\n{\"op\":\"list\"}");
+        let frames = run_bytes(&input);
+        assert_eq!(
+            kinds(&frames),
+            ["hello", "pong", "error", "pong", "error", "dbs", "bye"]
+        );
+        assert_eq!(seqs(&frames), [0, 1, 2, 3, 4, 5, 6]);
+        let msg = frames[2].get("message").and_then(|j| j.as_str()).unwrap();
+        assert!(msg.contains("exceeds"), "{msg}");
+        let msg = frames[4].get("message").and_then(|j| j.as_str()).unwrap();
+        assert!(msg.contains("invalid request"), "{msg}");
     }
 
     #[test]

@@ -208,14 +208,10 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<Request, Str
                 "create" => {
                     let mut options = EngineOptions {
                         scope: defaults.scope,
-                        evaluation: defaults.evaluation,
                         trace: defaults.trace,
                         parallelism: defaults.threads.filter(|&n| n > 1),
                         ..EngineOptions::default()
                     };
-                    if let Some(s) = optional_str(&doc, "eval")? {
-                        options.evaluation = s.parse()?;
-                    }
                     if let Some(s) = optional_str(&doc, "scope")? {
                         options.scope = parse_scope(&s)?;
                     }
@@ -306,7 +302,6 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<Request, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use park::engine::EvaluationMode;
 
     fn defaults() -> ServeOptions {
         ServeOptions::default()
@@ -325,7 +320,7 @@ mod tests {
     #[test]
     fn parse_create_resolves_engine_options() {
         let req = parse_request(
-            r#"{"op":"create","db":"hr","program":"p -> +q.","eval":"semi","scope":"one","threads":4,"trace":true}"#,
+            r#"{"op":"create","db":"hr","program":"p -> +q.","eval":"naive","scope":"one","threads":4,"trace":true}"#,
             &defaults(),
         )
         .unwrap();
@@ -340,8 +335,16 @@ mod tests {
         };
         assert_eq!(db, "hr");
         assert_eq!(policy, "inertia");
-        // `semi` stays accepted: it spells the compiled delta evaluator.
-        assert_eq!(options.evaluation, EvaluationMode::Compiled);
+        // The retired `eval` key is ignored like any unknown key.
+        assert_eq!(
+            options,
+            EngineOptions {
+                scope: ResolutionScope::One,
+                trace: true,
+                parallelism: Some(4),
+                ..EngineOptions::default()
+            }
+        );
         assert_eq!(options.scope, ResolutionScope::One);
         assert_eq!(options.parallelism, Some(4));
         assert!(options.trace);
@@ -351,7 +354,6 @@ mod tests {
     fn create_inherits_session_defaults() {
         let mut opts = defaults();
         opts.policy = "prefer-insert".into();
-        opts.evaluation = EvaluationMode::Compiled;
         opts.threads = Some(2);
         let req = parse_request(r#"{"op":"create","db":"d","program":""}"#, &opts).unwrap();
         let Request::Db {
@@ -364,7 +366,6 @@ mod tests {
             panic!("expected create")
         };
         assert_eq!(policy, "prefer-insert");
-        assert_eq!(options.evaluation, EvaluationMode::Compiled);
         assert_eq!(options.parallelism, Some(2));
     }
 

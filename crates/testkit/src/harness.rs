@@ -1,35 +1,29 @@
 //! The cross-mode conformance harness.
 //!
 //! [`check_case`] runs one [`Case`] through the real engine under every
-//! configuration of the mode matrix — evaluation mode × parallelism ×
-//! resolution scope, under several `SELECT` policies —
-//! and checks each run against the paper-literal oracle
-//! (`crate::oracle`). [`run_fuzz`] drives that check over a stream of
-//! generated cases and minimizes the first failure.
+//! configuration of the matrix — parallelism × resolution scope, under
+//! several `SELECT` policies — and checks each run against the
+//! paper-literal oracle (`crate::oracle`). [`run_fuzz`] drives that check
+//! over a stream of generated cases and minimizes the first failure.
 //!
-//! ## Which fragments admit which comparison
+//! ## One comparison regime
 //!
-//! * **Ground programs under naive evaluation** (the bulk of generation):
-//!   every rule has at most one grounding and naive Γ re-enumerates rules
-//!   in id order every step — exactly the order the oracle uses. These
-//!   configurations must match the oracle **byte for byte**: final
-//!   database, blocked set, semantic counters, full trace event stream,
-//!   and `SELECT` call sequence.
-//! * **`ResolutionScope::All`, everything else**: compiled deltas omit
-//!   already-fired groundings, and the join planner visits variable
-//!   groundings in its own order, so the *first-appearance* order of
-//!   conflicts (and of `added` marks) legitimately differs from the
-//!   oracle's — but the *sets* per Γ step and per restart are order-free,
-//!   and All-scope resolution with stateless policies does not depend on
-//!   visit order. These runs must match the oracle's **canonicalized**
-//!   trace (sorted `added` lists and conflict batches — see
-//!   `crate::compare::canonical`) and sorted transcript.
-//! * **`ResolutionScope::One`, everything else**: *which* conflict is
-//!   "first" genuinely depends on enumeration order, and resolving a
-//!   different conflict first steers the whole computation, so the oracle
-//!   is only a pivot for the ground naive runs. Instead every such
-//!   configuration must match the sequential run of its own evaluation
-//!   mode byte for byte — parallelism must still be unobservable.
+//! The engine and the oracle both hand conflicts to `SELECT` in
+//! rendered-atom order, so which conflict a `ResolutionScope::One` restart
+//! resolves does not depend on how either enumerates groundings. Every
+//! cell, in both scopes, is compared with the oracle:
+//!
+//! * **Ground programs** (the bulk of generation): every rule has at most
+//!   one grounding, and the compiled evaluator emits new groundings in
+//!   rule-id order — the order the oracle uses. These runs must match the
+//!   oracle **byte for byte**: final database, blocked set, semantic
+//!   counters, full trace event stream, and `SELECT` call sequence.
+//! * **Variable programs**: the join planner visits groundings in its own
+//!   order, so the order of `added` marks legitimately differs from the
+//!   oracle's, but the *sets* per Γ step and per restart do not. These
+//!   runs must match the oracle's **canonicalized** trace (sorted `added`
+//!   lists and conflict batches — see `crate::compare::canonical`) and
+//!   sorted transcript.
 //!
 //! Every engine run restarts by replaying its previous run's firing log;
 //! the oracle restarts from `D` literally, so each oracle comparison is
@@ -47,8 +41,8 @@ use park::db::ActiveDatabase;
 use park_baselines::stratified_datalog;
 use park_engine::refine::AnalysisVariant;
 use park_engine::{
-    CompiledLiteral, CompiledProgram, Engine, EngineOptions, EvaluationMode, JsonMetrics, LitKind,
-    ParkOutcome, ResolutionScope, StatCounters,
+    CompiledLiteral, CompiledProgram, Engine, EngineOptions, JsonMetrics, LitKind, ParkOutcome,
+    ResolutionScope, StatCounters,
 };
 use park_storage::{FactStore, PredId, UpdateSet, Vocabulary};
 use park_syntax::Sign;
@@ -57,16 +51,14 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// The `SELECT` policies every case is checked under. Stateless and
-/// order-independent by construction — a precondition of the canonical
-/// (order-free) comparison regime for variable programs.
+/// The `SELECT` policies every case is checked under. Stateless by
+/// construction — a precondition of the canonical (order-free) comparison
+/// of variable programs.
 pub const POLICIES: [&str; 3] = ["inertia", "prefer-insert", "prefer-delete"];
 
-/// One cell of the engine's mode matrix.
+/// One cell of the engine's configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Grounding enumeration strategy.
-    pub evaluation: EvaluationMode,
     /// Intra-step parallelism (`None` = sequential).
     pub parallelism: Option<usize>,
     /// Conflicts resolved per restart.
@@ -74,29 +66,21 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The full matrix: naive/compiled × sequential/4 threads × all/one —
-    /// 8 configurations.
+    /// The full matrix: sequential/4 threads × all/one — 4 configurations.
     pub fn matrix() -> Vec<EngineConfig> {
-        let mut out = Vec::with_capacity(8);
-        for evaluation in [EvaluationMode::Naive, EvaluationMode::Compiled] {
-            for parallelism in [None, Some(4)] {
-                for scope in [ResolutionScope::All, ResolutionScope::One] {
-                    out.push(EngineConfig {
-                        evaluation,
-                        parallelism,
-                        scope,
-                    });
-                }
+        let mut out = Vec::with_capacity(4);
+        for parallelism in [None, Some(4)] {
+            for scope in [ResolutionScope::All, ResolutionScope::One] {
+                out.push(EngineConfig { parallelism, scope });
             }
         }
         out
     }
 
-    /// A short label for failure reports, e.g. `compiled/4-threads/one`.
+    /// A short label for failure reports, e.g. `4-threads/one`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}",
-            self.evaluation.name(),
+            "{}/{}",
             match self.parallelism {
                 None => "seq".to_string(),
                 Some(n) => format!("{n}-threads"),
@@ -113,22 +97,12 @@ impl EngineConfig {
     pub fn options(&self) -> EngineOptions {
         EngineOptions::traced()
             .with_scope(self.scope)
-            .with_evaluation(self.evaluation)
             .with_parallelism(self.parallelism)
-    }
-
-    /// The pivot this cell is compared against for variable `One`-scope
-    /// cases: the sequential run of the same evaluation mode.
-    fn pivot(&self) -> EngineConfig {
-        EngineConfig {
-            parallelism: None,
-            ..*self
-        }
     }
 }
 
 /// A conformance failure: one engine configuration disagreed with its
-/// reference (oracle, pivot, or baseline) on one case.
+/// reference (oracle or baseline) on one case.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// The seed of the offending case (0 for corpus cases).
@@ -179,7 +153,7 @@ pub struct CaseStats {
 enum RunOutcome {
     /// Outcome plus rendered `SELECT` transcript.
     Done(Box<ParkOutcome>, Vec<String>),
-    /// The run failed; errors must agree across modes too.
+    /// The run failed; errors must agree with the oracle's too.
     Failed(String),
 }
 
@@ -193,7 +167,7 @@ impl RunOutcome {
 }
 
 /// Compare two runs; with `order_free`, traces are canonicalized and
-/// transcripts sorted first (the variable-program `All`-scope regime).
+/// transcripts sorted first (the variable-program regime).
 fn diff_outcomes(
     label_a: &str,
     a: &RunOutcome,
@@ -252,7 +226,7 @@ fn insert_only_extensional(program: &CompiledProgram) -> bool {
     })
 }
 
-/// Run `case` through the full mode matrix under every policy and check
+/// Run `case` through the full matrix under every policy and check
 /// every run against its reference. `variant` selects the oracle semantics
 /// — [`OracleVariant::Faithful`] for real testing, a broken variant to
 /// prove the harness detects semantic bugs.
@@ -440,24 +414,7 @@ pub fn check_case_parsed(
                 ResolutionScope::All => &oracle_all,
                 ResolutionScope::One => &oracle_one,
             };
-            let exact_vs_oracle = ground && cfg.evaluation == EvaluationMode::Naive;
-            let diff = if exact_vs_oracle {
-                diff_outcomes("engine", res, "oracle", oracle_ref, false)
-            } else if cfg.scope == ResolutionScope::All {
-                diff_outcomes("engine", res, "oracle", oracle_ref, true)
-            } else {
-                let pivot = cfg.pivot();
-                if *cfg == pivot {
-                    continue;
-                }
-                let pivot_res = engines
-                    .iter()
-                    .position(|(c, _)| *c == pivot)
-                    .map(|i| &results[i])
-                    .expect("the sequential pivot is in the matrix");
-                diff_outcomes("engine", res, "pivot", pivot_res, false)
-            };
-            if let Some(detail) = diff {
+            if let Some(detail) = diff_outcomes("engine", res, "oracle", oracle_ref, !ground) {
                 return Err(Divergence {
                     seed,
                     policy: policy.to_string(),
@@ -589,8 +546,8 @@ fn check_sequence(
             detail,
         };
         // One chain state per configuration, two for the oracle scopes,
-        // and the ActiveDatabase pair (which, like the oracle, evaluates
-        // under the paper-default Naive/All options).
+        // and the ActiveDatabase pair (which evaluates under the
+        // paper-default All scope).
         let mut chains: Vec<FactStore> = engines.iter().map(|_| db.clone()).collect();
         let mut oracle_dbs = [db.clone(), db.clone()];
         let open = |inc: bool| {
@@ -646,24 +603,7 @@ fn check_sequence(
                     ResolutionScope::All => &oracle_all,
                     ResolutionScope::One => &oracle_one,
                 };
-                let exact_vs_oracle = ground && cfg.evaluation == EvaluationMode::Naive;
-                let diff = if exact_vs_oracle {
-                    diff_outcomes("engine", res, "oracle", oracle_ref, false)
-                } else if cfg.scope == ResolutionScope::All {
-                    diff_outcomes("engine", res, "oracle", oracle_ref, true)
-                } else {
-                    let pivot = cfg.pivot();
-                    if *cfg == pivot {
-                        continue;
-                    }
-                    let pivot_res = engines
-                        .iter()
-                        .position(|(c, _)| *c == pivot)
-                        .map(|i| &results[i])
-                        .expect("the sequential pivot is in the matrix");
-                    diff_outcomes("engine", res, "pivot", pivot_res, false)
-                };
-                if let Some(detail) = diff {
+                if let Some(detail) = diff_outcomes("engine", res, "oracle", oracle_ref, !ground) {
                     return Err(fail(cfg.label(), format!("tx {ti}: {detail}")));
                 }
             }

@@ -341,7 +341,9 @@ fn body_valid(
 
 /// The conflicts of `fired` "one step into the future", merged with the
 /// run's provenance: atoms with both an inserting and a deleting grounding,
-/// in order of first appearance, each side deduplicated and sorted by
+/// sorted by the rendered atom (the order the engine hands conflicts to
+/// `SELECT` in, whatever order it enumerated them in), each side
+/// deduplicated and sorted by
 /// `(rule, substitution)` over *decoded* substitutions (code order is not
 /// value order for spilled integers).
 fn conflicts_of(
@@ -349,14 +351,9 @@ fn conflicts_of(
     fired: &[(Grounding, Sign, PredId, Box<[Code]>)],
     provenance: &ProvenanceMap,
 ) -> Vec<Conflict> {
-    let mut order: Vec<(PredId, Box<[Code]>)> = Vec::new();
     let mut current: ProvenanceMap = HashMap::new();
     for (g, sign, pred, tuple) in fired {
-        let key = (*pred, tuple.clone());
-        let sides = current.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Default::default()
-        });
+        let sides = current.entry((*pred, tuple.clone())).or_default();
         let side = match sign {
             Sign::Insert => &mut sides[0],
             Sign::Delete => &mut sides[1],
@@ -365,9 +362,8 @@ fn conflicts_of(
     }
     let empty: [HashSet<Grounding>; 2] = Default::default();
     let mut out = Vec::new();
-    for key in order {
-        let cur = &current[&key];
-        let hist = provenance.get(&key).unwrap_or(&empty);
+    for (key, cur) in &current {
+        let hist = provenance.get(key).unwrap_or(&empty);
         let merge = |i: usize| -> Vec<Grounding> {
             let mut v: Vec<Grounding> = cur[i].union(&hist[i]).cloned().collect();
             v.sort_by_cached_key(|g| {
@@ -386,5 +382,6 @@ fn conflicts_of(
             });
         }
     }
+    out.sort_by_cached_key(|c| vocab.display_fact(c.pred, &c.tuple));
     out
 }

@@ -177,7 +177,7 @@ fn derived_fact_deletions_bail_to_cold() {
 #[test]
 fn conflicting_sequences_pass_the_chain_comparison() {
     // An uncertified, conflict-heavy program: every transaction runs cold,
-    // but the chained 8-config × oracle comparison still applies.
+    // but the chained 4-config × oracle comparison still applies.
     let mut c = case("p -> +q. p -> -a. q -> +a.", "p.");
     c.txs = vec!["+a.".into(), "-p. +b.".into(), "+p.".into()];
     let stats = check_case(&c, OracleVariant::Faithful).unwrap_or_else(|d| panic!("{d}"));

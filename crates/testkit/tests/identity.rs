@@ -1,4 +1,4 @@
-//! The engine's cross-mode identity suites, on the shared comparison
+//! The engine's cross-configuration identity suites, on the shared comparison
 //! helpers: parallel evaluation must be *observably identical* to the
 //! sequential run, and restarts that replay the previous run's firing log
 //! must be observably identical to the paper-literal oracle, which
@@ -10,7 +10,7 @@
 //! existed; they moved here to sit on the same `fingerprint`/transcript
 //! surface the differential harness uses.
 
-use park_engine::{Engine, EngineOptions, EvaluationMode, ParkOutcome, ResolutionScope};
+use park_engine::{Engine, EngineOptions, ParkOutcome, ResolutionScope};
 use park_storage::{FactStore, Vocabulary};
 use park_syntax::parse_program;
 use park_testkit::{check_case, compare, Case, OracleVariant};
@@ -54,17 +54,17 @@ fn run_with(rules: &str, facts: &str, options: EngineOptions) -> (ParkOutcome, V
 
 #[test]
 fn parallel_runs_are_observably_identical_to_sequential() {
-    for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
+    for scope in [ResolutionScope::All, ResolutionScope::One] {
         for (rules, facts) in SCENARIOS {
             let opts = |par| {
                 EngineOptions::traced()
-                    .with_evaluation(mode)
+                    .with_scope(scope)
                     .with_parallelism(par)
             };
             let (seq, seq_calls) = run_with(rules, facts, opts(None));
             let (par, par_calls) = run_with(rules, facts, opts(Some(4)));
             compare::assert_observably_identical(
-                &format!("{mode:?}: {rules}"),
+                &format!("{scope:?}: {rules}"),
                 "sequential",
                 &seq,
                 &seq_calls,
@@ -85,9 +85,8 @@ fn parallel_runs_are_observably_identical_to_sequential() {
 fn replaying_restarts_match_the_oracle() {
     // Every engine restart replays the previous run's firing log; the
     // paper-literal oracle restarts cold from D. The harness holds every
-    // matrix cell to the oracle under every policy, in its comparison
-    // regimes (debug builds also check each replayed step against live
-    // evaluation inside the engine).
+    // matrix cell to the oracle under every policy (debug builds also
+    // check each replayed step against live evaluation inside the engine).
     for (rules, facts) in SCENARIOS {
         let case = Case {
             seed: 0,
@@ -98,24 +97,20 @@ fn replaying_restarts_match_the_oracle() {
         check_case(&case, OracleVariant::Faithful).unwrap_or_else(|d| panic!("{rules}: {d}"));
     }
     // Replay telemetry, per run.
-    for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
-        for scope in [ResolutionScope::All, ResolutionScope::One] {
-            for (rules, facts) in SCENARIOS {
-                let options = EngineOptions::default()
-                    .with_evaluation(mode)
-                    .with_scope(scope);
-                let (warm, _) = run_with(rules, facts, options);
-                if warm.stats.restarts > 0 {
-                    assert!(
-                        warm.stats.replayed_steps > 0,
-                        "a restart must replay at least the first logged step: {rules}"
-                    );
-                    assert!(
-                        warm.stats.replay_divergence_step.is_some(),
-                        "every resolution blocks a logged grounding, so replay \
-                         must diverge somewhere: {rules}"
-                    );
-                }
+    for scope in [ResolutionScope::All, ResolutionScope::One] {
+        for (rules, facts) in SCENARIOS {
+            let options = EngineOptions::default().with_scope(scope);
+            let (warm, _) = run_with(rules, facts, options);
+            if warm.stats.restarts > 0 {
+                assert!(
+                    warm.stats.replayed_steps > 0,
+                    "a restart must replay at least the first logged step: {rules}"
+                );
+                assert!(
+                    warm.stats.replay_divergence_step.is_some(),
+                    "every resolution blocks a logged grounding, so replay \
+                     must diverge somewhere: {rules}"
+                );
             }
         }
     }

@@ -12,7 +12,7 @@
 //!    fuzz sweep involves a rule pair listed by `analysis::conflict_pairs`
 //!    — the syntactic pair analysis over-approximates, never misses.
 //! 3. The conflict-free certificate fast path is unobservable: on a
-//!    certified program, every cell of the mode matrix matches the
+//!    certified program, every cell of the matrix matches the
 //!    paper-literal oracle (which keeps the conflict machinery live).
 
 use park_engine::{

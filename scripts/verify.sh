@@ -26,11 +26,12 @@ cargo run -p park-cli --bin park --release --offline --quiet -- fuzz --seed 0 --
 cargo run -p park-cli --bin park --release --offline --quiet -- \
   fuzz --seed 0 --cases 100 --bias stratified
 
-echo "==> debug fuzz smoke (in-engine replay and certificate checks)"
-# A debug build compiles in the engine's reference checks: every replayed
+echo "==> debug fuzz smoke (in-engine Γ reference, replay and certificate checks)"
+# A debug build compiles in the engine's reference checks: every live Γ
+# step is checked against the definitional naive Γ, every replayed
 # restart step is re-evaluated live and compared, and certified runs still
 # collect conflicts and assert there are none. Sized to stay under about a
-# minute on a 2-vCPU host (~40 s + ~10 s).
+# minute on a 2-vCPU host.
 cargo run -p park-cli --bin park --offline --quiet -- fuzz --seed 0 --cases 500
 cargo run -p park-cli --bin park --offline --quiet -- \
   fuzz --seed 0 --cases 100 --bias stratified
@@ -85,7 +86,7 @@ cmp "$query_dir/debug.out" "$query_dir/release.out"
 cmp "$query_dir/want.out" "$query_dir/release.out"
 rm -rf "$query_dir"
 
-echo "==> compiled evaluator smoke (byte-diff vs naive, threads 1 vs 4)"
+echo "==> compiled evaluator smoke (debug vs release, threads 1 vs 4 byte-identical)"
 compiled_dir="${TMPDIR:-/tmp}/park-compiled-$$"
 mkdir -p "$compiled_dir/wl"
 cargo run -p park-cli --bin park --release --offline --quiet -- \
@@ -95,18 +96,21 @@ for prog in examples/data/*.park "$compiled_dir"/wl/*.park; do
   name="$(basename "$base")"
   db=""; [ -f "$base.facts" ] && db="--db $base.facts"
   updates=""; [ -f "$base.updates" ] && updates="--updates $base.updates"
-  # Committed results must be byte-identical across the two evaluators.
-  for eval in naive compiled; do
+  # A debug build checks every live Γ step of the compiled evaluator
+  # against the definitional naive Γ inside the engine; its results and
+  # trace must be byte-identical to the release build's.
+  for profile in debug release; do
+    if [ "$profile" = release ]; then flag="--release"; else flag=""; fi
     # shellcheck disable=SC2086
-    cargo run -p park-cli --bin park --release --offline --quiet -- \
-      run "$prog" $db $updates --eval "$eval" > "$compiled_dir/$name.$eval.out"
+    cargo run -p park-cli --bin park $flag --offline --quiet -- \
+      run "$prog" $db $updates --trace > "$compiled_dir/$name.$profile.out"
   done
-  cmp "$compiled_dir/$name.naive.out" "$compiled_dir/$name.compiled.out"
-  # And the compiled evaluator itself must not observe the thread count.
+  cmp "$compiled_dir/$name.debug.out" "$compiled_dir/$name.release.out"
+  # And the evaluator must not observe the thread count.
   for t in 1 4; do
     # shellcheck disable=SC2086
     cargo run -p park-cli --bin park --release --offline --quiet -- \
-      run "$prog" $db $updates --eval compiled --stats --threads "$t" 2>&1 \
+      run "$prog" $db $updates --stats --threads "$t" 2>&1 \
       | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' \
       > "$compiled_dir/$name.t$t.out"
   done
@@ -129,6 +133,16 @@ for t in 1 4; do
 done
 cmp "$serve_dir/t1.out" "$serve_dir/t4.out"
 cmp "$serve_dir/t1.out" crates/cli/tests/golden/serve_session.golden
+# A request line that is not UTF-8 gets an error frame of its own, and
+# the session keeps serving.
+printf '{"op":"ping"}\n\377\n{"op":"ping"}\n' \
+  | cargo run -p park-cli --bin park --release --offline --quiet -- serve \
+  > "$serve_dir/bad.out"
+printf '%s\n' '{"frame":"hello","seq":0,"schema":"park-serve/v1","policy":"inertia","scope":"all"}' \
+  '{"frame":"pong","seq":1}' \
+  '{"frame":"error","seq":2,"message":"request line is not valid UTF-8"}' \
+  '{"frame":"pong","seq":3}' '{"frame":"bye","seq":4,"databases":[]}' > "$serve_dir/bad.want"
+cmp "$serve_dir/bad.want" "$serve_dir/bad.out"
 rm -rf "$serve_dir"
 
 echo "==> incremental smoke (50-transaction session, --incremental on/off byte-identical)"

@@ -15,7 +15,7 @@
 //!   insertion order untouched, so running both ways and demanding
 //!   byte-identical output pins the invariant down.
 
-use park::engine::{ConflictResolver, Engine, EngineOptions, EvaluationMode, Inertia};
+use park::engine::{ConflictResolver, Engine, EngineOptions, Inertia};
 use park::policies::{PreferInsert, RandomPolicy};
 use park::storage::{FactStore, Value, Vocabulary};
 use park::syntax::parse_program;
@@ -131,7 +131,7 @@ fn run_with(
 
 /// Run a workload twice — once with default first-seen interning, once
 /// with every identifier pre-interned in *reversed* order — and demand
-/// byte-identical sorted output under every evaluation mode and policy.
+/// byte-identical sorted output under every policy.
 /// The reversed run assigns different codes to the same symbols while the
 /// grounding enumeration order stays identical, so any place that orders
 /// observable output by intern code (rather than by decoded `Value`)
@@ -146,23 +146,21 @@ fn assert_intern_order_independent(name: &str, rules: &str, facts: &str) {
         ("prefer-insert", || Box::new(PreferInsert)),
         ("random:7", || Box::new(RandomPolicy::seeded(7))),
     ];
-    for eval in [EvaluationMode::Naive, EvaluationMode::Compiled] {
-        let options = EngineOptions::default().with_evaluation(eval);
-        for (pname, mk) in policies {
-            let (a, _va) = run_with(rules, facts, options, mk().as_mut(), &[]);
-            let (b, vb) = run_with(rules, facts, options, mk().as_mut(), &reversed);
-            // The pre-seeding took effect: symbol ids ascend along the
-            // reversed identifier list, so every pair of constants has its
-            // relative id order flipped vs. first-seen interning.
-            assert!(
-                vb.sym(&reversed[0]) < vb.sym(&reversed[reversed.len() - 1]),
-                "{name}: pre-interning did not assign ids in preseed order"
-            );
-            assert_eq!(
-                a, b,
-                "{name}/{eval:?}/{pname}: output ordering depends on intern order"
-            );
-        }
+    let options = EngineOptions::default();
+    for (pname, mk) in policies {
+        let (a, _va) = run_with(rules, facts, options, mk().as_mut(), &[]);
+        let (b, vb) = run_with(rules, facts, options, mk().as_mut(), &reversed);
+        // The pre-seeding took effect: symbol ids ascend along the
+        // reversed identifier list, so every pair of constants has its
+        // relative id order flipped vs. first-seen interning.
+        assert!(
+            vb.sym(&reversed[0]) < vb.sym(&reversed[reversed.len() - 1]),
+            "{name}: pre-interning did not assign ids in preseed order"
+        );
+        assert_eq!(
+            a, b,
+            "{name}/{pname}: output ordering depends on intern order"
+        );
     }
 }
 
@@ -179,7 +177,7 @@ proptest! {
     /// shapes and conflict chains, its committed output must be
     /// byte-identical with and without reversed intern preseeding — the
     /// decode-at-boundary ordering rule has to survive lowering — and
-    /// identical to the naive evaluator's on the same inputs.
+    /// identical to a 4-thread run on the same inputs.
     #[test]
     fn compiled_output_is_intern_order_independent(
         pick in 0usize..2,
@@ -197,14 +195,14 @@ proptest! {
         let mut reversed = idents(&format!("{rules}\n{facts}"));
         reversed.reverse();
         prop_assert!(reversed.len() > 1, "nothing to reorder");
-        let compiled = EngineOptions::default().with_evaluation(EvaluationMode::Compiled);
-        let naive = EngineOptions::default().with_evaluation(EvaluationMode::Naive);
+        let sequential = EngineOptions::default();
         let policy = || RandomPolicy::seeded(seed ^ 0x9e37);
-        let (a, _) = run_with(&rules, &facts, compiled, &mut policy(), &[]);
-        let (b, _) = run_with(&rules, &facts, compiled, &mut policy(), &reversed);
+        let (a, _) = run_with(&rules, &facts, sequential, &mut policy(), &[]);
+        let (b, _) = run_with(&rules, &facts, sequential, &mut policy(), &reversed);
         prop_assert_eq!(&a, &b, "compiled output depends on intern order");
-        let (n, _) = run_with(&rules, &facts, naive, &mut policy(), &[]);
-        prop_assert_eq!(&a, &n, "compiled and naive outputs diverge");
+        let parallel = sequential.with_parallelism(Some(4));
+        let (n, _) = run_with(&rules, &facts, parallel, &mut policy(), &[]);
+        prop_assert_eq!(&a, &n, "sequential and parallel outputs diverge");
     }
 }
 

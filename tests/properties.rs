@@ -18,7 +18,8 @@
 
 use park::baselines::naive_mark_eliminate;
 use park::engine::{
-    fire_all, BlockedSet, Engine, EngineOptions, IInterpretation, Inertia, ResolutionScope,
+    fire_all, BlockedSet, Engine, EngineOptions, IInterpretation, Inertia, ParkOutcome,
+    ResolutionScope,
 };
 use park::policies::{AntiInertia, PreferDelete, PreferInsert, RandomPolicy};
 use park::prelude::*;
@@ -197,42 +198,32 @@ proptest! {
         prop_assert!(out.stats.blocked_instances <= all.stats.blocked_instances);
     }
 
-    /// Naive and semi-naive evaluation (the compiled delta evaluator) are
-    /// observably identical: same result state, same restarts, same Γ step
-    /// count, same blocked set — on arbitrary programs, conflicts and all.
+    /// The engine's semi-naive (compiled delta) evaluation reaches the
+    /// fixpoint naive Γ reaches from `D` under the same final blocked set
+    /// (Theorem 4.1(3)) — on arbitrary programs, conflicts and all — and
+    /// parallel evaluation (deterministic ordered merge) agrees with the
+    /// sequential run.
     #[test]
     fn seminaive_agrees_with_naive(
         rules in arb_program(8, false),
         facts in arb_database(),
     ) {
-        let naive = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
-        let compiled = run_park(
-            &rules,
-            &facts,
-            EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::Compiled),
-            &mut Inertia,
-        );
-        prop_assert!(naive.database.same_facts(&compiled.database));
-        prop_assert_eq!(naive.stats.restarts, compiled.stats.restarts);
-        prop_assert_eq!(naive.stats.gamma_steps, compiled.stats.gamma_steps);
-        prop_assert_eq!(naive.blocked.len(), compiled.blocked.len());
+        let seq = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
+        let naive = naive_lfp(&seq);
+        prop_assert!(park::engine::bistructure::interp_subset(&naive, &seq.interpretation));
+        prop_assert!(park::engine::bistructure::interp_subset(&seq.interpretation, &naive));
 
-        // Parallel compiled evaluation (deterministic ordered merge)
-        // agrees with both sequential evaluators.
         let par = run_park(
             &rules,
             &facts,
-            EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::Compiled)
-                .with_parallelism(Some(4)),
+            EngineOptions::default().with_parallelism(Some(4)),
             &mut Inertia,
         );
-        prop_assert!(naive.database.same_facts(&par.database));
-        prop_assert_eq!(compiled.stats.restarts, par.stats.restarts);
-        prop_assert_eq!(compiled.stats.gamma_steps, par.stats.gamma_steps);
-        prop_assert_eq!(compiled.blocked.len(), par.blocked.len());
-        prop_assert_eq!(compiled.stats.groundings_fired, par.stats.groundings_fired);
+        prop_assert!(seq.database.same_facts(&par.database));
+        prop_assert_eq!(seq.stats.restarts, par.stats.restarts);
+        prop_assert_eq!(seq.stats.gamma_steps, par.stats.gamma_steps);
+        prop_assert_eq!(seq.blocked.len(), par.blocked.len());
+        prop_assert_eq!(seq.stats.groundings_fired, par.stats.groundings_fired);
     }
 
     /// Γ is inflationary: one fire/absorb step never loses marked atoms.
@@ -289,33 +280,27 @@ proptest! {
     /// identical to cold restarts from `D`: every run of the traced
     /// evaluation, recomputed cold from `D` under that run's blocked set,
     /// reproduces the run's step interpretations and fixpoint — across
-    /// random restart-heavy programs, both evaluation modes, and a thread
-    /// pool. A restart replays at least its first logged step, and replay
+    /// random restart-heavy programs, with and without a thread pool. A restart replays at least its first logged step, and replay
     /// diverges somewhere (each resolution blocks a logged grounding).
     #[test]
     fn replaying_restarts_match_restarts_from_d(
         rules in arb_program(8, false),
         facts in arb_database(),
     ) {
-        use park::engine::EvaluationMode;
-        for mode in [EvaluationMode::Naive, EvaluationMode::Compiled] {
-            for par in [None, Some(4)] {
-                let opts = EngineOptions::traced()
-                    .with_evaluation(mode)
-                    .with_parallelism(par);
-                let mut oracle = RecordingOracle { calls: Vec::new() };
-                let warm = run_park(&rules, &facts, opts, &mut oracle);
-                let db = FactStore::from_source(Arc::clone(warm.program.vocab()), facts.as_str())
-                    .unwrap();
-                let cold = runs_match_restarts_from_d(&warm, &db);
-                prop_assert!(cold.is_ok(), "{:?} ({:?}, par {:?}): {}", cold, mode, par, &rules);
-                prop_assert_eq!(oracle.calls.len() as u64, warm.stats.conflicts_resolved);
-                if warm.stats.restarts > 0 {
-                    prop_assert!(warm.stats.replayed_steps > 0,
-                        "restarted without replaying: {}", &rules);
-                    prop_assert!(warm.stats.replay_divergence_step.is_some(),
-                        "replay never diverged: {}", &rules);
-                }
+        for par in [None, Some(4)] {
+            let opts = EngineOptions::traced().with_parallelism(par);
+            let mut oracle = RecordingOracle { calls: Vec::new() };
+            let warm = run_park(&rules, &facts, opts, &mut oracle);
+            let db = FactStore::from_source(Arc::clone(warm.program.vocab()), facts.as_str())
+                .unwrap();
+            let cold = runs_match_restarts_from_d(&warm, &db);
+            prop_assert!(cold.is_ok(), "{:?} (par {:?}): {}", cold, par, &rules);
+            prop_assert_eq!(oracle.calls.len() as u64, warm.stats.conflicts_resolved);
+            if warm.stats.restarts > 0 {
+                prop_assert!(warm.stats.replayed_steps > 0,
+                    "restarted without replaying: {}", &rules);
+                prop_assert!(warm.stats.replay_divergence_step.is_some(),
+                    "replay never diverged: {}", &rules);
             }
         }
     }
@@ -328,6 +313,23 @@ proptest! {
 /// Random rules over binary predicates e/f/g with joins, negation, events,
 /// constants, and repeated variables — the shapes the join planner and
 /// the compiled delta evaluator must handle.
+/// lfp(Γ_{P,B}) from `D` by naive Γ iteration, under the run's final
+/// blocked set. (I° is D throughout a run, so the outcome's base zone *is*
+/// D.)
+fn naive_lfp(out: &ParkOutcome) -> IInterpretation {
+    let mut interp = IInterpretation::from_database(out.interpretation.base().clone());
+    loop {
+        let fired = fire_all(&out.program, &out.blocked, &interp);
+        let mut grew = false;
+        for f in &fired {
+            grew |= interp.insert_marked(f.sign, f.pred, &f.tuple);
+        }
+        if !grew {
+            return interp;
+        }
+    }
+}
+
 fn arb_relational_rule_src() -> impl Strategy<Value = String> {
     let pred = prop::sample::select(vec!["e", "f", "g"]);
     let shape = 0usize..6;
@@ -372,61 +374,29 @@ proptest! {
         rules in arb_relational_program_src(),
         facts in arb_relational_db_src(),
     ) {
-        let naive = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
+        let seq = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
         let again = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
-        prop_assert!(naive.database.same_facts(&again.database), "nondeterministic");
-        prop_assert!(naive.interpretation.is_consistent());
-
-        let compiled = run_park(
-            &rules,
-            &facts,
-            EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::Compiled),
-            &mut Inertia,
-        );
-        prop_assert!(naive.database.same_facts(&compiled.database),
-            "naive {:?} vs compiled {:?}",
-            naive.database.sorted_display(), compiled.database.sorted_display());
-        prop_assert_eq!(naive.stats.gamma_steps, compiled.stats.gamma_steps);
-        prop_assert_eq!(naive.stats.restarts, compiled.stats.restarts);
-        prop_assert_eq!(
-            naive.blocked.len(), compiled.blocked.len(),
-            "blocked sets diverge"
-        );
+        prop_assert!(seq.database.same_facts(&again.database), "nondeterministic");
+        prop_assert!(seq.interpretation.is_consistent());
 
         let par = run_park(
             &rules,
             &facts,
-            EngineOptions::default()
-                .with_evaluation(park::engine::EvaluationMode::Compiled)
-                .with_parallelism(Some(4)),
+            EngineOptions::default().with_parallelism(Some(4)),
             &mut Inertia,
         );
-        prop_assert!(compiled.database.same_facts(&par.database),
-            "parallel compiled diverged: {:?} vs {:?}",
-            compiled.database.sorted_display(), par.database.sorted_display());
-        prop_assert_eq!(compiled.stats.gamma_steps, par.stats.gamma_steps);
-        prop_assert_eq!(compiled.stats.restarts, par.stats.restarts);
-        prop_assert_eq!(compiled.stats.groundings_fired, par.stats.groundings_fired);
-        prop_assert_eq!(compiled.blocked.len(), par.blocked.len());
+        prop_assert!(seq.database.same_facts(&par.database),
+            "parallel diverged: {:?} vs {:?}",
+            seq.database.sorted_display(), par.database.sorted_display());
+        prop_assert_eq!(seq.stats.gamma_steps, par.stats.gamma_steps);
+        prop_assert_eq!(seq.stats.restarts, par.stats.restarts);
+        prop_assert_eq!(seq.stats.groundings_fired, par.stats.groundings_fired);
+        prop_assert_eq!(seq.blocked.len(), par.blocked.len());
 
         // Theorem 4.1(3): lfp(Γ_{P,B*}) from D reproduces the fixpoint.
-        // (I° is D throughout a run, so the outcome's base zone *is* D.)
-        let mut interp = IInterpretation::from_database(naive.interpretation.base().clone());
-        loop {
-            let fired = fire_all(&naive.program, &naive.blocked, &interp);
-            let mut grew = false;
-            for f in &fired {
-                if interp.insert_marked(f.sign, f.pred, &f.tuple) {
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        prop_assert!(park::engine::bistructure::interp_subset(&interp, &naive.interpretation));
-        prop_assert!(park::engine::bistructure::interp_subset(&naive.interpretation, &interp));
+        let naive = naive_lfp(&seq);
+        prop_assert!(park::engine::bistructure::interp_subset(&naive, &seq.interpretation));
+        prop_assert!(park::engine::bistructure::interp_subset(&seq.interpretation, &naive));
     }
 
     /// Relational programs terminate within bounds under adversarial
