@@ -42,6 +42,36 @@ fn run_p1_prints_result() {
 }
 
 #[test]
+fn run_handles_atoms_wider_than_a_column_mask() {
+    let dir = tempdir("wide");
+    let vars: Vec<String> = (0..33).map(|i| format!("X{i}")).collect();
+    let mut cols: Vec<String> = (0..33).map(|i| format!("c{i}")).collect();
+    cols[0] = "a".into();
+    let program = write(
+        &dir,
+        "wide.park",
+        &format!("p({}), r(X32) -> +q(X0).", vars.join(", ")),
+    );
+    let facts = write(&dir, "d.facts", &format!("p({}). r(c32).", cols.join(", ")));
+    let out = park()
+        .args([
+            "run",
+            program.to_str().unwrap(),
+            "--db",
+            facts.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.lines().any(|l| l == "q(a)."), "{stdout}");
+}
+
+#[test]
 fn run_with_trace_and_stats() {
     let dir = tempdir("trace");
     let program = write(&dir, "p.park", "r1: p -> +q. r2: p -> -q.");

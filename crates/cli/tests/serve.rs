@@ -1042,3 +1042,42 @@ fn warm_state_survives_only_until_the_next_hazard_op() {
     );
     let _ = std::fs::remove_file(&snap);
 }
+
+#[test]
+fn a_session_with_atoms_wider_than_a_column_mask_answers_every_frame() {
+    let vars: Vec<String> = (0..33).map(|i| format!("X{i}")).collect();
+    let mut cols: Vec<String> = (0..33).map(|i| format!("c{i}")).collect();
+    cols[0] = "a".into();
+    let create = Json::object([
+        ("op", Json::str("create")),
+        ("db", Json::str("wide")),
+        (
+            "program",
+            Json::str(format!("p({}), r(X32) -> +q(X0).", vars.join(", "))),
+        ),
+        ("facts", Json::str(format!("p({}).", cols.join(", ")))),
+    ]);
+    let input = [
+        create.to_string(),
+        r#"{"op":"transact","db":"wide","updates":"+r(c32)."}"#.into(),
+        r#"{"op":"create","db":"next","program":"p -> +q.","facts":"p."}"#.into(),
+        r#"{"op":"transact","db":"next","updates":"+s."}"#.into(),
+        r#"{"op":"ping"}"#.into(),
+    ]
+    .join("\n");
+    let transcript = serve_session(&[], &input);
+    let frames: Vec<Json> = transcript
+        .lines()
+        .map(|l| park_json::parse(l).unwrap())
+        .collect();
+    let kinds: Vec<&str> = frames
+        .iter()
+        .map(|f| f.get("frame").and_then(|j| j.as_str()).unwrap())
+        .collect();
+    assert_eq!(
+        kinds,
+        ["hello", "created", "delta", "created", "delta", "pong", "bye"],
+        "{transcript}"
+    );
+    assert_eq!(str_list(&frames[2], "added"), ["q(a)", "r(c32)"]);
+}

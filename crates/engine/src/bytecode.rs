@@ -6,8 +6,8 @@
 //! [`Code`] values — see [`crate::lower`](mod@crate::lower) for the
 //! lowering pass and its cost model. This module holds the lowered program
 //! representation and the batch executor that runs it. Warm incremental
-//! transactions (`crate::incremental`) propagate through the same
-//! executor.
+//! transactions (`crate::incremental`) propagate, seed and revalidate
+//! through the same executor.
 //!
 //! ## Execution model
 //!
@@ -80,6 +80,7 @@ use crate::validity;
 use park_storage::hash::hash_codes;
 use park_storage::{Code, ColumnMask, FxHashMap, PredId, Relation, Value};
 use park_syntax::{CompOp, Sign};
+use std::collections::HashSet;
 
 /// Maximum frames per propagation chunk: the executor recurses into the
 /// next op once per chunk, so join depth costs one call per `CHUNK` frames
@@ -767,15 +768,18 @@ pub fn fire_all_lowered(
     blocked: &BlockedSet,
     interp: &IInterpretation,
 ) -> Vec<FiredAction> {
-    fire_all_lowered_metered(lowered, blocked, interp, None, 1, None).0
+    fire_all_lowered_metered(lowered, blocked, interp, None, None, 1, None).0
 }
 
-/// [`fire_all_lowered`] with the pool size decoupled from the decomposition
-/// and optional per-task span collection (the fixpoint loop's entry point).
+/// [`fire_all_lowered`] restricted to the rules whose head predicate is in
+/// `heads` (every rule when `None`), with the pool size decoupled from the
+/// decomposition and optional per-task span collection (the entry point of
+/// the fixpoint loop and of warm-state revalidation).
 pub(crate) fn fire_all_lowered_metered(
     lowered: &crate::lower::LoweredProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
+    heads: Option<&HashSet<PredId>>,
     threads: Option<usize>,
     workers: usize,
     spans: Option<&mut Vec<crate::metrics::TaskSpan>>,
@@ -789,6 +793,7 @@ pub(crate) fn fire_all_lowered_metered(
         curr: &empty,
     };
     let units: Vec<CompiledUnit> = (0..rules.len())
+        .filter(|&rule| heads.is_none_or(|h| h.contains(&rules[rule].head_pred)))
         .map(|rule| CompiledUnit::Full { rule })
         .collect();
     run_units(rules, units, &cx, threads, workers, spans)
@@ -840,7 +845,6 @@ pub(crate) mod tests {
     use crate::lower::{lower, LoweredProgram};
     use park_storage::{FactStore, Vocabulary};
     use park_syntax::parse_program;
-    use std::collections::HashSet;
     use std::sync::Arc;
 
     pub(crate) fn setup(rules: &str, facts: &str) -> (CompiledProgram, FactStore) {
@@ -861,15 +865,15 @@ pub(crate) mod tests {
         /// Step 0 runs the lowered program too, over unindexed zones: the
         /// cold fixpoint loop's shape.
         Lowered,
-        /// Step 0 is naive Γ and the zones carry every index a warm state
-        /// builds: the shape of [`crate::incremental::WarmState`], whose
-        /// build seeds through Γ and whose transactions run delta steps.
+        /// Step 0 is naive Γ and the zones carry both planners' indexes:
+        /// delta steps must not depend on how the marks they extend were
+        /// computed, nor on which extra indexes the zones carry.
         Gamma,
     }
 
-    /// Build every index a warm state's zones carry: the lowered
-    /// program's and the interpreted planner's.
-    pub(crate) fn warm_indexes(
+    /// Build every index either planner requests: the lowered program's
+    /// and the interpreted planner's.
+    pub(crate) fn index_both_planners(
         program: &CompiledProgram,
         lowered: &LoweredProgram,
         interp: &mut IInterpretation,
@@ -892,7 +896,7 @@ pub(crate) mod tests {
         let blocked = BlockedSet::new();
         let mut interp = IInterpretation::from_database(db);
         if let Seeding::Gamma = seeding {
-            warm_indexes(&program, &lowered, &mut interp);
+            index_both_planners(&program, &lowered, &mut interp);
         }
         let mut seen: HashSet<Grounding> = HashSet::new();
         let mut prev = ZoneLens::capture(&interp);
@@ -912,6 +916,7 @@ pub(crate) mod tests {
                             &lowered,
                             &blocked,
                             &interp,
+                            None,
                             Some(threads),
                             threads,
                             None,
@@ -970,8 +975,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// The lockstep battery, instantiated once per [`Seeding`]: cold-shaped
-    /// here, warm-shaped in `crate::seminaive`.
+    /// The lockstep battery, instantiated once per [`Seeding`]: lowered
+    /// seeding here, naive Γ seeding in `crate::seminaive`.
     macro_rules! lockstep_cases {
         ($seeding:expr) => {
         #[test]
@@ -1278,8 +1283,16 @@ pub(crate) mod tests {
         // Deterministic: identical on re-run and under parallelism.
         let again = fire_all_lowered(&lowered, &BlockedSet::new(), &interp);
         assert_eq!(fired, again);
-        let par =
-            fire_all_lowered_metered(&lowered, &BlockedSet::new(), &interp, Some(4), 4, None).0;
+        let par = fire_all_lowered_metered(
+            &lowered,
+            &BlockedSet::new(),
+            &interp,
+            None,
+            Some(4),
+            4,
+            None,
+        )
+        .0;
         assert_eq!(fired, par);
     }
 }

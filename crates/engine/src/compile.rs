@@ -484,8 +484,11 @@ fn plan_body(body: &[CompiledLiteral]) -> Vec<PlannedStep> {
         bound[slot as usize] = true;
     };
 
+    // A mask holds the first `ColumnMask::WIDTH` columns; `try_extend`
+    // checks every column of a candidate row, so wider atoms stay exact.
     let mask_of = |atom: &CompiledAtom, bound: &[bool]| {
-        ColumnMask::from_cols((0..atom.terms.len()).filter(|&c| match atom.terms[c] {
+        let width = atom.terms.len().min(ColumnMask::WIDTH);
+        ColumnMask::from_cols((0..width).filter(|&c| match atom.terms[c] {
             TermSlot::Const(_) => true,
             TermSlot::Var(s) => is_bound(bound, s),
         }))

@@ -614,7 +614,7 @@ fn eval_step(
 ) -> (Vec<FiredAction>, u64) {
     if step_in_run == 0 {
         return bytecode::fire_all_lowered_metered(
-            lowered, blocked, interp, threads, workers, spans,
+            lowered, blocked, interp, None, threads, workers, spans,
         );
     }
     let curr = ZoneLens::capture(interp);

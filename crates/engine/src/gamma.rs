@@ -17,10 +17,9 @@
 //! in id order, rows in relation insertion order.
 //!
 //! The engine itself evaluates on the compiled bytecode
-//! ([`crate::bytecode`]). [`fire_all`] is its definitional reference: a
-//! debug build checks every live Γ step of the fixpoint loop against it,
-//! and the oracle, the baselines and the query reference check evaluate
-//! through it.
+//! ([`crate::bytecode`]). [`fire_all`] is its definitional reference,
+//! called by the debug checks of the fixpoint loop, queries and warm
+//! states, by `park-baselines`, and by tests.
 
 use crate::compile::{CompiledLiteral, CompiledProgram, CompiledRule, LitKind, TermSlot};
 use crate::grounding::{BlockedSet, Grounding};
@@ -99,31 +98,10 @@ pub fn fire_all(
     let mut out = Vec::new();
     let mut scratch = Scratch::new();
     for rule in program.rules() {
-        fire_rule_in(rule, blocked, interp, &mut scratch, &mut out);
+        scratch.prepare(rule);
+        match_step(rule, blocked, interp, 0, &mut scratch, &mut out);
     }
     out
-}
-
-/// Compute the firings of a single rule.
-pub fn fire_rule(
-    rule: &CompiledRule,
-    blocked: &BlockedSet,
-    interp: &IInterpretation,
-    out: &mut Vec<FiredAction>,
-) {
-    fire_rule_in(rule, blocked, interp, &mut Scratch::new(), out);
-}
-
-/// [`fire_rule`] against caller-provided scratch.
-fn fire_rule_in(
-    rule: &CompiledRule,
-    blocked: &BlockedSet,
-    interp: &IInterpretation,
-    scratch: &mut Scratch,
-    out: &mut Vec<FiredAction>,
-) {
-    scratch.prepare(rule);
-    match_step(rule, blocked, interp, 0, scratch, out);
 }
 
 fn match_step(

@@ -6,9 +6,10 @@
 //! the *incrementality-safe fragment* the whole run is determined by a small
 //! delta, and the engine can keep a [`WarmState`] alive between transactions
 //! and answer the next update set by delta propagation seeded from `U`
-//! alone. Propagation runs the compiled bytecode executor
-//! ([`crate::bytecode::fire_new_lowered`]) on a [`LoweredProgram`] lowered
-//! once per [`WarmState::build`] — never per transaction.
+//! alone. Propagation, seeding and revalidation run the compiled bytecode
+//! executor on a [`LoweredProgram`] lowered once per [`WarmState::build`] —
+//! never per transaction; naive Γ only checks the latter two in debug
+//! builds.
 //!
 //! The fragment ([`certify_incremental`]): every rule inserts (`+` head),
 //! its body contains no event literals, and negation is *stratified* — no
@@ -55,8 +56,8 @@
 //! SCC lines. Event marks are transaction-local by the semantics, so any
 //! event literal takes the cold path.
 
-use crate::bytecode::{self, ZoneLens};
-use crate::compile::{CompiledLiteral, CompiledProgram, IndexRequest, LitKind, RuleId};
+use crate::bytecode::{self, fire_all_lowered_metered, ZoneLens};
+use crate::compile::{CompiledLiteral, CompiledProgram, LitKind, RuleId};
 use crate::fixpoint::ParkOutcome;
 use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
@@ -210,11 +211,11 @@ impl WarmState {
     /// that blocked groundings has consequences the warm invariant cannot
     /// represent.
     ///
-    /// The invariant is restored by recomputing the valid-grounding heads
-    /// over the committed state `S` with one Γ pass against `⟨∅, S⟩`. At a
-    /// blocked-free PARK fixpoint every such head is in `S`; a deleting or
-    /// escaping head means the outcome is not one (e.g. an uncertified
-    /// program mid-chain) and cannot seed a warm state.
+    /// The invariant is established by one compiled full pass of every rule
+    /// against `⟨∅, S⟩`, the pass that also revalidates strata at commit:
+    /// at a blocked-free PARK fixpoint every valid-grounding head is in `S`;
+    /// a deleting or escaping head means the outcome is not one (e.g. an
+    /// uncertified program mid-chain) and cannot seed a warm state.
     pub fn build(program: &CompiledProgram, outcome: ParkOutcome) -> Result<WarmState, FactStore> {
         let ParkOutcome {
             database,
@@ -229,20 +230,16 @@ impl WarmState {
             return Err(database);
         }
         let lowered = lower(program, &database);
-        let mut interp = IInterpretation::from_database(database);
-        for req in warm_index_requests(program, &lowered) {
-            interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
+        let mut warm = WarmState {
+            interp: IInterpretation::from_database(database),
+            lowered,
+        };
+        warm.ensure_indexes(|_| true);
+        let heads = program.rules().iter().map(|r| r.head.pred).collect();
+        match warm.refire(program, &heads) {
+            Ok(_) => Ok(warm),
+            Err(()) => Err(warm.into_state()),
         }
-        let fired = crate::gamma::fire_all(program, &BlockedSet::new(), &interp);
-        for f in &fired {
-            if f.sign != Sign::Insert || !interp.base().contains_row(f.pred, &f.tuple) {
-                return Err(interp.into_base());
-            }
-        }
-        for f in &fired {
-            interp.zone_mut(MarkZone::Plus).insert_row(f.pred, &f.tuple);
-        }
-        Ok(WarmState { interp, lowered })
     }
 
     /// The committed state `S` this warm state answers from.
@@ -408,7 +405,6 @@ impl WarmState {
             fired_heads,
         } = propagation;
         let vocab = Arc::clone(self.interp.vocab());
-        let blocked = BlockedSet::new();
         // Warm-plus hygiene: a `U` mark that no program grounding derives is
         // not a program-derived head over the new state — leaving it marked
         // would desynchronize the next transaction's step dedup from cold.
@@ -452,14 +448,22 @@ impl WarmState {
         }
         removed.sort_by_key(|(p, t)| vocab.display_fact(*p, t));
         self.interp.zone_mut(MarkZone::Minus).clear();
+        // Removal invalidates a zone's secondary indexes; rebuild the
+        // requested ones, so revalidation and the next transaction probe
+        // indexed instead of scanning.
+        self.ensure_indexes(|zone| match zone {
+            MarkZone::Plus => plus_removed,
+            MarkZone::Base => base_removed,
+            MarkZone::Minus => false,
+        });
 
         // Invariant restoration: a commit can strand marks — a positive
         // literal's predicate lost facts, a negated literal's predicate
-        // gained them. Re-fire every rule whose head predicate those rules
-        // reach and drop the stale marks (recomputation against the new
-        // state only ever removes; see docs/incremental.md §5). Predicates
-        // outside `affected(changed)` keep their warm marks untouched — the
-        // stratum-replay invariant.
+        // gained them. Refire the head predicates of the rules those
+        // literals sit in, which drops their stale marks (recomputation
+        // against the new state only ever removes; see docs/incremental.md
+        // §5). Predicates outside `affected(changed)` keep their warm marks
+        // untouched — the stratum-replay invariant.
         let removed_preds: HashSet<PredId> = removed.iter().map(|&(p, _)| p).collect();
         let added_preds: HashSet<PredId> = added.iter().map(|&(p, _)| p).collect();
         let mut revalidate: HashSet<PredId> = HashSet::new();
@@ -492,48 +496,11 @@ impl WarmState {
                 },
                 "revalidation must stay inside the affected strata"
             );
-            let mut fired = Vec::new();
-            for rule in program.rules() {
-                if !rule.is_update && revalidate.contains(&rule.head.pred) {
-                    crate::gamma::fire_rule(rule, &blocked, &self.interp, &mut fired);
-                }
-            }
-            let mut exact = FactStore::new(Arc::clone(&vocab));
-            for f in &fired {
-                debug_assert_eq!(f.sign, Sign::Insert, "certified rules only insert");
-                exact.insert_row(f.pred, &f.tuple);
-            }
-            for &p in &revalidate {
-                let stale: Vec<Box<[Code]>> = match self.interp.plus().relation(p) {
-                    Some(rel) => rel
-                        .rows()
-                        .filter(|r| !exact.contains_row(p, r))
-                        .map(Into::into)
-                        .collect(),
-                    None => Vec::new(),
-                };
-                for row in &stale {
-                    self.interp.zone_mut(MarkZone::Plus).remove_row(p, row);
-                    plus_removed = true;
-                }
-            }
-            for (p, r) in exact.iter_rows() {
-                if revalidate.contains(&p) {
-                    self.interp.zone_mut(MarkZone::Plus).insert_row(p, r);
-                }
-            }
-        }
-        // Removal invalidates a zone's secondary indexes; rebuild the
-        // requested ones so the next transaction probes indexed.
-        if plus_removed || base_removed {
-            for req in warm_index_requests(program, &self.lowered) {
-                if (req.zone == MarkZone::Plus && plus_removed)
-                    || (req.zone == MarkZone::Base && base_removed)
-                {
-                    self.interp
-                        .zone_mut(req.zone)
-                        .ensure_index(req.pred, req.mask);
-                }
+            let dropped = self
+                .refire(program, &revalidate)
+                .unwrap_or_else(|()| unreachable!("a committed certified state refires in S"));
+            if dropped {
+                self.ensure_indexes(|zone| zone == MarkZone::Plus);
             }
         }
         stats.elapsed = started.elapsed();
@@ -541,6 +508,63 @@ impl WarmState {
             added,
             removed,
             stats,
+        }
+    }
+
+    /// Replace the plus marks of `heads` with the heads one compiled full
+    /// pass of their rules fires over the warm zones, which read as
+    /// `⟨∅, S⟩` here: the seeding of [`WarmState::build`] and the
+    /// revalidation of [`WarmState::commit`]. Returns whether a mark was
+    /// dropped; refuses, touching nothing, when a head is not an insertion
+    /// already in `S`.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn refire(&mut self, program: &CompiledProgram, heads: &HashSet<PredId>) -> Result<bool, ()> {
+        let (lowered, interp, blocked) = (&self.lowered, &self.interp, BlockedSet::new());
+        let fired =
+            fire_all_lowered_metered(lowered, &blocked, interp, Some(heads), None, 1, None).0;
+        #[cfg(debug_assertions)]
+        check_against_gamma(program, interp, heads, &fired);
+        let base = interp.base();
+        if fired
+            .iter()
+            .any(|f| f.sign != Sign::Insert || !base.contains_row(f.pred, &f.tuple))
+        {
+            return Err(());
+        }
+        let plus = self.interp.zone_mut(MarkZone::Plus);
+        let mut stale: Vec<(PredId, Box<[Code]>)> = Vec::new();
+        // At build the plus zone is empty: nothing to diff against.
+        if !plus.is_empty() {
+            let exact: HashSet<_> = fired.iter().map(|f| (f.pred, &*f.tuple)).collect();
+            for &p in heads {
+                for row in plus.relation(p).into_iter().flat_map(|rel| rel.rows()) {
+                    if !exact.contains(&(p, row)) {
+                        stale.push((p, row.into()));
+                    }
+                }
+            }
+        }
+        for (p, row) in &stale {
+            plus.remove_row(*p, row);
+        }
+        for f in &fired {
+            plus.insert_row(f.pred, &f.tuple);
+        }
+        Ok(!stale.is_empty())
+    }
+
+    /// Build the warm indexes of the zones `wanted` selects: the lowered
+    /// program's requests, each `Plus`-zone one mirrored onto the base zone.
+    /// A warm state outlives its build-time cost model: a base shard too
+    /// small to index then can grow, and the mirror keeps it indexed.
+    fn ensure_indexes(&mut self, wanted: impl Fn(MarkZone) -> bool) {
+        for req in self.lowered.index_requests() {
+            let mirror = (req.zone == MarkZone::Plus).then_some(MarkZone::Base);
+            for zone in [Some(req.zone), mirror].into_iter().flatten() {
+                if wanted(zone) {
+                    self.interp.zone_mut(zone).ensure_index(req.pred, req.mask);
+                }
+            }
         }
     }
 }
@@ -576,22 +600,40 @@ fn row_order_fingerprint(store: &FactStore) -> u64 {
     h.finish()
 }
 
-/// Every index the warm zones carry: the lowered program's (delta
-/// propagation) and the interpreted planner's (stratum revalidation and
-/// the seeding pass of [`WarmState::build`], which run [`crate::gamma`]).
-fn warm_index_requests<'a>(
-    program: &'a CompiledProgram,
-    lowered: &'a LoweredProgram,
-) -> impl Iterator<Item = &'a IndexRequest> {
-    lowered
-        .index_requests()
-        .iter()
-        .chain(program.index_requests())
+/// The debug reference of one [`WarmState::refire`] pass: the definitional
+/// Γ ([`crate::gamma::fire_all`]) on the same state, restricted to
+/// `heads`, must fire exactly the compiled pass's groundings.
+#[cfg(debug_assertions)]
+fn check_against_gamma(
+    program: &CompiledProgram,
+    interp: &IInterpretation,
+    heads: &HashSet<PredId>,
+    fired: &[crate::gamma::FiredAction],
+) {
+    let reference: Vec<_> = crate::gamma::fire_all(program, &BlockedSet::new(), interp)
+        .into_iter()
+        .filter(|f| heads.contains(&f.pred))
+        .collect();
+    let compiled: HashSet<_> = fired.iter().map(|f| &f.grounding).collect();
+    if let Some(missed) = reference.iter().find(|f| !compiled.contains(&f.grounding)) {
+        panic!(
+            "warm refire misses the Γ grounding {}",
+            missed.grounding.display(program)
+        );
+    }
+    let gamma: HashSet<_> = reference.iter().map(|f| &f.grounding).collect();
+    if let Some(extra) = fired.iter().find(|f| !gamma.contains(&f.grounding)) {
+        panic!(
+            "warm refire fires {}, which Γ does not",
+            extra.grounding.display(program)
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::IndexRequest;
     use crate::conflict::Inertia;
     use crate::fixpoint::Engine;
     use crate::metrics::NoopMetrics;
@@ -852,6 +894,36 @@ mod tests {
         let blocked_state = blocked_run.database.sorted_display();
         let handed_back = WarmState::build(engine3.program(), blocked_run).unwrap_err();
         assert_eq!(handed_back.sorted_display(), blocked_state);
+    }
+
+    #[test]
+    fn warm_base_indexes_survive_growth() {
+        // `lower` puts the 1-row `s2` first and probes the 3-row `s1` on
+        // column 0, but requests no base index for a shard that small. The
+        // warm state mirrors the plus request onto the base zone, so once
+        // warm inserts grow `s1` past the cost model's floor its probes
+        // still go through an index.
+        let (engine, db) = setup(
+            "s1(X, Y), s2(X) -> +r(Y).",
+            "s1(a0, b0). s1(a1, b1). s1(a2, b2). s2(a0).",
+        );
+        let settle = cold(&engine, &db, &UpdateSet::empty());
+        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let s1 = engine.program().vocab().lookup_pred("s1").unwrap();
+        let col0 = park_storage::ColumnMask::from_cols([0]);
+        let base_s1 = IndexRequest {
+            pred: s1,
+            mask: col0,
+            zone: MarkZone::Base,
+        };
+        assert!(!warm.lowered.index_requests().contains(&base_s1));
+        for i in 3..203 {
+            let u = updates(warm.state(), &format!("+s1(a{i}, b{i})."));
+            warm.transact(engine.program(), &u).expect("stays warm");
+        }
+        let rel = warm.state().relation(s1).unwrap();
+        assert_eq!(rel.len(), 203);
+        assert!(rel.has_index(col0));
     }
 
     #[test]

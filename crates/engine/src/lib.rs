@@ -98,7 +98,7 @@ pub use strata::{OffendingEdge, Strata};
 pub use trace::{Trace, TraceEvent};
 pub use validity::{valid_event, valid_neg, valid_pos, MarkZone};
 
-/// Semi-naive evaluation checks in the shape warm transactions run it.
+/// Semi-naive evaluation checks seeded by a naive Γ step.
 #[cfg(test)]
 mod seminaive {
     mod tests;

@@ -177,10 +177,14 @@ fn lower_access(
     let mut first_col: HashMap<u16, u16> = HashMap::new();
     for (col, t) in atom.terms.iter().enumerate() {
         let col16 = u16::try_from(col).expect("atom arity fits u16");
+        // Columns past the mask width are checked, never keyed.
+        let keyed = col < ColumnMask::WIDTH;
         match *t {
             TermSlot::Const(c) => {
-                mask_cols.push(col);
-                key.push(KeySrc::Const(c));
+                if keyed {
+                    mask_cols.push(col);
+                    key.push(KeySrc::Const(c));
+                }
                 checks.push(ColCheck {
                     col: col16,
                     src: CheckSrc::Const(c),
@@ -188,8 +192,10 @@ fn lower_access(
             }
             TermSlot::Var(s) => {
                 if bound[s as usize] {
-                    mask_cols.push(col);
-                    key.push(KeySrc::Reg(s));
+                    if keyed {
+                        mask_cols.push(col);
+                        key.push(KeySrc::Reg(s));
+                    }
                     checks.push(ColCheck {
                         col: col16,
                         src: CheckSrc::Reg(s),
@@ -656,5 +662,53 @@ mod tests {
         // 40-row `p` shard is probed.
         assert_eq!(first.zone, AccessZone::Plus);
         assert_eq!(rule.delta_kinds.len(), 2);
+    }
+
+    #[test]
+    fn atoms_wider_than_a_mask_key_what_fits_and_check_the_rest() {
+        // `r` binds X32 first; `p`'s only bound column (32) is past the
+        // mask width, so both planners scan `p` and check column 32 row by
+        // row. The second `p` row fails that check.
+        let vars: Vec<String> = (0..33).map(|i| format!("X{i}")).collect();
+        let row = |first: &str, last: &str| {
+            let mut cols: Vec<String> = (0..33).map(|i| format!("c{i}")).collect();
+            cols[0] = first.into();
+            cols[32] = last.into();
+            format!("p({}).", cols.join(", "))
+        };
+        let rules = format!("p({}), r(X32) -> +q(X0).", vars.join(", "));
+        let facts = format!("{} {} r(c32).", row("a", "c32"), row("b", "c99"));
+        let (program, db, lp) = lowered(&rules, &facts);
+        let p = program.vocab().lookup_pred("p").unwrap();
+        // The interpreted plan: `r` (literal 1), then `p` (literal 0).
+        let plan = &program.rules()[0].plan;
+        assert_eq!(plan[1].lit, 0);
+        assert!(plan[1].mask.is_empty());
+        let Some(Op::Access(access)) = lp.rules()[0].ops.get(1) else {
+            panic!("expected `p` as the second access op");
+        };
+        assert_eq!(access.pred, p);
+        assert!(access.mask.is_empty() && access.key.is_empty());
+        assert!(access.checks.iter().any(|c| c.col == 32));
+        let interp = crate::interp::IInterpretation::from_database(db);
+        let blocked = crate::grounding::BlockedSet::new();
+        let heads = |fired: Vec<crate::gamma::FiredAction>| -> Vec<String> {
+            fired
+                .iter()
+                .map(|f| {
+                    program
+                        .vocab()
+                        .display_fact(f.pred, &program.vocab().decode_row(&f.tuple))
+                })
+                .collect()
+        };
+        assert_eq!(
+            heads(crate::gamma::fire_all(&program, &blocked, &interp)),
+            ["q(a)"]
+        );
+        assert_eq!(
+            heads(crate::bytecode::fire_all_lowered(&lp, &blocked, &interp)),
+            ["q(a)"]
+        );
     }
 }

@@ -1,9 +1,10 @@
-//! Semi-naive evaluation as warm transactions drive it
-//! ([`crate::incremental::WarmState`]): the program lowered once against
-//! the starting database, a naive Γ seed step, then delta steps through
-//! [`fire_new_lowered`] over zones that carry every warm index.
+//! Semi-naive evaluation seeded by naive Γ: the program lowered once
+//! against the starting database, a naive Γ seed step, then delta steps
+//! through [`fire_new_lowered`] over zones indexed for both planners.
+//! Delta steps must not depend on how the marks they extend were
+//! computed, nor on which extra indexes the zones carry.
 
-use crate::bytecode::tests::{lockstep, lockstep_cases, setup, warm_indexes, Seeding};
+use crate::bytecode::tests::{index_both_planners, lockstep, lockstep_cases, setup, Seeding};
 use crate::bytecode::{fire_new_lowered, fire_new_lowered_metered, ZoneLens};
 use crate::compile::RuleId;
 use crate::gamma::fire_all;
@@ -14,7 +15,7 @@ use park_storage::Value;
 
 lockstep_cases!(Seeding::Gamma);
 
-/// Lower `rules` against `facts`, build the warm indexes and apply one
+/// Lower `rules` against `facts`, index both planners' requests and apply one
 /// naive Γ step: the lowered program, the interpretation after the step,
 /// and the zone lenses before and after it.
 fn after_seed_step(
@@ -24,7 +25,7 @@ fn after_seed_step(
     let (program, db) = setup(rules, facts);
     let lowered = lower(&program, &db);
     let mut interp = IInterpretation::from_database(db);
-    warm_indexes(&program, &lowered, &mut interp);
+    index_both_planners(&program, &lowered, &mut interp);
     let before = ZoneLens::capture(&interp);
     for f in fire_all(&program, &BlockedSet::new(), &interp) {
         interp.insert_marked(f.sign, f.pred, &f.tuple);

@@ -12,7 +12,8 @@
 //!
 //! Invariant the sink relies on: every consumed sequence number produces
 //! exactly one batch (workers answer even when the database failed to
-//! open; the receiver answers unknown-database and parse errors itself).
+//! open or panicked; the receiver answers unknown-database and parse
+//! errors itself).
 //!
 //! Request lines are read with a bound: a line longer than
 //! [`MAX_REQUEST_BYTES`] or not valid UTF-8 consumes a sequence number
@@ -258,10 +259,19 @@ fn hello_frame(opts: &ServeOptions) -> String {
     )
 }
 
+/// Why a worker serves no session: every later op on its database is
+/// answered with an error frame naming this.
+struct Failed {
+    what: &'static str,
+    reason: String,
+}
+
 /// A worker owns one database for its whole life. A failed `create`
 /// keeps the worker (and the name) alive in a failed state so every
 /// routed op still consumes its sequence number with an error frame —
-/// `close` releases the name.
+/// `close` releases the name. A panic while opening or serving the
+/// database answers the op in flight with an error frame and puts the
+/// worker in the same failed state: the panic costs that database only.
 fn worker_loop(
     name: String,
     creation_id: u64,
@@ -269,7 +279,18 @@ fn worker_loop(
     sink: Sender<(u64, Vec<String>)>,
     summaries: Sender<(u64, Json)>,
 ) {
-    let mut session: Result<DbSession, String> = Err("never created".into());
+    let mut session: Result<DbSession, Failed> = Err(Failed {
+        what: "failed to open",
+        reason: "never created".into(),
+    });
+    let panicked = |seq: u64, reason: String| {
+        let msg = format!("database `{name}` panicked: {reason}");
+        let _ = sink.send((seq, vec![error_frame(seq, Some(&name), &msg)]));
+        Failed {
+            what: "panicked",
+            reason,
+        }
+    };
     for job in jobs {
         match job {
             Job::Op {
@@ -284,41 +305,50 @@ fn worker_loop(
                         incremental,
                     },
             } if session.is_err() => {
-                match DbSession::open(
-                    &name,
-                    &program,
-                    &facts,
-                    &policy,
-                    options,
-                    journal.as_deref(),
-                    incremental,
-                ) {
-                    Ok(s) => {
+                let opened = guard(|| {
+                    DbSession::open(
+                        &name,
+                        &program,
+                        &facts,
+                        &policy,
+                        options,
+                        journal.as_deref(),
+                        incremental,
+                    )
+                });
+                session = match opened {
+                    Ok(Ok(s)) => {
                         let _ = sink.send((seq, vec![s.created_frame(seq)]));
-                        session = Ok(s);
+                        Ok(s)
                     }
-                    Err(msg) => {
+                    Ok(Err(msg)) => {
                         let _ = sink.send((seq, vec![error_frame(seq, Some(&name), &msg)]));
-                        session = Err(msg);
+                        Err(Failed {
+                            what: "failed to open",
+                            reason: msg,
+                        })
                     }
-                }
+                    Err(reason) => Err(panicked(seq, reason)),
+                };
             }
             Job::Op { seq, op } => match &mut session {
-                Ok(s) => {
-                    let (frames, closed) = s.handle(seq, op);
-                    let _ = sink.send((seq, frames));
-                    if closed {
-                        return;
+                Ok(s) => match guard(|| s.handle(seq, op)) {
+                    Ok((frames, closed)) => {
+                        let _ = sink.send((seq, frames));
+                        if closed {
+                            return;
+                        }
                     }
-                }
-                Err(msg) => {
+                    Err(reason) => session = Err(panicked(seq, reason)),
+                },
+                Err(failed) => {
                     let closing = matches!(op, DbOp::Close { .. });
                     let _ = sink.send((
                         seq,
                         vec![error_frame(
                             seq,
                             Some(&name),
-                            &format!("database `{name}` failed to open: {msg}"),
+                            &format!("database `{name}` {}: {}", failed.what, failed.reason),
                         )],
                     ));
                     if closing {
@@ -327,17 +357,32 @@ fn worker_loop(
                 }
             },
             Job::Shutdown { snapshot_dir } => {
+                let failed_summary = |reason: &str| {
+                    Json::object([("db", Json::str(&name)), ("error", Json::str(reason))])
+                };
                 let summary = match &session {
-                    Ok(s) => s.summary(snapshot_dir.as_deref()),
-                    Err(msg) => {
-                        Json::object([("db", Json::str(&name)), ("error", Json::str(msg.clone()))])
-                    }
+                    Ok(s) => guard(|| s.summary(snapshot_dir.as_deref()))
+                        .unwrap_or_else(|reason| failed_summary(&reason)),
+                    Err(failed) => failed_summary(&failed.reason),
                 };
                 let _ = summaries.send((creation_id, summary));
                 return;
             }
         }
     }
+}
+
+/// Run `f`, turning a panic into `Err` with the panic's message. The
+/// state `f` touched is dropped by the caller, never served again, so no
+/// half-updated session is observed.
+fn guard<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic payload".into())
+    })
 }
 
 /// Write batches strictly in sequence order, buffering early arrivals.
@@ -536,6 +581,23 @@ mod tests {
             .iter()
             .map(|f| f.get("seq").and_then(|j| j.as_i64()).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn guard_turns_a_panic_into_its_message() {
+        assert_eq!(guard(|| 7), Ok(7));
+        assert_eq!(
+            guard(|| -> u8 { panic!("boom at {}", 3) }),
+            Err("boom at 3".to_string())
+        );
+        assert_eq!(
+            guard(|| -> u8 { panic!("static message") }),
+            Err("static message".to_string())
+        );
+        assert_eq!(
+            guard(|| -> u8 { std::panic::panic_any(42u32) }),
+            Err("unknown panic payload".to_string())
+        );
     }
 
     #[test]

@@ -29,8 +29,10 @@
 use crate::hash::{hash_codes, hash_row, FxHashMap};
 use crate::value::Code;
 
-/// A set of bound columns, as a bitmask. Supports arities up to 32 —
-/// far beyond anything a rule language for ECA systems needs.
+/// A set of bound columns, as a bitmask over the first
+/// [`ColumnMask::WIDTH`] columns. Wider relations still work: a planner
+/// keys its probes on the columns a mask can hold and checks the rest row
+/// by row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnMask(u32);
 
@@ -38,11 +40,17 @@ impl ColumnMask {
     /// The empty mask (no columns bound).
     pub const EMPTY: ColumnMask = ColumnMask(0);
 
-    /// Build a mask from column positions.
+    /// The number of columns a mask can hold: columns `0..WIDTH`.
+    pub const WIDTH: usize = 32;
+
+    /// Build a mask from column positions, each below [`ColumnMask::WIDTH`].
     pub fn from_cols(cols: impl IntoIterator<Item = usize>) -> Self {
         let mut m = 0u32;
         for c in cols {
-            assert!(c < 32, "column index {c} out of range for ColumnMask");
+            assert!(
+                c < Self::WIDTH,
+                "column index {c} out of range for ColumnMask"
+            );
             m |= 1 << c;
         }
         ColumnMask(m)
@@ -50,7 +58,7 @@ impl ColumnMask {
 
     /// True if column `i` is in the mask.
     pub fn contains(self, i: usize) -> bool {
-        i < 32 && self.0 & (1 << i) != 0
+        i < Self::WIDTH && self.0 & (1 << i) != 0
     }
 
     /// True if no column is bound.
@@ -65,7 +73,7 @@ impl ColumnMask {
 
     /// Iterate over bound column positions in ascending order.
     pub fn cols(self) -> impl Iterator<Item = usize> {
-        (0..32).filter(move |&i| self.0 & (1 << i) != 0)
+        (0..Self::WIDTH).filter(move |&i| self.0 & (1 << i) != 0)
     }
 
     /// True if the mask binds exactly the columns `0..arity` — every

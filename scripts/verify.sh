@@ -143,6 +143,26 @@ printf '%s\n' '{"frame":"hello","seq":0,"schema":"park-serve/v1","policy":"inert
   '{"frame":"error","seq":2,"message":"request line is not valid UTF-8"}' \
   '{"frame":"pong","seq":3}' '{"frame":"bye","seq":4,"databases":[]}' > "$serve_dir/bad.want"
 cmp "$serve_dir/bad.want" "$serve_dir/bad.out"
+# A program whose atom is wider than a column mask (33 columns) is served
+# like any other: the database is created, settles, and the session
+# answers the ping after it. Under `timeout`, a worker that dies without
+# answering fails the step instead of hanging it.
+wide_vars="X0"; wide_consts="a"; i=1
+while [ "$i" -le 32 ]; do
+  wide_vars="$wide_vars, X$i"; wide_consts="$wide_consts, c$i"; i=$((i + 1))
+done
+printf '%s\n' \
+  "{\"op\":\"create\",\"db\":\"wide\",\"program\":\"p($wide_vars), r(X32) -> +q(X0).\",\"facts\":\"p($wide_consts). r(c32).\"}" \
+  '{"op":"settle","db":"wide"}' '{"op":"ping"}' \
+  | timeout 120 cargo run -p park-cli --bin park --release --offline --quiet -- serve \
+  > "$serve_dir/wide.out"
+printf '%s\n' '{"frame":"hello","seq":0,"schema":"park-serve/v1","policy":"inertia","scope":"all"}' \
+  '{"frame":"created","seq":1,"db":"wide","policy":"inertia","facts":2}' \
+  '{"frame":"delta","seq":2,"db":"wide","tx":1,"added":["q(a)"],"removed":[],"blocked":[],"stats":{"gamma_steps":2,"restarts":0,"conflicts_resolved":0,"blocked_instances":0},"storage":{"facts":3,"encoded_bytes":140,"vocab_symbols":33,"vocab_predicates":3,"vocab_int_spills":0}}' \
+  '{"frame":"pong","seq":3}' \
+  '{"frame":"bye","seq":4,"databases":[{"db":"wide","transactions":1,"facts":3,"vocab":{"symbols":33,"predicates":3,"int_spills":0}}]}' \
+  > "$serve_dir/wide.want"
+cmp "$serve_dir/wide.want" "$serve_dir/wide.out"
 rm -rf "$serve_dir"
 
 echo "==> incremental smoke (50-transaction session, --incremental on/off byte-identical)"
@@ -187,6 +207,13 @@ for mode in plain incremental; do
     | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/$mode.out"
 done
 cmp "$inc_dir/plain.out" "$inc_dir/incremental.out"
+# A debug build also compares every warm refire pass (the seeding at
+# build, stratum revalidation, the reseed after a bail) with naive Γ
+# inside the engine; its transcript must equal the release one.
+cargo run -p park-cli --bin park --offline --quiet -- \
+  serve --incremental < "$inc_dir/session.ndjson" \
+  | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/incremental.debug.out"
+cmp "$inc_dir/incremental.out" "$inc_dir/incremental.debug.out"
 
 # Deletion-bearing chain on a stratified-negation program: base-fact
 # deletions ride the partial-stratum warm path, the derived-fact
@@ -213,6 +240,10 @@ for mode in plain incremental; do
     | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/del.$mode.out"
 done
 cmp "$inc_dir/del.plain.out" "$inc_dir/del.incremental.out"
+cargo run -p park-cli --bin park --offline --quiet -- \
+  serve --incremental < "$inc_dir/deletions.ndjson" \
+  | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/del.debug.out"
+cmp "$inc_dir/del.incremental.out" "$inc_dir/del.debug.out"
 rm -rf "$inc_dir"
 
 echo "==> metrics smoke (park run --metrics + park report)"
