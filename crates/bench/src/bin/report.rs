@@ -495,7 +495,7 @@ fn c7_replay_counters(smoke: bool) {
 fn c8_c11_certificate_and_incremental() {
     // C8: the conflict-free certificate verdict. The workload carries
     // syntactic conflict pairs, but guard refinement certifies it
-    // conflict-free, so the run skips conflict provenance and the per-step
+    // conflict-free, so the run skips the firing log and the per-step
     // clash scan (debug builds still check every step inside the engine).
     let cert_out = Session::new(
         &wl::guard_partition_program(8),

@@ -55,7 +55,7 @@
 //! [`crate::gamma::fire_all`]). The
 //! heads of *old* groundings are already marked in `I`, so the
 //! inflationary step adds the same marks either way, and conflict sides are
-//! always merged with the run's provenance (which holds every grounding
+//! always merged with the run's firing log (which holds every grounding
 //! that ever fired), so `SELECT` sees identical `(a, ins, del)` triples.
 //! Only the emission order within a step may differ when the cost model
 //! reorders a join; conflicts are handed to `SELECT` in rendered-atom

@@ -264,8 +264,8 @@ impl CompiledProgram {
 
     /// Static conflict analysis: `false` iff no predicate has both an
     /// inserting and a deleting rule head, in which case no run of this
-    /// program can ever produce a conflict and the engine skips provenance
-    /// tracking and conflict collection altogether. (The paper, Section 1:
+    /// program can ever produce a conflict and the engine skips the firing
+    /// log and conflict collection altogether. (The paper, Section 1:
     /// "if no two conflicting rules are ever firable, some fixpoint
     /// semantics may be appropriate.")
     pub fn possibly_conflicting(&self) -> bool {

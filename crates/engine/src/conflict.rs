@@ -1,4 +1,4 @@
-//! Conflicts, provenance, and the `SELECT` oracle interface.
+//! Conflicts, their historical sides, and the `SELECT` oracle interface.
 //!
 //! A *conflict* (Section 4.2) is a triple `(a, ins, del)`: a ground atom
 //! together with the rule groundings voting for its insertion and for its
@@ -6,18 +6,18 @@
 //! are groundings whose bodies are valid in `I`, whether or not `±a` is
 //! already in `I`.
 //!
-//! ## Provenance (a documented clarification of the paper)
+//! ## Historical sides (a documented clarification of the paper)
 //!
 //! Literal validity is non-monotone over an inflationary run (adding `+b`
 //! can invalidate `¬b`), so a marked atom in `I` may have *no* currently
 //! valid deriving grounding. If the opposite mark then becomes derivable,
 //! `Γ` turns inconsistent while the letter of `conflicts(P, I)` offers no
-//! grounding to block on one side. We therefore remember, per run, every
-//! grounding that fired for each marked atom (its *provenance*) and include
-//! those groundings in the conflict sides. On every program in the paper
-//! this coincides with the paper's definition; in the degenerate case it
-//! preserves the termination argument (every resolution blocks at least one
-//! new grounding). See DESIGN.md §3.
+//! grounding to block on one side. Each conflict side therefore also holds
+//! every grounding that fired for the atom earlier in the run, read from
+//! the run's firing log ([`StepLog`]). On every program in the paper this
+//! coincides with the paper's definition; in the degenerate case it
+//! preserves the termination argument (every resolution blocks at least
+//! one new grounding). See DESIGN.md §3.
 //!
 //! Blocked groundings are excluded from conflict sides — this matches the
 //! paper's Section 5 computations, where after `r2` is blocked a later
@@ -27,9 +27,9 @@ use crate::compile::CompiledProgram;
 use crate::gamma::FiredAction;
 use crate::grounding::Grounding;
 use crate::interp::IInterpretation;
-use park_storage::{Code, FactStore, FxHashMap, PredId, Tuple, Value, Vocabulary};
+use crate::replay::StepLog;
+use park_storage::{Code, FactStore, FxHashMap, FxHashSet, PredId, Tuple, Value, Vocabulary};
 use park_syntax::Sign;
-use std::collections::HashSet;
 use std::fmt;
 
 /// The decision of a conflict-resolution policy for one conflict.
@@ -174,102 +174,15 @@ impl ConflictResolver for Inertia {
     }
 }
 
-/// Per-run provenance: which groundings fired for each marked atom.
+/// Collect the conflicts among `fired`, one step into the future from
+/// `interp`, with each contested atom's historical sides taken from `log`.
 ///
-/// Keyed predicate-first, by *encoded row*, so the hot `record_all` path
-/// can look rows up without cloning or decoding them. Each side is a hash
-/// set: dedup of re-firings is O(1) per firing even when many groundings
-/// derive the same atom (high fan-in), and conflict sides are sorted once
-/// at collection time.
-#[derive(Debug, Clone, Default)]
-pub struct Provenance {
-    map: FxHashMap<PredId, FxHashMap<Box<[Code]>, Sides>>,
-    /// Running count of atoms with recorded provenance, so `len` does not
-    /// walk every predicate's map.
-    atoms: usize,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Sides {
-    ins: HashSet<Grounding>,
-    del: HashSet<Grounding>,
-}
-
-impl Sides {
-    fn side_mut(&mut self, sign: Sign) -> &mut HashSet<Grounding> {
-        match sign {
-            Sign::Insert => &mut self.ins,
-            Sign::Delete => &mut self.del,
-        }
-    }
-
-    fn insert(&mut self, sign: Sign, g: &Grounding) {
-        let side = self.side_mut(sign);
-        // Clone only when new; the (overwhelmingly common) re-fire path is
-        // lookup-only.
-        if !side.contains(g) {
-            side.insert(g.clone());
-        }
-    }
-}
-
-impl Provenance {
-    /// Empty provenance (start of a run).
-    pub fn new() -> Self {
-        Provenance::default()
-    }
-
-    /// Record the firings of one consistent Γ step.
-    pub fn record_all(&mut self, fired: &[FiredAction]) {
-        for f in fired {
-            let by_row = self.map.entry(f.pred).or_default();
-            match by_row.get_mut(f.tuple.as_ref()) {
-                Some(sides) => sides.insert(f.sign, &f.grounding),
-                None => {
-                    self.atoms += 1;
-                    let mut sides = Sides::default();
-                    sides.insert(f.sign, &f.grounding);
-                    by_row.insert(f.tuple.clone(), sides);
-                }
-            }
-        }
-    }
-
-    /// Forget everything (conflict restart), keeping the allocated maps so
-    /// the next run's `record_all` reuses their capacity.
-    pub fn clear(&mut self) {
-        for by_row in self.map.values_mut() {
-            by_row.clear();
-        }
-        self.atoms = 0;
-    }
-
-    /// Number of atoms with recorded provenance.
-    pub fn len(&self) -> usize {
-        self.atoms
-    }
-
-    /// True if nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.atoms == 0
-    }
-
-    fn sides(&self, pred: PredId, row: &[Code]) -> Option<&Sides> {
-        self.map.get(&pred).and_then(|m| m.get(row))
-    }
-
-    /// Whether `f`'s grounding has already fired for its head in this run.
-    #[cfg(debug_assertions)]
-    pub(crate) fn has_fired(&self, f: &FiredAction) -> bool {
-        self.sides(f.pred, &f.tuple).is_some_and(|s| match f.sign {
-            Sign::Insert => s.ins.contains(&f.grounding),
-            Sign::Delete => s.del.contains(&f.grounding),
-        })
-    }
-}
-
-/// Collect the conflicts among `fired` (one step into the future from `I`),
-/// merged with the run's provenance.
+/// `log` must hold every firing of the run so far, and `interp`'s marked
+/// zones exactly their heads, as in the engine's runs: a run starts from
+/// `I° = D` with empty marked zones, and each consistent step marks its
+/// firings' heads. An atom is contested iff it has an insertion side and a
+/// deletion side, each from `fired` or from the marks; only contested
+/// atoms are grouped, and the log is read only when some atom is.
 ///
 /// Returns conflicts sorted by the rendered contested atom
 /// ([`Vocabulary::display_fact`]) — the engine's resolution order, and the
@@ -284,44 +197,128 @@ impl Provenance {
 pub fn collect_conflicts(
     vocab: &Vocabulary,
     fired: &[FiredAction],
-    provenance: &Provenance,
+    interp: &IInterpretation,
+    log: &StepLog,
 ) -> Vec<Conflict> {
-    // Group current firings by head atom (encoded).
-    let mut sides: FxHashMap<(PredId, Box<[Code]>), Sides> = FxHashMap::default();
-    for f in fired {
-        sides
-            .entry((f.pred, f.tuple.clone()))
-            .or_default()
-            .insert(f.sign, &f.grounding);
-    }
+    into_conflicts(vocab, contested_sides(fired, interp, log))
+}
 
-    let empty = HashSet::new();
-    let mut out = Vec::new();
-    for (key, current) in &sides {
-        let hist = provenance.sides(key.0, &key.1);
-        let merge = |cur: &HashSet<Grounding>, hist: &HashSet<Grounding>| -> Vec<Grounding> {
-            let mut v: Vec<Grounding> = cur.iter().cloned().collect();
-            v.extend(hist.iter().filter(|g| !cur.contains(g)).cloned());
-            // Cold path: decode each substitution once for the sort key.
-            v.sort_by_cached_key(|g| {
-                let vals: Vec<Value> = g.subst.iter().map(|&c| vocab.decode(c)).collect();
-                (g.rule, vals)
-            });
-            v
-        };
-        let ins = merge(&current.ins, hist.map_or(&empty, |s| &s.ins));
-        let del = merge(&current.del, hist.map_or(&empty, |s| &s.del));
-        if !ins.is_empty() && !del.is_empty() {
-            out.push(Conflict {
-                pred: key.0,
-                tuple: vocab.decode_row(&key.1),
-                ins,
-                del,
-            });
+/// An encoded head atom.
+type Head<'a> = (PredId, &'a [Code]);
+
+/// The contested atoms of `fired` with their unsorted sides, insertion
+/// first: every grounding of `fired` and `log` that derives them.
+fn contested_sides<'a>(
+    fired: &'a [FiredAction],
+    interp: &IInterpretation,
+    log: &'a StepLog,
+) -> FxHashMap<Head<'a>, [Vec<Grounding>; 2]> {
+    let mut contested = FxHashMap::default();
+    let deletions = fired.iter().filter(|f| f.sign == Sign::Delete).count();
+    let insertions = fired.len() - deletions;
+    let marked = [!interp.plus().is_empty(), !interp.minus().is_empty()];
+    if (insertions == 0 && !marked[0]) || (deletions == 0 && !marked[1]) {
+        return contested;
+    }
+    // The heads of the sign that fired less often go in a set, which the
+    // other sign's firings probe; either sign probes the opposite marks.
+    let fewer = if deletions <= insertions {
+        Sign::Delete
+    } else {
+        Sign::Insert
+    };
+    let mut fewer_heads: FxHashSet<Head<'_>> =
+        FxHashSet::with_capacity_and_hasher(deletions.min(insertions), Default::default());
+    fewer_heads.extend(
+        fired
+            .iter()
+            .filter(|f| f.sign == fewer)
+            .map(|f| (f.pred, &*f.tuple)),
+    );
+    for f in fired {
+        let head = (f.pred, &*f.tuple);
+        let opposite = f.sign.flip();
+        if (f.sign != fewer && fewer_heads.contains(&head))
+            || (marked[side(opposite)] && interp.contains_marked(opposite, f.pred, &f.tuple))
+        {
+            contested.insert(head, [Vec::new(), Vec::new()]);
         }
     }
-    out.sort_by_cached_key(|c| vocab.display_fact(c.pred, &c.tuple));
-    out
+    if contested.is_empty() {
+        return contested;
+    }
+    // The log holds every firing of the run: a predicate test skips most
+    // of them before the hash lookup.
+    let mut preds: Vec<PredId> = contested.keys().map(|&(p, _)| p).collect();
+    preds.sort_unstable();
+    preds.dedup();
+    for f in fired.iter().chain(log.firings()) {
+        if preds.contains(&f.pred) {
+            if let Some(sides) = contested.get_mut(&(f.pred, &*f.tuple)) {
+                sides[side(f.sign)].push(f.grounding.clone());
+            }
+        }
+    }
+    contested
+}
+
+/// The index of a sign's side: insertion 0, deletion 1.
+fn side(sign: Sign) -> usize {
+    match sign {
+        Sign::Insert => 0,
+        Sign::Delete => 1,
+    }
+}
+
+/// One conflict side, deduplicated (a grounding may fire in several steps)
+/// and sorted by `(rule, decoded substitution)`.
+fn sorted_side(vocab: &Vocabulary, mut side: Vec<Grounding>) -> Vec<Grounding> {
+    // Cold path: decode each substitution once for the sort key. Equal
+    // keys mean equal groundings, so duplicates end up adjacent.
+    side.sort_by_cached_key(|g| {
+        let vals: Vec<Value> = g.subst.iter().map(|&c| vocab.decode(c)).collect();
+        (g.rule, vals)
+    });
+    side.dedup();
+    side
+}
+
+/// Conflicts from contested atoms and their sides, in resolution order:
+/// by rendered contested atom.
+fn into_conflicts<'a>(
+    vocab: &Vocabulary,
+    contested: impl IntoIterator<Item = (Head<'a>, [Vec<Grounding>; 2])>,
+) -> Vec<Conflict> {
+    let mut conflicts: Vec<Conflict> = contested
+        .into_iter()
+        .map(|((pred, row), [ins, del])| Conflict {
+            pred,
+            tuple: vocab.decode_row(row),
+            ins: sorted_side(vocab, ins),
+            del: sorted_side(vocab, del),
+        })
+        .collect();
+    conflicts.sort_by_cached_key(|c| vocab.display_fact(c.pred, &c.tuple));
+    conflicts
+}
+
+/// The reference for [`collect_conflicts`], which debug builds compare
+/// with every collection: group every firing of `log` and `fired` by head
+/// and keep the atoms that have both signs.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn naive_conflicts(
+    vocab: &Vocabulary,
+    fired: &[FiredAction],
+    log: &StepLog,
+) -> Vec<Conflict> {
+    let mut by_head: FxHashMap<Head<'_>, [Vec<Grounding>; 2]> = FxHashMap::default();
+    for f in log.firings().chain(fired) {
+        by_head.entry((f.pred, &*f.tuple)).or_default()[side(f.sign)].push(f.grounding.clone());
+    }
+    let contested = by_head
+        .into_iter()
+        .filter(|(_, [ins, del])| !ins.is_empty() && !del.is_empty());
+    into_conflicts(vocab, contested)
 }
 
 #[cfg(test)]
@@ -345,6 +342,41 @@ mod tests {
         }
     }
 
+    /// A run in progress, kept as the engine keeps it: the firing log of
+    /// its consistent steps, and their heads as marks over an empty `D`.
+    struct Run {
+        interp: IInterpretation,
+        log: StepLog,
+    }
+
+    impl Run {
+        fn new(v: &Arc<Vocabulary>) -> Self {
+            Run {
+                interp: IInterpretation::from_database(FactStore::new(Arc::clone(v))),
+                log: StepLog::new(),
+            }
+        }
+
+        fn step(&mut self, fired: Vec<FiredAction>) {
+            for f in &fired {
+                self.interp.insert_marked(f.sign, f.pred, &f.tuple);
+            }
+            self.log.push_step(fired);
+        }
+
+        fn conflicts(&self, fired: &[FiredAction]) -> Vec<Conflict> {
+            let vocab = self.interp.vocab();
+            let conflicts = collect_conflicts(vocab, fired, &self.interp, &self.log);
+            assert_eq!(conflicts, naive_conflicts(vocab, fired, &self.log));
+            conflicts
+        }
+    }
+
+    /// The conflicts of a run's first step.
+    fn first_step(v: &Arc<Vocabulary>, fired: &[FiredAction]) -> Vec<Conflict> {
+        Run::new(v).conflicts(fired)
+    }
+
     #[test]
     fn conflicts_require_both_sides() {
         let v = Vocabulary::new();
@@ -354,7 +386,7 @@ mod tests {
             fired(&v, 1, Sign::Insert, q, 2), // no deletion for q(2)
             fired(&v, 2, Sign::Delete, q, 1),
         ];
-        let cs = collect_conflicts(&v, &fs, &Provenance::new());
+        let cs = first_step(&v, &fs);
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].tuple, Tuple::new(vec![Value::Int(1)]));
         assert_eq!(cs[0].ins.len(), 1);
@@ -362,35 +394,109 @@ mod tests {
     }
 
     #[test]
-    fn provenance_supplies_historical_side() {
+    fn the_log_supplies_the_historical_side() {
         let v = Vocabulary::new();
         let q = v.pred("q", 1).unwrap();
-        let mut prov = Provenance::new();
-        prov.record_all(&[fired(&v, 0, Sign::Insert, q, 1)]);
+        let mut run = Run::new(&v);
+        run.step(vec![
+            fired(&v, 0, Sign::Insert, q, 1),
+            fired(&v, 3, Sign::Insert, q, 2),
+        ]);
         // Now only the deletion fires — the insertion's body is no longer
-        // valid, but +q(1) is in I with recorded provenance.
-        let cs = collect_conflicts(&v, &[fired(&v, 1, Sign::Delete, q, 1)], &prov);
+        // valid, but +q(1) is in I and its grounding is in the log.
+        let cs = run.conflicts(&[fired(&v, 1, Sign::Delete, q, 1)]);
+        assert_eq!(cs.len(), 1);
+        assert_eq!(cs[0].tuple, Tuple::new(vec![Value::Int(1)]));
+        assert_eq!(cs[0].ins.len(), 1);
+        assert_eq!(cs[0].ins[0].rule, RuleId(0));
+        assert_eq!(cs[0].del[0].rule, RuleId(1));
+    }
+
+    #[test]
+    fn the_historical_side_can_be_a_deletion() {
+        let v = Vocabulary::new();
+        let q = v.pred("q", 1).unwrap();
+        let mut run = Run::new(&v);
+        run.step(vec![fired(&v, 1, Sign::Delete, q, 1)]);
+        let cs = run.conflicts(&[fired(&v, 0, Sign::Insert, q, 1)]);
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].ins[0].rule, RuleId(0));
         assert_eq!(cs[0].del[0].rule, RuleId(1));
     }
 
     #[test]
-    fn provenance_deduplicates_refirings() {
+    fn refirings_are_deduplicated() {
+        // The grounding fired in two earlier steps and fires again now
+        // (a negation-fallback full pass refires what already fired): it
+        // is one member of its side.
         let v = Vocabulary::new();
         let q = v.pred("q", 1).unwrap();
-        let mut prov = Provenance::new();
-        prov.record_all(&[fired(&v, 0, Sign::Insert, q, 1)]);
-        prov.record_all(&[fired(&v, 0, Sign::Insert, q, 1)]);
-        let cs = collect_conflicts(
-            &v,
-            &[
-                fired(&v, 0, Sign::Insert, q, 1),
-                fired(&v, 1, Sign::Delete, q, 1),
-            ],
-            &prov,
-        );
+        let mut run = Run::new(&v);
+        run.step(vec![fired(&v, 0, Sign::Insert, q, 1)]);
+        run.step(vec![fired(&v, 0, Sign::Insert, q, 1)]);
+        let cs = run.conflicts(&[
+            fired(&v, 0, Sign::Insert, q, 1),
+            fired(&v, 1, Sign::Delete, q, 1),
+        ]);
         assert_eq!(cs[0].ins.len(), 1);
+        assert_eq!(cs[0].del.len(), 1);
+    }
+
+    #[test]
+    fn both_sides_in_the_log_and_the_step_merge() {
+        // +q(1) fired earlier by rule 0 and fires now by rule 2: both vote
+        // for the insertion against the new deletion.
+        let v = Vocabulary::new();
+        let q = v.pred("q", 1).unwrap();
+        let mut run = Run::new(&v);
+        run.step(vec![fired(&v, 0, Sign::Insert, q, 1)]);
+        let cs = run.conflicts(&[
+            fired(&v, 2, Sign::Insert, q, 1),
+            fired(&v, 1, Sign::Delete, q, 1),
+        ]);
+        let rules: Vec<u32> = cs[0].ins.iter().map(|g| g.rule.0).collect();
+        assert_eq!(rules, vec![0, 2]);
+    }
+
+    #[test]
+    fn provenance_clear() {
+        // A run's provenance (which grounding supplied each mark) is its
+        // firing log. A conflict restart begins a new run from `D` with a
+        // new, empty log: nothing of the previous run is carried over.
+        let v = Vocabulary::new();
+        let q = v.pred("q", 1).unwrap();
+        let mut before = Run::new(&v);
+        before.step(vec![fired(&v, 0, Sign::Insert, q, 1)]);
+        assert_eq!(before.log.firings().count(), 1);
+        let after = Run::new(&v);
+        assert_eq!(after.log.firings().count(), 0);
+        assert_eq!(after.interp.marked_len(), 0);
+    }
+
+    #[test]
+    fn provenance_clear_resets_count_and_stays_usable() {
+        // After a restart the previous run's firings are no side of the
+        // new run's conflicts; the new run's own firings count afresh and
+        // supply historical sides.
+        let v = Vocabulary::new();
+        let q = v.pred("q", 1).unwrap();
+        let mut before = Run::new(&v);
+        before.step(vec![
+            fired(&v, 0, Sign::Insert, q, 1),
+            fired(&v, 1, Sign::Insert, q, 2),
+        ]);
+        assert_eq!(before.log.firings().count(), 2);
+        let mut after = Run::new(&v);
+        assert_eq!(after.log.firings().count(), 0);
+        assert!(after
+            .conflicts(&[fired(&v, 2, Sign::Delete, q, 1)])
+            .is_empty());
+        after.step(vec![fired(&v, 3, Sign::Insert, q, 1)]);
+        assert_eq!(after.log.firings().count(), 1);
+        let cs = after.conflicts(&[fired(&v, 2, Sign::Delete, q, 1)]);
+        assert_eq!(cs.len(), 1);
+        assert_eq!(cs[0].ins.len(), 1);
+        assert_eq!(cs[0].ins[0].rule, RuleId(3));
     }
 
     #[test]
@@ -405,14 +511,14 @@ mod tests {
             fired(&v, 1, Sign::Delete, q, 1),
             fired(&v, 1, Sign::Delete, q, 2),
         ];
-        let cs = collect_conflicts(&v, &fs, &Provenance::new());
+        let cs = first_step(&v, &fs);
         assert_eq!(cs.len(), 2);
         assert_eq!(cs[0].tuple, Tuple::new(vec![Value::Int(1)]));
         assert_eq!(cs[1].tuple, Tuple::new(vec![Value::Int(2)]));
         // Any emission order of the same firings gives the same list.
         let mut reversed = fs.clone();
         reversed.reverse();
-        assert_eq!(collect_conflicts(&v, &reversed, &Provenance::new()), cs);
+        assert_eq!(first_step(&v, &reversed), cs);
     }
 
     #[test]
@@ -430,7 +536,7 @@ mod tests {
         };
         let mut del = g(0);
         del.sign = Sign::Delete;
-        let cs = collect_conflicts(&v, &[g(2), g(1), del], &Provenance::new());
+        let cs = first_step(&v, &[g(2), g(1), del]);
         let rules: Vec<u32> = cs[0].ins.iter().map(|x| x.rule.0).collect();
         assert_eq!(rules, vec![1, 2]);
     }
@@ -451,7 +557,7 @@ mod tests {
         hi.tuple = Box::from([]);
         let mut lo = lo;
         lo.tuple = Box::from([]);
-        let cs = collect_conflicts(&v, &[hi, lo, del], &Provenance::new());
+        let cs = first_step(&v, &[hi, lo, del]);
         assert_eq!(cs.len(), 1);
         let decoded: Vec<Value> = cs[0].ins.iter().map(|g| v.decode(g.subst[0])).collect();
         assert_eq!(decoded, vec![Value::Int(big), Value::Int(big + 1)]);
@@ -491,58 +597,22 @@ mod tests {
     fn losing_side_selection() {
         let v = Vocabulary::new();
         let q = v.pred("q", 1).unwrap();
-        let cs = collect_conflicts(
+        let cs = first_step(
             &v,
             &[
                 fired(&v, 0, Sign::Insert, q, 1),
                 fired(&v, 1, Sign::Delete, q, 1),
             ],
-            &Provenance::new(),
         );
         assert_eq!(cs[0].losing_side(Resolution::Insert)[0].rule, RuleId(1));
         assert_eq!(cs[0].losing_side(Resolution::Delete)[0].rule, RuleId(0));
     }
 
     #[test]
-    fn provenance_clear() {
-        let v = Vocabulary::new();
-        let q = v.pred("q", 1).unwrap();
-        let mut prov = Provenance::new();
-        prov.record_all(&[fired(&v, 0, Sign::Insert, q, 1)]);
-        assert_eq!(prov.len(), 1);
-        prov.clear();
-        assert!(prov.is_empty());
-    }
-
-    #[test]
-    fn provenance_clear_resets_count_and_stays_usable() {
-        let v = Vocabulary::new();
-        let q = v.pred("q", 1).unwrap();
-        let mut prov = Provenance::new();
-        prov.record_all(&[
-            fired(&v, 0, Sign::Insert, q, 1),
-            fired(&v, 1, Sign::Insert, q, 2),
-        ]);
-        assert_eq!(prov.len(), 2);
-        prov.clear();
-        assert_eq!(prov.len(), 0);
-        // Recording after a clear counts fresh atoms (no stale entries
-        // survive the allocation reuse) and supplies historical sides.
-        prov.record_all(&[fired(&v, 0, Sign::Insert, q, 1)]);
-        assert_eq!(prov.len(), 1);
-        let cs = collect_conflicts(&v, &[fired(&v, 2, Sign::Delete, q, 1)], &prov);
-        assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].ins.len(), 1);
-        assert_eq!(cs[0].ins[0].rule, RuleId(0));
-    }
-
-    #[test]
     fn high_fan_in_conflict_dedups_exactly() {
-        // Hundreds of distinct groundings insert and delete the same atom,
-        // each re-fired across two recorded steps: dedup must stay exact
-        // and sides sorted. Regression test for the hash-set dedup in
-        // `record_all`/`collect_conflicts` (previously quadratic
-        // `Vec::contains` per contested atom).
+        // Hundreds of distinct groundings insert the same atom in two
+        // earlier steps and again now, when as many delete it: dedup must
+        // stay exact and sides sorted.
         let v = Vocabulary::new();
         let q = v.pred("q", 0).unwrap();
         let act = |rule: u32, val: i64, sign: Sign| FiredAction {
@@ -555,16 +625,13 @@ mod tests {
             tuple: Box::from([]),
         };
         let n = 512usize;
-        let mut fs = Vec::new();
-        for i in 0..n {
-            fs.push(act(0, i as i64, Sign::Insert));
-            fs.push(act(1, i as i64, Sign::Delete));
-        }
-        let mut prov = Provenance::new();
-        prov.record_all(&fs);
-        prov.record_all(&fs);
-        assert_eq!(prov.len(), 1);
-        let cs = collect_conflicts(&v, &fs, &prov);
+        let insertions: Vec<FiredAction> = (0..n).map(|i| act(0, i as i64, Sign::Insert)).collect();
+        let mut run = Run::new(&v);
+        run.step(insertions.clone());
+        run.step(insertions.clone());
+        let mut fs = insertions;
+        fs.extend((0..n).map(|i| act(1, i as i64, Sign::Delete)));
+        let cs = run.conflicts(&fs);
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].ins.len(), n);
         assert_eq!(cs[0].del.len(), n);

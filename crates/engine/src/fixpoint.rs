@@ -17,7 +17,7 @@
 
 use crate::bytecode::{self, ZoneLens};
 use crate::compile::CompiledProgram;
-use crate::conflict::{collect_conflicts, ConflictResolver, Provenance, Resolution, SelectContext};
+use crate::conflict::{collect_conflicts, ConflictResolver, Resolution, SelectContext};
 use crate::error::{EngineError, EngineResult};
 use crate::gamma::FiredAction;
 use crate::grounding::BlockedSet;
@@ -191,7 +191,7 @@ impl Engine {
         // every restart and deterministic across hosts and thread counts
         // (see `crate::lower`).
         let lowered = crate::lower::lower(&working, db);
-        // Statically conflict-free programs never need provenance or
+        // Statically conflict-free programs never need a firing log or
         // conflict collection; the run degenerates to the pure inflationary
         // fixpoint. A refinement certificate (`crate::refine`) extends the
         // same fast path to programs whose unifiable-head pairs are all
@@ -232,9 +232,6 @@ impl Engine {
             StorageCounters::default()
         };
         let mut spans: Vec<TaskSpan> = Vec::new();
-        // Provenance outlives the runs: `clear` keeps the per-atom maps'
-        // allocations for the next run to reuse.
-        let mut provenance = Provenance::new();
         // Restarts replay the previous run's firing log against the grown
         // blocked set (see `crate::replay`).
         let mut replayer: Option<Replayer> = None;
@@ -265,7 +262,8 @@ impl Engine {
             for req in index_requests {
                 interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
             }
-            provenance.clear();
+            // The run's firings: its conflict history, and the log the
+            // next run replays after a restart.
             let mut step_log = StepLog::new();
             let mut step_in_run: u64 = 0;
             let mut prev_lens = ZoneLens::capture(&interp);
@@ -337,7 +335,7 @@ impl Engine {
                             &working,
                             &blocked,
                             &interp,
-                            &provenance,
+                            &step_log,
                             &live.0,
                             run,
                             step_in_run + 1,
@@ -347,32 +345,22 @@ impl Engine {
                 };
                 stats.eval_tasks += tasks;
                 stats.groundings_fired += fired.len() as u64;
-                // Fast path: a conflict needs an insertion side and a
-                // deletion side (in this step's firings or the run's marks);
-                // if either polarity is absent everywhere, skip the
-                // grouping pass entirely.
-                let may_conflict = !statically_safe
-                    && (!interp.minus().is_empty()
-                        || fired.iter().any(|f| f.sign == park_syntax::Sign::Delete))
-                    && (!interp.plus().is_empty()
-                        || fired.iter().any(|f| f.sign == park_syntax::Sign::Insert));
-                let conflicts = if may_conflict {
-                    collect_conflicts(working.vocab(), &fired, &provenance)
+                // Debug builds collect on statically safe runs too, to
+                // check the static claim: the collection must find nothing.
+                let conflicts = if !statically_safe || cfg!(debug_assertions) {
+                    collect_conflicts(working.vocab(), &fired, &interp, &step_log)
                 } else {
                     Vec::new()
                 };
-                // Debug builds check the static claim: full conflict
-                // collection must find nothing on a statically safe run.
                 #[cfg(debug_assertions)]
-                if statically_safe {
-                    let missed = collect_conflicts(working.vocab(), &fired, &provenance);
+                {
+                    let naive =
+                        crate::conflict::naive_conflicts(working.vocab(), &fired, &step_log);
+                    assert_eq!(conflicts, naive, "step {} of run {run}", step_in_run + 1);
                     assert!(
-                        missed.is_empty(),
-                        "statically conflict-free run (certified: {certified}) detected \
-                         a conflict on `{}`",
-                        working
-                            .vocab()
-                            .display_fact(missed[0].pred, &missed[0].tuple)
+                        !statically_safe || conflicts.is_empty(),
+                        "statically conflict-free run (certified: {certified}) detected {}",
+                        conflicts[0].display(&working)
                     );
                 }
                 let step_nanos = step_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -394,11 +382,6 @@ impl Engine {
                                 ));
                             }
                         }
-                    }
-                    // Debug builds keep provenance on certified runs too, for
-                    // the per-step conflict-freedom check.
-                    if !statically_safe || cfg!(debug_assertions) {
-                        provenance.record_all(&fired);
                     }
                     stats.peak_marked_atoms = stats.peak_marked_atoms.max(interp.marked_len());
                     if let Some(s) = sink.as_mut() {
@@ -448,8 +431,9 @@ impl Engine {
                         });
                     }
                     // Statically conflict-free programs never restart, so
-                    // capturing a firing log for them would be pure overhead.
-                    if !statically_safe {
+                    // capturing a firing log for them would be pure overhead;
+                    // debug builds keep it for their reference checks.
+                    if !statically_safe || cfg!(debug_assertions) {
                         step_log.push_step(fired);
                     }
                 } else {
@@ -628,7 +612,7 @@ fn eval_step(
 /// The debug reference check of one live step: the definitional Γ
 /// ([`crate::gamma::fire_all`]) runs on the same state and blocked set,
 /// and every grounding it fires that this run has not fired yet (the
-/// run's provenance holds the ones it has) must be in the compiled step,
+/// run's firing log holds the ones it has) must be in the compiled step,
 /// while every compiled grounding must be one Γ fires too. Runs
 /// sequentially and touches no counter, span, or state.
 #[cfg(debug_assertions)]
@@ -636,7 +620,7 @@ fn check_against_gamma(
     program: &CompiledProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
-    provenance: &Provenance,
+    log: &StepLog,
     fired: &[FiredAction],
     run: u64,
     step: u64,
@@ -644,9 +628,10 @@ fn check_against_gamma(
     use std::collections::HashSet;
     let reference = crate::gamma::fire_all(program, blocked, interp);
     let compiled: HashSet<_> = fired.iter().map(|f| &f.grounding).collect();
+    let logged: HashSet<_> = log.firings().map(|f| &f.grounding).collect();
     if let Some(missed) = reference
         .iter()
-        .find(|f| !compiled.contains(&f.grounding) && !provenance.has_fired(f))
+        .find(|f| !compiled.contains(&f.grounding) && !logged.contains(&f.grounding))
     {
         panic!(
             "step {step} of run {run}: the compiled step misses the Γ grounding {}",
@@ -904,7 +889,7 @@ mod tests {
         // The DESIGN.md §3 degenerate case: +a is derived via ¬q while ¬q
         // holds, then +q arrives and invalidates the deriving body, then -a
         // becomes derivable. The strict paper definition would find no
-        // two-sided conflict; provenance supplies the historical +a side.
+        // two-sided conflict; the firing log supplies the historical +a side.
         let out = run("r1: !q -> +a. r2: p -> +q. r3: q -> -a.", "p.");
         // Inertia: a ∉ D ⇒ delete wins; r1's grounding is blocked; result
         // stabilizes without a.
@@ -920,6 +905,34 @@ mod tests {
         let out = run("p -> -c. !c -> +w. w, !c -> +v.", "p. c.");
         assert_eq!(out.database.sorted_display(), vec!["p", "v", "w"]);
         assert_eq!(out.stats.gamma_steps, 4);
+    }
+
+    #[test]
+    fn a_full_pass_refire_is_one_member_of_its_side() {
+        // Step 2 fires `r2` (`+q`) and marks `-d`. The new `-d` mark makes
+        // step 3 enumerate `r2` in full, so it fires again, next to `r5`'s
+        // `-q`: the conflict's insertion side holds `r2` once, from this
+        // step and from the log alike.
+        let out = run_opts(
+            "r1: p -> +a. r2: a, !d -> +q. r3: p -> +e. r4: e -> -d. \
+             r6: e -> +g. r5: g -> -q.",
+            "p.",
+            EngineOptions::traced(),
+        );
+        let resolved: Vec<&str> = out
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ConflictResolved { conflict, .. } => Some(conflict.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resolved, vec!["(q, {(r2)}, {(r5)})"]);
+        // Run 1 fires 2 + 3 + 2 groundings, the refire included. Run 2
+        // replays 2 + 2 (`r2` is blocked now) and fires `r5` live.
+        assert_eq!(out.stats.groundings_fired, 12);
+        assert_eq!(out.database.sorted_display(), vec!["a", "e", "g", "p"]);
     }
 
     #[test]

@@ -428,7 +428,7 @@ impl WarmState {
             self.interp.zone_mut(MarkZone::Base).insert_row(*p, row);
             added.push((*p, vocab.decode_row(row)));
         }
-        added.sort_by_key(|(p, t)| vocab.display_fact(*p, t));
+        added.sort_by_cached_key(|(p, t)| vocab.display_fact(*p, t));
         let minus_rows: Vec<(PredId, Box<[Code]>)> = self
             .interp
             .minus()
@@ -446,7 +446,7 @@ impl WarmState {
                 base_removed = true;
             }
         }
-        removed.sort_by_key(|(p, t)| vocab.display_fact(*p, t));
+        removed.sort_by_cached_key(|(p, t)| vocab.display_fact(*p, t));
         self.interp.zone_mut(MarkZone::Minus).clear();
         // Removal invalidates a zone's secondary indexes; rebuild the
         // requested ones, so revalidation and the next transaction probe

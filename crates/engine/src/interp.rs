@@ -11,6 +11,7 @@
 //! lets the Δ operator restart "from `I°`".
 
 use crate::validity::MarkZone;
+use park_storage::store::FactList;
 use park_storage::{Code, FactStore, PredId, Tuple, Vocabulary};
 use park_syntax::Sign;
 use std::fmt;
@@ -115,36 +116,27 @@ impl IInterpretation {
 
     /// Consistency: no atom occurs in both `I⁺` and `I⁻`.
     pub fn is_consistent(&self) -> bool {
-        self.first_inconsistency().is_none()
-    }
-
-    /// The first `+a`/`-a` clash, if any (iterating the smaller zone).
-    pub fn first_inconsistency(&self) -> Option<(PredId, Tuple)> {
-        let (small, other) = if self.plus.len() <= self.minus.len() {
-            (&self.plus, &self.minus)
-        } else {
-            (&self.minus, &self.plus)
-        };
-        let vocab = self.vocab();
-        small
-            .iter_rows()
-            .find(|(p, r)| other.contains_row(*p, r))
-            .map(|(p, r)| (p, vocab.decode_row(r)))
+        self.clashes().next().is_none()
     }
 
     /// All atoms marked inconsistently (in both `I⁺` and `I⁻`).
     pub fn inconsistencies(&self) -> Vec<(PredId, Tuple)> {
+        let vocab = self.vocab();
+        self.clashes()
+            .map(|(p, r)| (p, vocab.decode_row(r)))
+            .collect()
+    }
+
+    /// The encoded `+a`/`-a` clashes, iterating the smaller zone.
+    fn clashes(&self) -> impl Iterator<Item = (PredId, &[Code])> {
         let (small, other) = if self.plus.len() <= self.minus.len() {
             (&self.plus, &self.minus)
         } else {
             (&self.minus, &self.plus)
         };
-        let vocab = self.vocab();
         small
             .iter_rows()
-            .filter(|(p, r)| other.contains_row(*p, r))
-            .map(|(p, r)| (p, vocab.decode_row(r)))
-            .collect()
+            .filter(move |(p, r)| other.contains_row(*p, r))
     }
 
     /// The `incorp` operator of Section 4.2:
@@ -166,6 +158,22 @@ impl IInterpretation {
         out
     }
 
+    /// `self.base().diff(&self.incorp())` of a consistent `I` at O(marks)
+    /// cost: the `+` marks absent from `I°` and the `-` marks present in it.
+    pub fn incorp_diff(&self) -> (FactList, FactList) {
+        let vocab = self.vocab();
+        let collect = |marks: &FactStore, in_base: bool| {
+            let mut v: Vec<(PredId, Tuple)> = marks
+                .iter_rows()
+                .filter(|(p, r)| self.base.contains_row(*p, r) == in_base)
+                .map(|(p, r)| (p, vocab.decode_row(r)))
+                .collect();
+            v.sort_by_cached_key(|(p, t)| vocab.display_fact(*p, t));
+            v
+        };
+        (collect(&self.plus, false), collect(&self.minus, true))
+    }
+
     /// Render in the paper's notation, sorted: `{p, +q, -a}`.
     pub fn display(&self) -> String {
         let vocab = self.vocab();
@@ -181,17 +189,13 @@ impl IInterpretation {
                 .iter_rows()
                 .map(|(p, r)| format!("-{}", vocab.display_row(p, r))),
         );
-        parts.sort_by(|a, b| {
-            // Sort by the atom text, ignoring the mark, so `q` and `+q`
-            // group together; marks order unmarked < + < -.
-            let key = |s: &str| -> (String, u8) {
-                match s.as_bytes().first() {
-                    Some(b'+') => (s[1..].to_string(), 1),
-                    Some(b'-') => (s[1..].to_string(), 2),
-                    _ => (s.to_string(), 0),
-                }
-            };
-            key(a).cmp(&key(b))
+        // Sort by the atom text, ignoring the mark, so `q` and `+q` group
+        // together; marks order unmarked < + < -. One key per entry, not
+        // two per comparison.
+        parts.sort_by_cached_key(|s| match s.as_bytes().first() {
+            Some(b'+') => (s[1..].to_string(), 1),
+            Some(b'-') => (s[1..].to_string(), 2),
+            _ => (s.to_string(), 0),
         });
         format!("{{{}}}", parts.join(", "))
     }
@@ -249,10 +253,7 @@ mod tests {
         assert!(i.is_consistent());
         i.insert_marked(Sign::Delete, q, &r1(&v, "b"));
         assert!(!i.is_consistent());
-        let (p, t) = i.first_inconsistency().unwrap();
-        assert_eq!(p, q);
-        assert_eq!(t, t1(&v, "b"));
-        assert_eq!(i.inconsistencies().len(), 1);
+        assert_eq!(i.inconsistencies(), vec![(q, t1(&v, "b"))]);
     }
 
     #[test]
@@ -263,6 +264,23 @@ mod tests {
         i.insert_marked(Sign::Delete, q, &r1(&v, "a"));
         let out = i.incorp();
         assert_eq!(out.sorted_display(), vec!["p", "q(b)"]);
+    }
+
+    #[test]
+    fn incorp_diff_is_the_state_diff_from_the_marks() {
+        // I = {p, q(a), +p, +q(c), +q(b), -q(a), -q(d)}: `+p` and `-q(d)`
+        // change nothing, and the lists come sorted.
+        let (v, mut i, q) = setup();
+        let p = v.lookup_pred("p").unwrap();
+        i.insert_marked(Sign::Insert, p, &[]);
+        i.insert_marked(Sign::Insert, q, &r1(&v, "c"));
+        i.insert_marked(Sign::Insert, q, &r1(&v, "b"));
+        i.insert_marked(Sign::Delete, q, &r1(&v, "a"));
+        i.insert_marked(Sign::Delete, q, &r1(&v, "d"));
+        let (added, removed) = i.incorp_diff();
+        assert_eq!(added, vec![(q, t1(&v, "b")), (q, t1(&v, "c"))]);
+        assert_eq!(removed, vec![(q, t1(&v, "a"))]);
+        assert_eq!((added, removed), i.base().diff(&i.incorp()));
     }
 
     #[test]

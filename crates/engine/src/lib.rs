@@ -69,7 +69,7 @@ pub use compile::{
     CompiledAtom, CompiledLiteral, CompiledProgram, CompiledRule, LitKind, RuleId, TermSlot,
 };
 pub use conflict::{
-    collect_conflicts, Conflict, ConflictResolver, Inertia, Provenance, Resolution, SelectContext,
+    collect_conflicts, Conflict, ConflictResolver, Inertia, Resolution, SelectContext,
 };
 pub use error::{EngineError, EngineResult};
 pub use fixpoint::{Engine, ParkOutcome};

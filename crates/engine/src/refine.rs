@@ -31,8 +31,8 @@
 //!
 //! When every unifiable pair is excluded, [`certify_conflict_free`] returns
 //! a certificate: a proof object the engine uses to skip conflict
-//! collection, provenance bookkeeping, and warm-restart log capture for the
-//! whole evaluation (see `crate::fixpoint`). The certificate is itself
+//! collection and the run's firing log for the whole evaluation (see
+//! `crate::fixpoint`). The certificate is itself
 //! differentially tested — the fuzz harness cross-checks certified programs
 //! against observed runtime conflicts, and `AnalysisVariant::IgnoreHeadConstants`
 //! is a deliberately broken variant used to prove the harness catches an
@@ -510,8 +510,8 @@ pub fn refine_conflicts(program: &CompiledProgram, variant: AnalysisVariant) -> 
 
 /// A proof that a program can never reach `conflicts(P, I) ≠ ∅`: every
 /// unifiable-head pair was excluded by a sound refinement argument. The
-/// engine consumes this to skip conflict collection, provenance
-/// bookkeeping, and warm-restart log capture for the whole evaluation.
+/// engine consumes this to skip conflict collection and the run's firing
+/// log (conflict history and restart replay) for the whole evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictCertificate {
     /// Unifiable-head pairs the refinement had to discharge (0 when no
@@ -656,7 +656,7 @@ fn body_subsumes(sub: &CompiledRule, dom: &CompiledRule) -> bool {
 /// `d` is always blocked under `prefer-insert` when some inserting rule `i`
 /// on the same predicate *subsumes* it: whenever `d` fires on an atom, `i`
 /// fires on the same atom in the same step (or already fired earlier in the
-/// run, which the provenance-based conflict check also catches), the
+/// run, which the conflict check's historical sides also catch), the
 /// conflict resolves insert-wins, and `d`'s grounding joins the blocked
 /// set. Removing such a rule cannot change any final database under that
 /// policy — a property the testkit checks at runtime. Symmetrically for

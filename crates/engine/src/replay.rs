@@ -21,9 +21,10 @@
 //! 3. From the step after the divergence the interpretations may differ,
 //!    so the engine falls back to live naive/compiled evaluation.
 //!
-//! Conflict detection, provenance recording, tracing, and statistics all
-//! run through the engine's ordinary step path for replayed steps, which
-//! is what makes the warm result byte-identical to the cold one (see
+//! Conflict detection, tracing, and statistics all run through the
+//! engine's ordinary step path for replayed steps, and replayed steps enter
+//! the new run's own log like live ones, which is what makes the warm
+//! result byte-identical to the cold one (see
 //! `docs/semantics.md` §9 for the full argument; debug builds re-evaluate
 //! every replayed step live and assert the two agree). The only observable
 //! differences are `RunStats::replayed_steps` / `replay_divergence_step`
@@ -40,7 +41,8 @@ use crate::grounding::BlockedSet;
 
 /// The fired-action log of one inflationary run: one entry per Γ step, in
 /// step order, including the final (conflicting) step. Entries are moved
-/// in after the engine is done with them — capture costs no clones.
+/// in after the engine is done with them — capture costs no clones. While
+/// its run goes on, it is also the run's conflict history.
 #[derive(Debug, Default)]
 pub struct StepLog {
     steps: Vec<Vec<FiredAction>>,
@@ -55,6 +57,11 @@ impl StepLog {
     /// Append one step's fired actions.
     pub fn push_step(&mut self, fired: Vec<FiredAction>) {
         self.steps.push(fired);
+    }
+
+    /// Every logged firing, in step order.
+    pub fn firings(&self) -> impl Iterator<Item = &FiredAction> {
+        self.steps.iter().flatten()
     }
 }
 

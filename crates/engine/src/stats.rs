@@ -48,8 +48,7 @@ pub struct RunStats {
     /// Whether this run took the conflict-free fast path on the strength of
     /// a refinement certificate (`crate::refine`) — i.e. the program *was*
     /// possibly conflicting by the coarse head check, but every pair was
-    /// excluded, so conflict collection and provenance bookkeeping were
-    /// skipped. Scheduling information like `eval_tasks`: results are
+    /// excluded, so conflict collection and the firing log were skipped. Scheduling information like `eval_tasks`: results are
     /// byte-identical with or without it, so it is not part of
     /// [`StatCounters`].
     pub certified_conflict_free: bool,

@@ -276,7 +276,7 @@ impl FactStore {
                 .filter(|(p, r)| !not_in.contains_row(*p, r))
                 .map(|(p, r)| (p, self.vocab.decode_row(r)))
                 .collect();
-            v.sort_by_key(|(p, t)| self.vocab.display_fact(*p, t));
+            v.sort_by_cached_key(|(p, t)| self.vocab.display_fact(*p, t));
             v
         };
         (collect(other, self), collect(self, other))

@@ -3,8 +3,8 @@
 //! Each predicate family carries a syntactic conflict pair — an inserting
 //! and a deleting rule whose heads unify — but the bodies split the value
 //! space with complementary interval guards, so no grounding can ever
-//! contest an atom. The syntactic pair analysis must keep conflict
-//! provenance and scan every Γ step for clashes; the refined
+//! contest an atom. The syntactic pair analysis must keep the run's
+//! firing log and scan every Γ step for clashes; the refined
 //! condition-overlap analysis (`park_engine::refine`) certifies the
 //! program conflict-free and the engine skips that bookkeeping entirely.
 //! This is the workload that measures what the certificate buys.

@@ -91,6 +91,13 @@ compiled_dir="${TMPDIR:-/tmp}/park-compiled-$$"
 mkdir -p "$compiled_dir/wl"
 cargo run -p park-cli --bin park --release --offline --quiet -- \
   workload closure --n 64 --out "$compiled_dir/wl" > /dev/null
+# Conflict- and restart-heavy workloads, sized like the benchmark's
+# cold_conflict tenants: the debug build also compares every conflict
+# collection with the naive grouping of the run's firings.
+cargo run -p park-cli --bin park --release --offline --quiet -- \
+  workload payroll --n 500 --out "$compiled_dir/wl" > /dev/null
+cargo run -p park-cli --bin park --release --offline --quiet -- \
+  workload inventory --out "$compiled_dir/wl" > /dev/null
 for prog in examples/data/*.park "$compiled_dir"/wl/*.park; do
   base="${prog%.park}"
   name="$(basename "$base")"

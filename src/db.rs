@@ -410,7 +410,11 @@ impl ActiveDatabase {
     /// it to a fresh warm state, which owns it from then on.
     fn commit(&mut self, mut outcome: ParkOutcome, reseed: bool) -> TransactionReport {
         self.transactions += 1;
-        let (added, removed) = self.state().diff(&outcome.database);
+        let (added, removed) = outcome.interpretation.incorp_diff();
+        debug_assert_eq!(
+            (added.clone(), removed.clone()),
+            self.state().diff(&outcome.database)
+        );
         let vocab = self.vocab();
         let render = |xs: &[(park_storage::PredId, park_storage::Tuple)]| -> Vec<String> {
             xs.iter().map(|(p, t)| vocab.display_fact(*p, t)).collect()

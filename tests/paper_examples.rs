@@ -369,7 +369,7 @@ fn section2_motivating_rule() {
 /// P = {p(x) -> +q(x), p(x) -> -q(x)}, I = {p(a)}.
 #[test]
 fn section42_conflicts_example() {
-    use park::engine::{collect_conflicts, fire_all, BlockedSet, IInterpretation, Provenance};
+    use park::engine::{collect_conflicts, fire_all, BlockedSet, IInterpretation, StepLog};
     let vocab = Vocabulary::new();
     let program = park::engine::CompiledProgram::compile(
         std::sync::Arc::clone(&vocab),
@@ -378,7 +378,8 @@ fn section42_conflicts_example() {
     .unwrap();
     let interp = IInterpretation::from_database(db(&vocab, "p(a)."));
     let fired = fire_all(&program, &BlockedSet::new(), &interp);
-    let conflicts = collect_conflicts(&vocab, &fired, &Provenance::new());
+    // The first step of a run: no marks, nothing fired before.
+    let conflicts = collect_conflicts(&vocab, &fired, &interp, &StepLog::new());
     assert_eq!(conflicts.len(), 1);
     assert_eq!(
         conflicts[0].display(&program),
