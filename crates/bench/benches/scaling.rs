@@ -46,30 +46,6 @@ fn bench_closure_path(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_closure_parallel(c: &mut Criterion) {
-    // Transitive closure at a fixed size, swept over thread counts; thread
-    // count 1 is the sequential path (no pool), the baseline for speedup.
-    let mut group = c.benchmark_group("c1_closure_parallel");
-    group.sample_size(10);
-    let n = 128usize;
-    let facts = wl::erdos_renyi_edges(n, 4.0 / n as f64, 9);
-    for threads in [1usize, 2, 4] {
-        let session = Session::new(
-            &wl::transitive_closure_program(),
-            &facts,
-            EngineOptions::default().with_parallelism(if threads == 1 {
-                None
-            } else {
-                Some(threads)
-            }),
-        );
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| black_box(session.run_inertia().database.len()))
-        });
-    }
-    group.finish();
-}
-
 fn bench_irreflexive_graph(c: &mut Criterion) {
     let mut group = c.benchmark_group("c1_irreflexive_graph");
     group.sample_size(10);
@@ -90,7 +66,6 @@ criterion_group!(
     benches,
     bench_closure_er,
     bench_closure_path,
-    bench_closure_parallel,
     bench_irreflexive_graph
 );
 criterion_main!(benches);

@@ -595,7 +595,7 @@ fn c8_c11_certificate_and_incremental() {
         println!(
             "c9_small_updates_100k ({facts_n} settled facts, {K}-transaction chain of \
              1-fact inserts): warm {:.3} ms/tx amortized, cold compiled {:.3} ms/tx \
-             ({speedup:.1}x; single-threaded, algorithmic — no parallelism claim).\n",
+             ({speedup:.1}x; algorithmic).\n",
             warm_ms, cold_ms,
         );
     }
@@ -701,8 +701,7 @@ fn c8_c11_certificate_and_incremental() {
         println!(
             "c11_top_stratum_deletions_100k ({facts_n} settled facts, {K}-transaction chain \
              of 1-fact `flag` deletions): warm partial-stratum {:.3} ms/tx amortized, cold \
-             compiled {:.3} ms/tx ({speedup:.1}x; single-threaded, algorithmic — no \
-             parallelism claim).\n",
+             compiled {:.3} ms/tx ({speedup:.1}x; algorithmic).\n",
             warm_ms, cold_ms,
         );
     }

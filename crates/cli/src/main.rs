@@ -2,16 +2,17 @@
 //!
 //! ```text
 //! park run <program.park> [--db <data.facts>] [--updates <tx.updates>]
-//!          [--policy <name>] [--scope all|one] [--threads <n>]
+//!          [--policy <name>] [--scope all|one]
 //!          [--trace] [--trace-json <f>]
 //!          [--stats] [--snapshot <out.json>] [--metrics <out.json>]
 //! park check <program.park>...
 //! park lint <program.park>... [--format text|json]
-//! park analyze <program.park> [--db <data.facts>] [--plan]
+//! park analyze <program.park> [--db <data.facts>] [--plan] [--graph [--dot]]
 //! park query '<body>' [--db <data.facts>]
 //! park repl <program.park> [--db <data.facts>] [--policy <name>]
 //! park serve [--listen <addr>] [--once] [--policy <name>] [engine options]
-//! park baseline <naive|immediate> <program.park> [--db <data.facts>] ...
+//! park baseline <naive|immediate> <program.park> [--db <data.facts>]
+//!          [--updates <tx.updates>] [--stats]
 //! park workload <list|name> [--out <dir>] [generator options]
 //! park report <metrics.json>...
 //! ```
@@ -92,11 +93,12 @@ USAGE:
                                          ndjson requests on stdin (or a TCP
                                          socket) answered with park-serve/v1
                                          frames; accepts --policy/--scope/
-                                         --threads/--trace/--incremental
-                                         session defaults (see docs/serve.md
-                                         and docs/incremental.md)
+                                         --trace/--incremental session
+                                         defaults (see docs/serve.md and
+                                         docs/incremental.md)
   park query '<body>' --db <data.facts>  conjunctive query over a database
-  park baseline <naive|immediate> <program.park> [OPTIONS]
+  park baseline <naive|immediate> <program.park> [--db <f>]
+                                         [--updates <f>] [--stats]
   park workload <list|name> [--out DIR]  emit a generated workload
   park fuzz [--seed N] [--cases K]       differential-test the engine against
                                          the paper-literal oracle;
@@ -107,7 +109,7 @@ USAGE:
                                          into a markdown report
   park help
 
-OPTIONS (run/baseline):
+OPTIONS (run):
   --db <file>         facts file for the database instance D (default: empty)
   --updates <file>    transaction updates U, e.g. `+q(b). -p(a).`
   --policy <name>     inertia | anti-inertia | prefer-insert | prefer-delete |
@@ -115,9 +117,6 @@ OPTIONS (run/baseline):
                       random[:seed] | interactive        (default: inertia)
   --scope <all|one>   conflicts resolved per restart     (default: all);
                       `one` resolves the least conflicting atom first
-  --threads <n>       evaluate each step on n threads with a deterministic
-                      ordered merge: identical results
-                      (default: no pool, single-threaded)
   --trace             print the paper-style step listing
   --trace-json <file> write the trace as JSON events
   --stats             print run statistics
@@ -135,7 +134,6 @@ struct RunArgs {
     updates: Option<String>,
     policy: String,
     scope: ResolutionScope,
-    threads: Option<usize>,
     trace: bool,
     trace_json: Option<String>,
     stats: bool,
@@ -146,13 +144,36 @@ struct RunArgs {
     dot: bool,
 }
 
-fn parse_run_args(args: Vec<String>) -> Result<RunArgs, String> {
+/// The flags `park run` reads.
+const RUN_FLAGS: &[&str] = &[
+    "--db",
+    "--updates",
+    "--policy",
+    "--scope",
+    "--trace",
+    "--trace-json",
+    "--stats",
+    "--snapshot",
+    "--metrics",
+];
+/// The flags `park analyze` reads.
+const ANALYZE_FLAGS: &[&str] = &["--db", "--plan", "--graph", "--dot"];
+/// The flags `park baseline` reads.
+const BASELINE_FLAGS: &[&str] = &["--db", "--updates", "--stats"];
+
+/// Parse the arguments of a subcommand that takes one positional argument
+/// and a subset of the [`RunArgs`] flags: any flag outside `flags` is an
+/// `unexpected argument`, so no subcommand silently ignores another's flag.
+fn parse_run_args(args: Vec<String>, flags: &[&str]) -> Result<RunArgs, String> {
     let mut out = RunArgs {
         policy: "inertia".into(),
         ..RunArgs::default()
     };
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !flags.contains(&a.as_str()) {
+            return Err(format!("unexpected argument `{a}`"));
+        }
         let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match a.as_str() {
             "--db" => out.db = Some(grab("--db")?),
@@ -164,16 +185,6 @@ fn parse_run_args(args: Vec<String>) -> Result<RunArgs, String> {
                     "one" => ResolutionScope::One,
                     other => return Err(format!("unknown scope `{other}`")),
                 }
-            }
-            "--threads" => {
-                let raw = grab("--threads")?;
-                let n: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--threads expects a positive integer, got `{raw}`"))?;
-                if n == 0 {
-                    return Err("--threads expects a positive integer".into());
-                }
-                out.threads = Some(n);
             }
             "--plan" => out.plan = true,
             "--graph" => out.graph = true,
@@ -275,12 +286,11 @@ fn make_policy(name: &str) -> Result<Box<dyn ConflictResolver>, String> {
 }
 
 fn cmd_run(args: Vec<String>, _baseline: bool) -> Result<(), String> {
-    let a = parse_run_args(args)?;
+    let a = parse_run_args(args, RUN_FLAGS)?;
     let (vocab, program, db, updates) = load_session(&a)?;
     let options = EngineOptions {
         trace: a.trace || a.trace_json.is_some(),
         scope: a.scope,
-        parallelism: a.threads,
         ..EngineOptions::default()
     };
     let engine = Engine::with_options(vocab, &program, options).map_err(|e| e.to_string())?;
@@ -308,18 +318,6 @@ fn cmd_run(args: Vec<String>, _baseline: bool) -> Result<(), String> {
     println!("{}", out.database.to_source().trim_end());
     if a.stats {
         eprintln!("{}", out.stats.summary());
-        // Report the *effective* configuration: no --threads means no
-        // thread pool, which behaves like one thread, and a request beyond
-        // the host's available parallelism is clamped (task decomposition
-        // still follows the request, so results are unaffected).
-        match a.threads {
-            None | Some(1) => eprintln!("threads=1 (no pool)"),
-            Some(n) if out.stats.effective_parallelism < n => eprintln!(
-                "threads={n} (oversubscribed; pool clamped to host parallelism {})",
-                out.stats.effective_parallelism
-            ),
-            Some(n) => eprintln!("threads={n}"),
-        }
         let blocked = out.blocked_display();
         if !blocked.is_empty() {
             eprintln!("blocked: {}", blocked.join(", "));
@@ -351,16 +349,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                     "one" => ResolutionScope::One,
                     other => return Err(format!("unknown scope `{other}`")),
                 }
-            }
-            "--threads" => {
-                let raw = grab("--threads")?;
-                let n: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--threads expects a positive integer, got `{raw}`"))?;
-                if n == 0 {
-                    return Err("--threads expects a positive integer".into());
-                }
-                opts.threads = Some(n);
             }
             "--trace" => opts.trace = true,
             "--incremental" => opts.incremental = true,
@@ -459,7 +447,7 @@ fn cmd_lint(args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
-    let a = parse_run_args(args)?;
+    let a = parse_run_args(args, ANALYZE_FLAGS)?;
     let path = a
         .program
         .as_deref()
@@ -788,7 +776,7 @@ fn graph_dot(program: &park_engine::CompiledProgram, strata: &park_engine::Strat
 }
 
 fn cmd_query(args: Vec<String>) -> Result<(), String> {
-    let a = parse_run_args(args)?;
+    let a = parse_run_args(args, &["--db"])?;
     let query_src = a.program.as_deref().ok_or("missing \"<body>\" argument")?;
     let vocab = Vocabulary::new();
     let db = match &a.db {
@@ -809,7 +797,7 @@ fn cmd_query(args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_repl(args: Vec<String>) -> Result<(), String> {
-    let a = parse_run_args(args)?;
+    let a = parse_run_args(args, &["--db", "--policy"])?;
     let program = a
         .program
         .as_deref()
@@ -830,7 +818,7 @@ fn cmd_baseline(mut args: Vec<String>) -> Result<(), String> {
         return Err("usage: park baseline <naive|immediate> <program.park> ...".into());
     }
     let which = args.remove(0);
-    let a = parse_run_args(args)?;
+    let a = parse_run_args(args, BASELINE_FLAGS)?;
     let (vocab, program, db, updates) = load_session(&a)?;
     match which.as_str() {
         "naive" => {
@@ -1107,7 +1095,6 @@ struct MetricsDoc {
     source: String,
     policy: String,
     scope: String,
-    threads: String,
     counters: park_engine::StatCounters,
     elapsed_ns: u64,
     rules: Vec<(String, u64, u64)>,
@@ -1155,26 +1142,9 @@ fn load_metrics_doc(path: &str) -> Result<MetricsDoc, String> {
         };
     let elapsed_ns = require_u64(totals, "elapsed_ns", path)?;
     let str_of = |v: Option<&Json>| v.and_then(Json::as_str).unwrap_or("-").to_string();
-    let options = doc.get("options");
-    let (scope, threads) = match options {
-        Some(o) => {
-            let requested = o
-                .get("requested_threads")
-                .and_then(Json::as_i64)
-                .unwrap_or(1);
-            let effective = o
-                .get("effective_threads")
-                .and_then(Json::as_i64)
-                .unwrap_or(requested);
-            let threads = if effective < requested {
-                format!("{requested}→{effective} (oversubscribed)")
-            } else {
-                requested.to_string()
-            };
-            (str_of(o.get("scope")), threads)
-        }
-        None => ("-".to_string(), "-".to_string()),
-    };
+    // Documents written before the thread pool was removed carry thread
+    // counts in `options` and per-step `spans`; unknown keys are ignored.
+    let scope = str_of(doc.get("options").and_then(|o| o.get("scope")));
     let rules = doc
         .get("rules")
         .and_then(Json::as_array)
@@ -1235,7 +1205,6 @@ fn load_metrics_doc(path: &str) -> Result<MetricsDoc, String> {
         source: str_of(doc.get("source")),
         policy: str_of(doc.get("policy")),
         scope,
-        threads,
         counters,
         elapsed_ns,
         rules,
@@ -1280,11 +1249,11 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
     let _ = writeln!(md);
     let _ = writeln!(
         md,
-        "| file | source | policy | scope | threads | steps | restarts | conflicts | fired | blocked | tasks | replayed | peak | elapsed ms |"
+        "| file | source | policy | scope | steps | restarts | conflicts | fired | blocked | tasks | replayed | peak | elapsed ms |"
     );
     let _ = writeln!(
         md,
-        "|------|--------|--------|--------|---------|-------|----------|-----------|-------|---------|-------|----------|------|------------|"
+        "|------|--------|--------|--------|-------|----------|-----------|-------|---------|-------|----------|------|------------|"
     );
     let mut total = park_engine::StatCounters::default();
     let mut total_ns: u64 = 0;
@@ -1292,12 +1261,11 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
         let c = &d.counters;
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} |",
             d.path,
             d.source,
             d.policy,
             d.scope,
-            d.threads,
             c.gamma_steps,
             c.restarts,
             c.conflicts_resolved,
@@ -1314,7 +1282,7 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
     if docs.len() > 1 {
         let _ = writeln!(
             md,
-            "| **all** | | | | | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} |",
+            "| **all** | | | | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} |",
             total.gamma_steps,
             total.restarts,
             total.conflicts_resolved,

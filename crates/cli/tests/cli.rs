@@ -524,30 +524,26 @@ fn analyze_with_database_reports_shard_stats() {
 }
 
 #[test]
-fn threads_argument_is_validated() {
-    let dir = tempdir("threads");
+fn run_rejects_flags_it_does_not_read() {
+    // `run`, `analyze` and `baseline` share one argument parser; each
+    // accepts only the flags it reads, so `--graph` is no `run` flag.
+    let dir = tempdir("run-flags");
     let program = write(&dir, "p.park", "p -> +q.");
     let facts = write(&dir, "d.facts", "p.");
-    for bad in ["0", "abc", "-1"] {
+    for flag in ["--graph", "--plan", "--dot"] {
         let out = park()
-            .args([
-                "run",
-                program.to_str().unwrap(),
-                "--db",
-                facts.to_str().unwrap(),
-                "--threads",
-                bad,
-            ])
+            .args(["run", program.to_str().unwrap(), flag])
             .output()
             .unwrap();
-        assert!(!out.status.success(), "--threads {bad} must be rejected");
+        assert!(!out.status.success(), "run {flag} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("positive integer"),
-            "--threads {bad}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            stderr.contains(&format!("unexpected argument `{flag}`")),
+            "{stderr}"
         );
     }
-    // The stats report states the effective default: no pool, one thread.
+    // The flags `run` does read still work; the stats report is the one
+    // summary line.
     let out = park()
         .args([
             "run",
@@ -560,15 +556,42 @@ fn threads_argument_is_validated() {
         .unwrap();
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("threads=1 (no pool)"), "{stderr}");
-    // And the help text no longer claims a numeric default of 1.
-    let help = park().args(["help"]).output().unwrap();
-    let help_text = String::from_utf8_lossy(&help.stdout);
-    assert!(!help_text.contains("(default: 1)"), "{help_text}");
-    assert!(
-        help_text.contains("no pool, single-threaded"),
-        "{help_text}"
-    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("steps="), "{stderr}");
+}
+
+#[test]
+fn analyze_rejects_flags_it_does_not_read() {
+    let dir = tempdir("analyze-flags");
+    let program = write(&dir, "p.park", "p -> +q.");
+    let snapshot = dir.join("out.json");
+    let _ = std::fs::remove_file(&snapshot);
+    let out = park()
+        .args([
+            "analyze",
+            program.to_str().unwrap(),
+            "--stats",
+            "--snapshot",
+            snapshot.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "analyze --stats must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unexpected argument `--stats`"), "{stderr}");
+    assert!(!snapshot.exists());
+    for flag in ["--snapshot", "--updates", "--policy"] {
+        let out = park()
+            .args(["analyze", program.to_str().unwrap(), flag, "x"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "analyze {flag} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument `{flag}`")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -685,6 +708,46 @@ fn report_aggregates_metrics_documents() {
 }
 
 #[test]
+fn report_loads_documents_written_with_a_thread_pool() {
+    // Documents from before the intra-step pool was removed carry thread
+    // counts in `options` and per-step `spans`; the report ignores them
+    // and has no thread column.
+    let dir = tempdir("oldreport");
+    let old = write(
+        &dir,
+        "old.json",
+        r#"{"schema": "park-metrics/v1", "source": "run", "policy": "inertia",
+            "options": {"scope": "all", "effective_threads": 1, "oversubscribed": true},
+            "totals": {"gamma_steps": 2, "restarts": 0, "conflicts_resolved": 0,
+                       "groundings_fired": 1, "blocked_instances": 0, "eval_tasks": 1,
+                       "replayed_steps": 0, "replay_divergence_step": null,
+                       "peak_marked_atoms": 1, "elapsed_ns": 1000},
+            "steps": [{"run": 1, "step": 1, "outcome": "applied", "replayed": false,
+                       "fired": 1, "tasks": 1, "marked": 1, "nanos": 500,
+                       "spans": [{"task": 0, "fired": 1, "nanos": 400}]}],
+            "restarts": [], "replays": []}"#,
+    );
+    let out = park()
+        .args(["report", old.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("| file | source | policy | scope | steps |"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("| run | inertia | all | 2 | 0 |"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn report_rejects_invalid_documents() {
     let dir = tempdir("badreport");
     let bad_schema = write(&dir, "bad1.json", "{\"schema\": \"something-else\"}");
@@ -745,38 +808,6 @@ fn fuzz_metrics_aggregate_is_reportable() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("| fuzz |"), "{stdout}");
-}
-
-#[test]
-fn oversubscribed_thread_requests_are_reported_clamped() {
-    let dir = tempdir("clamp");
-    let program = write(&dir, "p.park", "p -> +q.");
-    let facts = write(&dir, "d.facts", "p.");
-    let run = |threads: &str| {
-        park()
-            .args([
-                "run",
-                program.to_str().unwrap(),
-                "--db",
-                facts.to_str().unwrap(),
-                "--threads",
-                threads,
-                "--stats",
-            ])
-            .output()
-            .unwrap()
-    };
-    // A request no host can satisfy: the pool is clamped, the result and
-    // the task decomposition (and hence the stats line) are unchanged.
-    let big = run("4096");
-    assert!(big.status.success());
-    let stderr = String::from_utf8_lossy(&big.stderr);
-    assert!(
-        stderr.contains("threads=4096 (oversubscribed; pool clamped to host parallelism"),
-        "{stderr}"
-    );
-    let sane = run("1");
-    assert_eq!(big.stdout, sane.stdout);
 }
 
 #[test]

@@ -62,15 +62,13 @@
 //! order ([`crate::conflict::collect_conflicts`]), so that order is never
 //! observable through resolution.
 //!
-//! ## Parallel evaluation: shard ownership
+//! ## Units
 //!
-//! The enumeration decomposes into *units* — one full unit per
-//! negation-delta rule, one unit per `(rule, delta position)` pair
-//! otherwise, in sequential emission order. Units are grouped into shard
-//! tasks by the predicate their rule's first op enumerates: each stored
-//! relation is driven by one task, and per-unit buffers are merged back into unit order, so the fired stream is
-//! byte-identical to the sequential one. The decomposition depends only on
-//! the program and the step's deltas — never on the thread count.
+//! One step's enumeration is a list of *units* — one full unit per rule
+//! at a run's first step or per negation-delta rule, one unit per
+//! `(rule, delta position)` pair otherwise — run one after another into
+//! one action stream. `RunStats::eval_tasks` counts the units run; a
+//! metered run goes through the same loop as an unmetered one.
 
 use crate::compile::RuleId;
 use crate::gamma::FiredAction;
@@ -78,7 +76,7 @@ use crate::grounding::{BlockedSet, Grounding};
 use crate::interp::IInterpretation;
 use crate::validity;
 use park_storage::hash::hash_codes;
-use park_storage::{Code, ColumnMask, FxHashMap, PredId, Relation, Value};
+use park_storage::{Code, ColumnMask, PredId, Relation, Value};
 use park_syntax::{CompOp, Sign};
 use std::collections::HashSet;
 
@@ -267,9 +265,6 @@ pub struct LoweredRule {
     pub(crate) neg_preds: Box<[PredId]>,
     /// False for body-less rules (they fire only in a run's first step).
     pub(crate) has_body: bool,
-    /// The predicate the first op enumerates, if it is an access — the
-    /// shard-task grouping key.
-    pub(crate) step0_pred: Option<PredId>,
 }
 
 /// Which window of a zone an access op enumerates in the current pass.
@@ -291,14 +286,6 @@ enum CompiledUnit {
     Full { rule: usize },
     /// One delta-position pass of one rule.
     Delta { rule: usize, delta_pos: usize },
-}
-
-impl CompiledUnit {
-    fn rule(&self) -> usize {
-        match *self {
-            CompiledUnit::Full { rule } | CompiledUnit::Delta { rule, .. } => rule,
-        }
-    }
 }
 
 /// A batch of frames: `count` frames of `stride` registers each, stored
@@ -324,7 +311,7 @@ impl FrameBuf {
     }
 }
 
-/// Reusable per-task execution buffers: one frame buffer per op depth plus
+/// Reusable per-step execution buffers: one frame buffer per op depth plus
 /// a row buffer for negation lookups.
 #[derive(Debug, Default)]
 pub(crate) struct ExecScratch {
@@ -641,7 +628,7 @@ fn run_pass(
 /// per binding op whose delta window provably gained marks. A pass whose
 /// delta window is empty could not emit a single grounding but would still
 /// scan every earlier op's old window — planning it out is what keeps
-/// small-update transactions O(delta) instead of O(state); only the task
+/// small-update transactions O(delta) instead of O(state); only the unit
 /// count observes the difference.
 fn plan_units(rules: &[LoweredRule], prev: &ZoneLens, curr: &ZoneLens) -> Vec<CompiledUnit> {
     let mut units = Vec::new();
@@ -673,116 +660,34 @@ fn plan_units(rules: &[LoweredRule], prev: &ZoneLens, curr: &ZoneLens) -> Vec<Co
     units
 }
 
-/// Group unit indices into shard tasks by the predicate their rule's first
-/// op enumerates (first-appearance order); rules enumerating no shard get
-/// their own task. The decomposition depends only on the program and the
-/// step's deltas, so the task count is thread-independent.
-fn plan_shards(rules: &[LoweredRule], units: &[CompiledUnit]) -> Vec<Vec<usize>> {
-    let mut tasks: Vec<Vec<usize>> = Vec::new();
-    let mut by_pred: FxHashMap<PredId, usize> = FxHashMap::default();
-    let mut by_rule: FxHashMap<usize, usize> = FxHashMap::default();
-    for (u, unit) in units.iter().enumerate() {
-        let rule_idx = unit.rule();
-        match rules[rule_idx].step0_pred {
-            Some(p) => match by_pred.get(&p) {
-                Some(&t) => tasks[t].push(u),
-                None => {
-                    by_pred.insert(p, tasks.len());
-                    tasks.push(vec![u]);
-                }
-            },
-            None => match by_rule.get(&rule_idx) {
-                Some(&t) => tasks[t].push(u),
-                None => {
-                    by_rule.insert(rule_idx, tasks.len());
-                    tasks.push(vec![u]);
-                }
-            },
-        }
-    }
-    tasks
-}
-
-/// Flatten per-unit buffers (tagged with their unit index) back into the
-/// sequential emission order. Each unit appears at most once.
-fn merge_units(n_units: usize, tagged: Vec<(usize, Vec<FiredAction>)>) -> Vec<FiredAction> {
-    let mut slots: Vec<Vec<FiredAction>> = Vec::new();
-    slots.resize_with(n_units, Vec::new);
-    for (unit, buf) in tagged {
-        slots[unit] = buf;
-    }
-    slots.into_iter().flatten().collect()
-}
-
-/// Run a list of units (sequentially or on the shard-task pool) and return
-/// the merged action stream plus the task count.
-#[allow(clippy::too_many_arguments)]
+/// Run a list of units in order into one action stream, and return it with
+/// the unit count (the `eval_tasks` counter).
 fn run_units(
     rules: &[LoweredRule],
-    units: Vec<CompiledUnit>,
+    units: &[CompiledUnit],
     cx: &PassCx<'_>,
-    threads: Option<usize>,
-    workers: usize,
-    spans: Option<&mut Vec<crate::metrics::TaskSpan>>,
 ) -> (Vec<FiredAction>, u64) {
-    let threads = threads.unwrap_or(1).max(1);
-    let tasks = plan_shards(rules, &units);
-    let n_tasks = tasks.len() as u64;
-    let run_unit = |unit: CompiledUnit, scratch: &mut ExecScratch, buf: &mut Vec<FiredAction>| {
+    let mut out = Vec::new();
+    let mut scratch = ExecScratch::new();
+    for &unit in units {
         let (rule, delta_pos) = match unit {
             CompiledUnit::Full { rule } => (rule, None),
             CompiledUnit::Delta { rule, delta_pos } => (rule, Some(delta_pos)),
         };
-        run_pass(&rules[rule], cx, delta_pos, scratch, buf);
-    };
-    if threads == 1 && spans.is_none() {
-        // Fast sequential path: units in order, no per-unit buffers.
-        let mut out = Vec::new();
-        let mut scratch = ExecScratch::new();
-        for &unit in &units {
-            run_unit(unit, &mut scratch, &mut out);
-        }
-        return (out, n_tasks);
+        run_pass(&rules[rule], cx, delta_pos, &mut scratch, &mut out);
     }
-    let workers = if threads == 1 { 1 } else { workers };
-    let tagged = crate::parallel::run_ordered(
-        &tasks,
-        workers,
-        |task: &Vec<usize>, buf: &mut Vec<(usize, Vec<FiredAction>)>| {
-            let mut scratch = ExecScratch::new();
-            for &u in task {
-                let mut ubuf = Vec::new();
-                run_unit(units[u], &mut scratch, &mut ubuf);
-                buf.push((u, ubuf));
-            }
-        },
-        spans,
-    );
-    (merge_units(units.len(), tagged), n_tasks)
+    (out, units.len() as u64)
 }
 
 /// Full compiled enumeration: every non-blocked valid grounding of every
-/// rule, in rule order — the compiled analogue of [`crate::gamma::fire_all`].
+/// rule whose head predicate is in `heads` (every rule when `None`), in
+/// rule order — the compiled analogue of [`crate::gamma::fire_all`].
+/// Returns the fired actions and the number of units run.
 pub fn fire_all_lowered(
     lowered: &crate::lower::LoweredProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
-) -> Vec<FiredAction> {
-    fire_all_lowered_metered(lowered, blocked, interp, None, None, 1, None).0
-}
-
-/// [`fire_all_lowered`] restricted to the rules whose head predicate is in
-/// `heads` (every rule when `None`), with the pool size decoupled from the
-/// decomposition and optional per-task span collection (the entry point of
-/// the fixpoint loop and of warm-state revalidation).
-pub(crate) fn fire_all_lowered_metered(
-    lowered: &crate::lower::LoweredProgram,
-    blocked: &BlockedSet,
-    interp: &IInterpretation,
     heads: Option<&HashSet<PredId>>,
-    threads: Option<usize>,
-    workers: usize,
-    spans: Option<&mut Vec<crate::metrics::TaskSpan>>,
 ) -> (Vec<FiredAction>, u64) {
     let rules = lowered.rules();
     let empty = ZoneLens::default();
@@ -796,35 +701,20 @@ pub(crate) fn fire_all_lowered_metered(
         .filter(|&rule| heads.is_none_or(|h| h.contains(&rules[rule].head_pred)))
         .map(|rule| CompiledUnit::Full { rule })
         .collect();
-    run_units(rules, units, &cx, threads, workers, spans)
+    run_units(rules, &units, &cx)
 }
 
 /// Compiled delta enumeration: every non-blocked grounding using at least
 /// one mark from the `(prev, curr]` delta — the groundings that became
 /// valid in the last step. `prev` and `curr` are the zone sizes at the
-/// starts of the previous and current steps.
+/// starts of the previous and current steps. Returns the fired actions and
+/// the number of units run.
 pub fn fire_new_lowered(
     lowered: &crate::lower::LoweredProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
     prev: &ZoneLens,
     curr: &ZoneLens,
-) -> Vec<FiredAction> {
-    fire_new_lowered_metered(lowered, blocked, interp, prev, curr, None, 1, None).0
-}
-
-/// [`fire_new_lowered`] with the pool size decoupled from the decomposition
-/// and optional per-task span collection (the fixpoint loop's entry point).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fire_new_lowered_metered(
-    lowered: &crate::lower::LoweredProgram,
-    blocked: &BlockedSet,
-    interp: &IInterpretation,
-    prev: &ZoneLens,
-    curr: &ZoneLens,
-    threads: Option<usize>,
-    workers: usize,
-    spans: Option<&mut Vec<crate::metrics::TaskSpan>>,
 ) -> (Vec<FiredAction>, u64) {
     let rules = lowered.rules();
     let cx = PassCx {
@@ -833,8 +723,7 @@ pub(crate) fn fire_new_lowered_metered(
         prev,
         curr,
     };
-    let units = plan_units(rules, prev, curr);
-    run_units(rules, units, &cx, threads, workers, spans)
+    run_units(rules, &plan_units(rules, prev, curr), &cx)
 }
 
 #[cfg(test)]
@@ -888,8 +777,7 @@ pub(crate) mod tests {
     }
 
     /// Drive naive and compiled evaluation in lockstep and assert the
-    /// per-step *new* grounding sets agree — and that parallel compiled
-    /// runs reproduce the sequential compiled stream byte for byte.
+    /// per-step *new* grounding sets agree.
     pub(crate) fn lockstep(rules: &str, facts: &str, max_steps: usize, seeding: Seeding) {
         let (program, db) = setup(rules, facts);
         let lowered = lower(&program, &db);
@@ -905,45 +793,10 @@ pub(crate) mod tests {
             let naive_fired = fire_all(&program, &blocked, &interp);
             let curr = ZoneLens::capture(&interp);
             let compiled_fired = match (step, seeding) {
-                (0, Seeding::Lowered) => fire_all_lowered(&lowered, &blocked, &interp),
+                (0, Seeding::Lowered) => fire_all_lowered(&lowered, &blocked, &interp, None).0,
                 (0, Seeding::Gamma) => fire_all(&program, &blocked, &interp),
-                _ => fire_new_lowered(&lowered, &blocked, &interp, &prev, &curr),
+                _ => fire_new_lowered(&lowered, &blocked, &interp, &prev, &curr).0,
             };
-            for threads in [2, 4] {
-                let par = match (step, seeding) {
-                    (0, Seeding::Lowered) => {
-                        fire_all_lowered_metered(
-                            &lowered,
-                            &blocked,
-                            &interp,
-                            None,
-                            Some(threads),
-                            threads,
-                            None,
-                        )
-                        .0
-                    }
-                    // Γ is sequential only: nothing to compare.
-                    (0, Seeding::Gamma) => break,
-                    _ => {
-                        fire_new_lowered_metered(
-                            &lowered,
-                            &blocked,
-                            &interp,
-                            &prev,
-                            &curr,
-                            Some(threads),
-                            threads,
-                            None,
-                        )
-                        .0
-                    }
-                };
-                assert_eq!(
-                    par, compiled_fired,
-                    "parallel compiled ({threads} threads) diverged at step {step}"
-                );
-            }
 
             let naive_new: HashSet<Grounding> = grounding_set(&naive_fired)
                 .difference(&seen)
@@ -1072,11 +925,12 @@ pub(crate) mod tests {
         let (program, db) = setup("-> +q(b).", "");
         let lowered = lower(&program, &db);
         let interp = IInterpretation::from_database(db);
-        let full = fire_all_lowered(&lowered, &BlockedSet::new(), &interp);
-        assert_eq!(full.len(), 1);
+        let (full, units) = fire_all_lowered(&lowered, &BlockedSet::new(), &interp, None);
+        assert_eq!((full.len(), units), (1, 1));
         let z = ZoneLens::capture(&interp);
-        let fired = fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &z, &z);
+        let (fired, units) = fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &z, &z);
         assert!(fired.is_empty());
+        assert_eq!(units, 0, "a body-less rule plans no unit after step 0");
     }
 
     #[test]
@@ -1091,7 +945,7 @@ pub(crate) mod tests {
             rule: RuleId(0),
             subst: Box::from([a]),
         });
-        let fired = fire_all_lowered(&lowered, &blocked, &interp);
+        let fired = fire_all_lowered(&lowered, &blocked, &interp, None).0;
         assert_eq!(fired.len(), 1);
         // The delta passes skip blocked groundings too: block r1's
         // grounding for `a` and feed it the q(a) delta.
@@ -1104,7 +958,7 @@ pub(crate) mod tests {
             rule: RuleId(1),
             subst: Box::from([a]),
         });
-        let fired = fire_new_lowered(&lowered, &blocked, &interp, &before, &after);
+        let fired = fire_new_lowered(&lowered, &blocked, &interp, &before, &after).0;
         assert_eq!(fired.len(), 1, "{fired:?}");
         assert_ne!(fired[0].grounding.subst[..], [a]);
     }
@@ -1116,16 +970,21 @@ pub(crate) mod tests {
         let mut interp = IInterpretation::from_database(db);
         // Simulate step 1 applied.
         let before = ZoneLens::capture(&interp);
-        for f in fire_all_lowered(&lowered, &BlockedSet::new(), &interp) {
+        for f in fire_all_lowered(&lowered, &BlockedSet::new(), &interp, None).0 {
             interp.insert_marked(f.sign, f.pred, &f.tuple);
         }
         let after = ZoneLens::capture(&interp);
-        // Step 2 delta = the q marks; the rule only reads p → nothing new.
-        let fired = fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &before, &after);
+        // Step 2 delta = the q marks; the rule only reads p → nothing new,
+        // and its p pass is planned out.
+        let (fired, units) =
+            fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &before, &after);
         assert!(fired.is_empty());
+        assert_eq!(units, 0);
         // And with a zero-width delta window, likewise nothing.
-        let fired = fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &after, &after);
+        let (fired, units) =
+            fire_new_lowered(&lowered, &BlockedSet::new(), &interp, &after, &after);
         assert!(fired.is_empty());
+        assert_eq!(units, 0);
     }
 
     /// The delta position of `rule`'s binding op that watches `kind`.
@@ -1219,45 +1078,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn task_count_is_thread_independent() {
-        let (program, db) = setup(
-            "edge(X, Y) -> +tc(X, Y). tc(X, Y), edge(Y, Z) -> +tc(X, Z).",
-            "edge(a, b). edge(b, c).",
-        );
-        let lowered = lower(&program, &db);
-        let mut interp = IInterpretation::from_database(db);
-        let before = ZoneLens::capture(&interp);
-        for f in fire_all(&program, &BlockedSet::new(), &interp) {
-            interp.insert_marked(f.sign, f.pred, &f.tuple);
-        }
-        let after = ZoneLens::capture(&interp);
-        let (seq, seq_tasks) = fire_new_lowered_metered(
-            &lowered,
-            &BlockedSet::new(),
-            &interp,
-            &before,
-            &after,
-            Some(1),
-            1,
-            None,
-        );
-        for threads in [2, 4] {
-            let (par, par_tasks) = fire_new_lowered_metered(
-                &lowered,
-                &BlockedSet::new(),
-                &interp,
-                &before,
-                &after,
-                Some(threads),
-                threads,
-                None,
-            );
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(par_tasks, seq_tasks, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn chunked_propagation_preserves_depth_first_order() {
         // A fanout large enough to overflow one chunk at the first join
         // level: the emission order must still equal a fresh re-run (the
@@ -1277,22 +1097,11 @@ pub(crate) mod tests {
         }
         let lowered = lower(&program, &db);
         let interp = IInterpretation::from_database(db);
-        let fired = fire_all_lowered(&lowered, &BlockedSet::new(), &interp);
+        let fired = fire_all_lowered(&lowered, &BlockedSet::new(), &interp, None).0;
         assert_eq!(fired.len(), 3600);
         assert_eq!(grounding_set(&fired).len(), 3600);
-        // Deterministic: identical on re-run and under parallelism.
-        let again = fire_all_lowered(&lowered, &BlockedSet::new(), &interp);
+        // Deterministic: identical on re-run.
+        let again = fire_all_lowered(&lowered, &BlockedSet::new(), &interp, None).0;
         assert_eq!(fired, again);
-        let par = fire_all_lowered_metered(
-            &lowered,
-            &BlockedSet::new(),
-            &interp,
-            None,
-            Some(4),
-            4,
-            None,
-        )
-        .0;
-        assert_eq!(fired, par);
     }
 }

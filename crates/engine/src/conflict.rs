@@ -187,8 +187,8 @@ impl ConflictResolver for Inertia {
 /// Returns conflicts sorted by the rendered contested atom
 /// ([`Vocabulary::display_fact`]) — the engine's resolution order, and the
 /// order `SELECT` is consulted in. It is defined by the atoms alone, not by
-/// the order the evaluator emitted `fired` in, so every evaluator and
-/// thread count resolves the same conflict first under
+/// the order the evaluator emitted `fired` in, so every enumeration order
+/// resolves the same conflict first under
 /// [`crate::ResolutionScope::One`]. Each side is deduplicated and sorted by
 /// `(rule, substitution)` under the *decoded* value ordering, so the
 /// observable resolution transcript does not depend on interning order.

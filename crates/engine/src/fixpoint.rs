@@ -25,7 +25,6 @@ use crate::interp::IInterpretation;
 use crate::lower::LoweredProgram;
 use crate::metrics::{
     FinishEvent, MetricsSink, ReplayEvent, RestartEvent, StepEvent, StepOutcome, StorageCounters,
-    TaskSpan,
 };
 use crate::options::{EngineOptions, ResolutionScope};
 use crate::replay::{Replayer, StepLog};
@@ -66,11 +65,10 @@ impl ParkOutcome {
     /// instances), and the full trace event stream as JSON.
     ///
     /// Two evaluations of the same `PARK(D, P)` instance must produce
-    /// byte-identical fingerprints no matter which thread count they ran
-    /// under — this is the comparison surface of the differential test
-    /// harness (`park-testkit`), which also holds the
-    /// engine's replaying restarts to the paper-literal oracle's
-    /// restart-from-`D` runs.
+    /// byte-identical fingerprints — this is the comparison surface of the
+    /// differential test harness (`park-testkit`), which holds the engine's
+    /// replaying restarts to the paper-literal oracle's restart-from-`D`
+    /// runs.
     /// Scheduling counters (`eval_tasks`, `replayed_steps`, timings) are
     /// deliberately excluded. The trace line is only meaningful for runs
     /// with `EngineOptions::trace` enabled.
@@ -161,7 +159,7 @@ impl Engine {
     /// `crate::metrics`). The sink's [`MetricsSink::enabled`] is consulted
     /// once, up front: a disabled sink ([`crate::metrics::NoopMetrics`])
     /// makes this take exactly the unmetered [`Engine::run`] path — no
-    /// per-step timing, no span buffers, no allocations.
+    /// per-step timing, no allocations.
     pub fn run_with_metrics(
         &self,
         db: &FactStore,
@@ -188,8 +186,7 @@ impl Engine {
         let working = self.program.with_updates(updates);
         // `P_U` is lowered once per run-set: the cost model reads only the
         // immutable starting database, so the lowered program is shared by
-        // every restart and deterministic across hosts and thread counts
-        // (see `crate::lower`).
+        // every restart and deterministic across hosts (see `crate::lower`).
         let lowered = crate::lower::lower(&working, db);
         // Statically conflict-free programs never need a firing log or
         // conflict collection; the run degenerates to the pure inflationary
@@ -206,15 +203,8 @@ impl Engine {
             .is_some();
         let statically_safe = !working.possibly_conflicting() || certified;
         let policy_name = resolver.name().to_string();
-        // Host-parallelism clamp: task decomposition follows the *requested*
-        // thread count (so `eval_tasks` and the merged firing stream are
-        // host-independent), but no more worker threads than the host can
-        // actually run in parallel are spawned.
-        let requested_threads = self.options.parallelism.unwrap_or(1).max(1);
-        let effective_threads = requested_threads.min(crate::parallel::host_parallelism());
         let mut blocked = BlockedSet::new();
         let mut stats = RunStats {
-            effective_parallelism: effective_threads,
             certified_conflict_free: certified,
             lowered_ops: lowered.op_count(),
             index_picks: lowered.index_picks(),
@@ -231,7 +221,6 @@ impl Engine {
         } else {
             StorageCounters::default()
         };
-        let mut spans: Vec<TaskSpan> = Vec::new();
         // Restarts replay the previous run's firing log against the grown
         // blocked set (see `crate::replay`).
         let mut replayer: Option<Replayer> = None;
@@ -275,9 +264,6 @@ impl Engine {
                     });
                 }
                 let step_started = metered.then(Instant::now);
-                if metered {
-                    spans.clear();
-                }
                 let replayed = replayer.as_mut().and_then(|r| {
                     let step = r.next_step(&blocked);
                     if let Some(d) = r.divergence_step() {
@@ -290,9 +276,9 @@ impl Engine {
                     Some(fired) => {
                         // Served from the log: the filtered vector is
                         // exactly what live evaluation would fire here.
-                        // Debug builds check it: the live step runs
-                        // sequentially on a copy of the delta boundary,
-                        // so nothing reaches counters, spans, or state.
+                        // Debug builds check it: the live step runs on a
+                        // copy of the delta boundary, so nothing reaches
+                        // counters or state.
                         #[cfg(debug_assertions)]
                         assert_eq!(
                             fired,
@@ -302,9 +288,6 @@ impl Engine {
                                 &interp,
                                 step_in_run,
                                 &mut prev_lens.clone(),
-                                None,
-                                1,
-                                None,
                             )
                             .0,
                             "replayed step {} of run {run} differs from live evaluation",
@@ -318,16 +301,8 @@ impl Engine {
                         (fired, 0)
                     }
                     None => {
-                        let live = eval_step(
-                            &lowered,
-                            &blocked,
-                            &interp,
-                            step_in_run,
-                            &mut prev_lens,
-                            self.options.parallelism,
-                            effective_threads,
-                            if metered { Some(&mut spans) } else { None },
-                        );
+                        let live =
+                            eval_step(&lowered, &blocked, &interp, step_in_run, &mut prev_lens);
                         // Debug builds check the live step against the
                         // definitional Γ on the same state and blocked set.
                         #[cfg(debug_assertions)]
@@ -392,7 +367,6 @@ impl Engine {
                             replayed: served_from_log,
                             tasks,
                             nanos: step_nanos,
-                            spans: &spans,
                             outcome: if added_count == 0 {
                                 StepOutcome::Fixpoint
                             } else {
@@ -451,7 +425,6 @@ impl Engine {
                             replayed: served_from_log,
                             tasks,
                             nanos: step_nanos,
-                            spans: &spans,
                             outcome: StepOutcome::Conflict,
                             marked: interp.marked_len(),
                         });
@@ -561,8 +534,6 @@ impl Engine {
                 program: &working,
                 blocked: &blocked,
                 stats: &stats,
-                requested_threads,
-                effective_threads,
                 options: &self.options,
                 policy: &policy_name,
                 database: &database,
@@ -584,27 +555,19 @@ impl Engine {
 /// live arm and its debug replay check: everything at a run's first step,
 /// and only the `(prev_lens, now]` delta window after it, advancing
 /// `prev_lens` to the current boundary. Returns the fired actions and the
-/// number of evaluation tasks scheduled.
-#[allow(clippy::too_many_arguments)]
+/// number of evaluation units run.
 fn eval_step(
     lowered: &LoweredProgram,
     blocked: &BlockedSet,
     interp: &IInterpretation,
     step_in_run: u64,
     prev_lens: &mut ZoneLens,
-    threads: Option<usize>,
-    workers: usize,
-    spans: Option<&mut Vec<TaskSpan>>,
 ) -> (Vec<FiredAction>, u64) {
     if step_in_run == 0 {
-        return bytecode::fire_all_lowered_metered(
-            lowered, blocked, interp, None, threads, workers, spans,
-        );
+        return bytecode::fire_all_lowered(lowered, blocked, interp, None);
     }
     let curr = ZoneLens::capture(interp);
-    let fired = bytecode::fire_new_lowered_metered(
-        lowered, blocked, interp, prev_lens, &curr, threads, workers, spans,
-    );
+    let fired = bytecode::fire_new_lowered(lowered, blocked, interp, prev_lens, &curr);
     *prev_lens = curr;
     fired
 }
@@ -613,8 +576,8 @@ fn eval_step(
 /// ([`crate::gamma::fire_all`]) runs on the same state and blocked set,
 /// and every grounding it fires that this run has not fired yet (the
 /// run's firing log holds the ones it has) must be in the compiled step,
-/// while every compiled grounding must be one Γ fires too. Runs
-/// sequentially and touches no counter, span, or state.
+/// while every compiled grounding must be one Γ fires too. Touches no
+/// counter or state.
 #[cfg(debug_assertions)]
 fn check_against_gamma(
     program: &CompiledProgram,
@@ -949,9 +912,8 @@ mod tests {
     #[test]
     fn seminaive_mode_reproduces_every_inline_scenario() {
         // Every (rules, facts) pair from this module's tests, with its
-        // expected result, on the delta evaluator: sequential and 4-thread
-        // runs must both give the result and byte-identical fingerprints.
-        // (A debug build also checks each live step against naive Γ.)
+        // expected result, on the delta evaluator. (A debug build also
+        // checks each live step against naive Γ.)
         let scenarios: [(&str, &str, &[&str]); 8] = [
             ("p -> +q. p -> -a. q -> +a.", "p.", &["p", "q"]),
             (
@@ -991,23 +953,16 @@ mod tests {
             ),
         ];
         for (rules, facts, expected) in scenarios {
-            let seq = run_opts(rules, facts, EngineOptions::traced());
-            assert_eq!(seq.database.sorted_display(), expected, "{rules}");
-            let par = run_opts(
-                rules,
-                facts,
-                EngineOptions::traced().with_parallelism(Some(4)),
-            );
-            assert_eq!(seq.fingerprint(), par.fingerprint(), "{rules}");
+            let out = run_opts(rules, facts, EngineOptions::traced());
+            assert_eq!(out.database.sorted_display(), expected, "{rules}");
         }
     }
 
     #[test]
     fn seminaive_eca_examples_agree() {
-        // Section 4.3's conflicting ECA example: both resolution scopes and
-        // both thread counts commit the same database and blocked set (the
-        // run has a single conflict, so `One` resolves exactly what `All`
-        // does).
+        // Section 4.3's conflicting ECA example: both resolution scopes
+        // commit the same database and blocked set (the run has a single
+        // conflict, so `One` resolves exactly what `All` does).
         let vocab = Vocabulary::new();
         let program = park_syntax::parse_program(
             "r1: q(X, a) -> -p(X, a). r2: q(a, X) -> +r(a, X). r3: +r(X, Y) -> +p(X, Y).",
@@ -1023,18 +978,14 @@ mod tests {
         };
         let reference = run(EngineOptions::default());
         for scope in [ResolutionScope::All, ResolutionScope::One] {
-            for threads in [None, Some(4)] {
-                let out = run(EngineOptions::default()
-                    .with_scope(scope)
-                    .with_parallelism(threads));
-                assert!(reference.database.same_facts(&out.database));
-                assert_eq!(reference.blocked_display(), out.blocked_display());
-            }
+            let out = run(EngineOptions::default().with_scope(scope));
+            assert!(reference.database.same_facts(&out.database));
+            assert_eq!(reference.blocked_display(), out.blocked_display());
         }
     }
 
-    // The identity suites (parallel vs sequential, replaying restarts vs
-    // the oracle's restart-from-D runs) live in
+    // The identity suite (replaying restarts vs the oracle's
+    // restart-from-D runs) lives in
     // `park-testkit`'s `tests/identity.rs`, on top of the shared
     // fingerprint/transcript comparison helpers; the differential harness
     // there extends them to generated programs. Every replayed step of
@@ -1142,40 +1093,36 @@ mod tests {
                 Ok(Resolution::Insert)
             }
         }
-        for threads in [None, Some(4)] {
-            let vocab = Vocabulary::new();
-            let engine = Engine::with_options(
-                Arc::clone(&vocab),
-                &parse_program("c -> +g. g -> +f. c -> -f. g -> -g.").unwrap(),
-                EngineOptions::traced()
-                    .with_scope(ResolutionScope::One)
-                    .with_parallelism(threads),
-            )
-            .unwrap();
-            let db = FactStore::from_source(vocab, "c.").unwrap();
-            let out = engine.park(&db, &mut PreferInsert).unwrap();
-            let resolved: Vec<(u64, Vec<String>, Vec<String>)> = out
-                .trace
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::Inconsistent {
-                        run,
-                        atoms,
-                        deferred,
-                        ..
-                    } => Some((*run, atoms.clone(), deferred.clone())),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                resolved[0],
-                (1, vec!["f".to_string()], vec!["g".to_string()]),
-                "{resolved:?}"
-            );
-            let rendered = out.trace.render();
-            assert!(rendered.contains("(f, "), "{rendered}");
-        }
+        let vocab = Vocabulary::new();
+        let engine = Engine::with_options(
+            Arc::clone(&vocab),
+            &parse_program("c -> +g. g -> +f. c -> -f. g -> -g.").unwrap(),
+            EngineOptions::traced().with_scope(ResolutionScope::One),
+        )
+        .unwrap();
+        let db = FactStore::from_source(vocab, "c.").unwrap();
+        let out = engine.park(&db, &mut PreferInsert).unwrap();
+        let resolved: Vec<(u64, Vec<String>, Vec<String>)> = out
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Inconsistent {
+                    run,
+                    atoms,
+                    deferred,
+                    ..
+                } => Some((*run, atoms.clone(), deferred.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            resolved[0],
+            (1, vec!["f".to_string()], vec!["g".to_string()]),
+            "{resolved:?}"
+        );
+        let rendered = out.trace.render();
+        assert!(rendered.contains("(f, "), "{rendered}");
     }
 
     #[test]

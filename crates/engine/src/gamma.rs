@@ -88,8 +88,7 @@ impl Scratch {
 }
 
 /// Compute every non-blocked rule grounding whose body is valid in `interp`,
-/// with the update each one derives: rules in id order, on the calling
-/// thread.
+/// with the update each one derives, rules in id order.
 pub fn fire_all(
     program: &CompiledProgram,
     blocked: &BlockedSet,

@@ -56,7 +56,7 @@
 //! SCC lines. Event marks are transaction-local by the semantics, so any
 //! event literal takes the cold path.
 
-use crate::bytecode::{self, fire_all_lowered_metered, ZoneLens};
+use crate::bytecode::{self, fire_all_lowered, ZoneLens};
 use crate::compile::{CompiledLiteral, CompiledProgram, LitKind, RuleId};
 use crate::fixpoint::ParkOutcome;
 use crate::grounding::BlockedSet;
@@ -298,10 +298,7 @@ impl WarmState {
 
     fn propagate_marks(&mut self, updates: &UpdateSet) -> Option<Propagation> {
         let started = Instant::now();
-        let mut stats = RunStats {
-            effective_parallelism: 1,
-            ..RunStats::default()
-        };
+        let mut stats = RunStats::default();
         let vocab = Arc::clone(self.interp.vocab());
         let mut seed_marks: Vec<(PredId, Box<[Code]>)> = Vec::new();
         let mut new_marks: Vec<(PredId, Box<[Code]>)> = Vec::new();
@@ -348,7 +345,7 @@ impl WarmState {
         let blocked = BlockedSet::new();
         let mut rounds: u64 = 0;
         loop {
-            let fired =
+            let (fired, _) =
                 bytecode::fire_new_lowered(&self.lowered, &blocked, &self.interp, &prev, &curr);
             if fired.is_empty() {
                 break;
@@ -520,8 +517,7 @@ impl WarmState {
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn refire(&mut self, program: &CompiledProgram, heads: &HashSet<PredId>) -> Result<bool, ()> {
         let (lowered, interp, blocked) = (&self.lowered, &self.interp, BlockedSet::new());
-        let fired =
-            fire_all_lowered_metered(lowered, &blocked, interp, Some(heads), None, 1, None).0;
+        let (fired, _) = fire_all_lowered(lowered, &blocked, interp, Some(heads));
         #[cfg(debug_assertions)]
         check_against_gamma(program, interp, heads, &fired);
         let base = interp.base();

@@ -50,7 +50,6 @@ pub mod interp;
 pub mod lower;
 pub mod metrics;
 pub mod options;
-mod parallel;
 pub mod query;
 pub mod refine;
 pub mod replay;
@@ -83,7 +82,7 @@ pub use interp::IInterpretation;
 pub use lower::{lower, LoweredProgram};
 pub use metrics::{
     FinishEvent, JsonMetrics, MetricsSink, NoopMetrics, ReplayEvent, RestartEvent, StepEvent,
-    StepOutcome, StorageCounters, TaskSpan,
+    StepOutcome, StorageCounters,
 };
 pub use options::{EngineOptions, ResolutionScope};
 pub use query::Query;

@@ -21,7 +21,7 @@
 //!
 //! Because the cost model only consults the immutable starting database,
 //! lowering is deterministic: the same program and database produce the
-//! same lowered ops regardless of thread count, restarts, or which
+//! same lowered ops regardless of host, restarts, or which
 //! harness configuration is running.
 
 use crate::bytecode::{
@@ -351,10 +351,6 @@ fn lower_rule(
         ops.push(Op::Access(op));
     }
 
-    let step0_pred = match ops.first() {
-        Some(Op::Access(a)) => Some(a.pred),
-        _ => None,
-    };
     LoweredRule {
         rule_id: rule.id,
         head_sign: rule.head_sign,
@@ -366,7 +362,6 @@ fn lower_rule(
         delta_kinds: delta_kinds.into(),
         neg_preds: neg_preds.into(),
         has_body: !rule.body.is_empty(),
-        step0_pred,
     }
 }
 
@@ -707,7 +702,7 @@ mod tests {
             ["q(a)"]
         );
         assert_eq!(
-            heads(crate::bytecode::fire_all_lowered(&lp, &blocked, &interp)),
+            heads(crate::bytecode::fire_all_lowered(&lp, &blocked, &interp, None).0),
             ["q(a)"]
         );
     }

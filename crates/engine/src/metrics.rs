@@ -5,18 +5,20 @@
 //! applications, restarts, blocked groundings — but a single end-of-run
 //! summary line cannot localize *where* a run spent its time. This module
 //! defines the [`MetricsSink`] trait the fixpoint loop reports into:
-//! per-Γ-step timings and firing counts (with per-task spans when the
-//! parallel executor is engaged), per-restart causes (conflict atom, scope,
-//! policy decision, newly blocked groundings), and per-run replay savings.
+//! per-Γ-step timings, firing and unit counts, per-restart causes (conflict
+//! atom, scope, policy decision, newly blocked groundings), and per-run
+//! replay savings.
 //!
 //! ## Overhead contract
 //!
 //! Metering is gated *once per run*, not per event: `Engine::run_with_metrics`
 //! consults [`MetricsSink::enabled`] up front and, when it returns `false`
-//! (the [`NoopMetrics`] sink), evaluates through exactly the same code path
-//! as `Engine::run` — no `Instant::now` per step, no span buffers, no
-//! display-string rendering, no allocations. The guard test
-//! `tests/metrics_alloc.rs` pins this down by counting allocations.
+//! (the [`NoopMetrics`] sink), evaluates exactly as `Engine::run` does — no
+//! `Instant::now` per step, no display-string rendering, no allocations.
+//! The guard test `tests/metrics_alloc.rs` pins this down by counting
+//! allocations. An enabled sink changes only what is recorded around each
+//! step: the Γ step itself runs through the same sequential unit loop
+//! (`crate::bytecode`) either way.
 //!
 //! ## The `park-metrics/v1` document
 //!
@@ -24,8 +26,8 @@
 //! renders a versioned JSON document (see `docs/metrics.md` for the schema).
 //! Its [`JsonMetrics::totals`] are derived from the event stream alone,
 //! independently of [`RunStats`] — the testkit cross-check asserts the two
-//! bookkeeping paths agree exactly on every corpus case across the full
-//! 4-configuration matrix.
+//! bookkeeping paths agree exactly on every corpus case in both resolution
+//! scopes.
 
 use crate::compile::CompiledProgram;
 use crate::conflict::Resolution;
@@ -35,17 +37,6 @@ use crate::options::{EngineOptions, ResolutionScope};
 use crate::stats::{RunStats, StatCounters};
 use park_json::Json;
 use std::collections::BTreeMap;
-
-/// The execution span of one evaluation task inside a Γ step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskSpan {
-    /// Task index in deterministic merge order.
-    pub index: usize,
-    /// Actions this task fired.
-    pub fired: usize,
-    /// Wall-clock nanoseconds the task ran for.
-    pub nanos: u64,
-}
 
 /// How one Γ application ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +71,10 @@ pub struct StepEvent<'a> {
     pub fired: &'a [FiredAction],
     /// The step was served from the warm-restart replay log.
     pub replayed: bool,
-    /// Evaluation tasks executed (0 for replayed steps).
+    /// Evaluation units run (0 for replayed steps).
     pub tasks: u64,
     /// Wall-clock nanoseconds for the step's evaluation + conflict check.
     pub nanos: u64,
-    /// Per-task spans (empty for replayed steps).
-    pub spans: &'a [TaskSpan],
     /// How the step ended.
     pub outcome: StepOutcome,
     /// Marked atoms held after the step (pre-step count for conflict steps,
@@ -183,11 +172,6 @@ pub struct FinishEvent<'a> {
     pub blocked: &'a BlockedSet,
     /// The engine's own counters (the cross-check target).
     pub stats: &'a RunStats,
-    /// Worker threads requested via `EngineOptions::parallelism`
-    /// (1 = sequential).
-    pub requested_threads: usize,
-    /// Worker threads actually used after clamping to the host.
-    pub effective_threads: usize,
     /// The options the engine ran under.
     pub options: &'a EngineOptions,
     /// The `SELECT` policy name.
@@ -243,7 +227,6 @@ struct StepRecord {
     nanos: u64,
     outcome: StepOutcome,
     marked: usize,
-    spans: Vec<TaskSpan>,
 }
 
 #[derive(Debug)]
@@ -260,8 +243,6 @@ struct RestartRecord {
 struct FinishRecord {
     policy: String,
     scope: &'static str,
-    requested_threads: usize,
-    effective_threads: usize,
     elapsed_ns: u64,
     facts: u64,
     encoded_bytes: u64,
@@ -375,21 +356,6 @@ impl JsonMetrics {
                         ("tasks", Json::from(s.tasks)),
                         ("marked", Json::from(s.marked)),
                         ("nanos", Json::from(s.nanos)),
-                        (
-                            "spans",
-                            Json::Array(
-                                s.spans
-                                    .iter()
-                                    .map(|sp| {
-                                        Json::object([
-                                            ("task", Json::from(sp.index)),
-                                            ("fired", Json::from(sp.fired)),
-                                            ("nanos", Json::from(sp.nanos)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
                     ])
                 })
                 .collect(),
@@ -444,15 +410,7 @@ impl JsonMetrics {
             members.push(("policy".into(), Json::str(f.policy.as_str())));
             members.push((
                 "options".into(),
-                Json::object([
-                    ("scope", Json::str(f.scope)),
-                    ("requested_threads", Json::from(f.requested_threads)),
-                    ("effective_threads", Json::from(f.effective_threads)),
-                    (
-                        "oversubscribed",
-                        Json::from(f.effective_threads < f.requested_threads),
-                    ),
-                ]),
+                Json::object([("scope", Json::str(f.scope))]),
             ));
             // Storage-layer footprint and COW/snapshot accounting. Like
             // `elapsed_ns`, none of this enters `totals` — it describes the
@@ -525,7 +483,6 @@ impl MetricsSink for JsonMetrics {
             nanos: ev.nanos,
             outcome: ev.outcome,
             marked: ev.marked,
-            spans: ev.spans.to_vec(),
         });
     }
 
@@ -567,8 +524,6 @@ impl MetricsSink for JsonMetrics {
         self.finish = Some(FinishRecord {
             policy: ev.policy.to_string(),
             scope: scope_str(ev.options.scope),
-            requested_threads: ev.requested_threads,
-            effective_threads: ev.effective_threads,
             elapsed_ns: u64::try_from(ev.stats.elapsed.as_nanos()).unwrap_or(u64::MAX),
             facts: ev.database.len() as u64,
             encoded_bytes: ev.database.encoded_bytes() as u64,
@@ -619,18 +574,15 @@ mod tests {
         );
         assert_eq!(sink.totals(), counters);
         assert_eq!(sink.totals().restarts, 2);
-    }
-
-    #[test]
-    fn totals_agree_under_parallel_seminaive_cold() {
+        // A cold delta run whose restart replays a logged prefix: both
+        // bookkeeping paths must count the replayed steps and the units the
+        // same way.
         let (sink, counters) = metered(
             "e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z). r(X, X) -> -r(X, X).",
             "e(a, b). e(b, c). e(c, a).",
-            EngineOptions::default().with_parallelism(Some(4)),
+            EngineOptions::default(),
         );
         assert_eq!(sink.totals(), counters);
-        // The restart replays a logged prefix, and both bookkeeping paths
-        // must count it the same way.
         assert!(counters.restarts > 0 && counters.replayed_steps > 0);
     }
 

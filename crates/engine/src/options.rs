@@ -11,7 +11,7 @@ pub enum ResolutionScope {
     All,
     /// Resolve only the least conflict per restart, ordered by the rendered
     /// contested atom (`Vocabulary::display_fact`), so the choice does not
-    /// depend on evaluation order or thread count. Permitted by the paper's
+    /// depend on evaluation order. Permitted by the paper's
     /// closing remark in Section 4.2: blocking only a non-empty part of the
     /// conflicts avoids unnecessary blocking at the cost of more restarts.
     /// See the ablation benchmark.
@@ -30,12 +30,6 @@ pub struct EngineOptions {
     pub max_steps: u64,
     /// Upper bound on conflict restarts; exceeding it is an error.
     pub max_restarts: u64,
-    /// Intra-step evaluation parallelism: `Some(n)` evaluates each Γ step
-    /// on up to `n` threads with a deterministic ordered merge, so results,
-    /// traces, and `SELECT` inputs are identical to the sequential run
-    /// (only `RunStats::eval_tasks` may differ). `None` (the default) and
-    /// `Some(1)` run everything on the calling thread with no pool.
-    pub parallelism: Option<usize>,
 }
 
 impl Default for EngineOptions {
@@ -45,7 +39,6 @@ impl Default for EngineOptions {
             trace: false,
             max_steps: 1 << 22,
             max_restarts: 1 << 22,
-            parallelism: None,
         }
     }
 }
@@ -64,12 +57,6 @@ impl EngineOptions {
         self.scope = scope;
         self
     }
-
-    /// Set the intra-step parallelism (builder style).
-    pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -82,16 +69,12 @@ mod tests {
         assert_eq!(o.scope, ResolutionScope::All);
         assert!(!o.trace);
         assert!(o.max_steps > 1_000_000);
-        assert_eq!(o.parallelism, None);
     }
 
     #[test]
     fn builders() {
-        let o = EngineOptions::traced()
-            .with_scope(ResolutionScope::One)
-            .with_parallelism(Some(4));
+        let o = EngineOptions::traced().with_scope(ResolutionScope::One);
         assert!(o.trace);
         assert_eq!(o.scope, ResolutionScope::One);
-        assert_eq!(o.parallelism, Some(4));
     }
 }

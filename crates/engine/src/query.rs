@@ -110,7 +110,7 @@ impl Query {
             }
         }
         let blocked = BlockedSet::new();
-        let rows = self.answer_rows(bytecode::fire_all_lowered(&lowered, &blocked, interp));
+        let rows = self.answer_rows(bytecode::fire_all_lowered(&lowered, &blocked, interp, None).0);
         #[cfg(debug_assertions)]
         {
             let reference = crate::gamma::fire_all(&self.program, &blocked, interp);

@@ -26,14 +26,12 @@ pub struct RunStats {
     pub groundings_fired: u64,
     /// Size of the final blocked set `B`.
     pub blocked_instances: u64,
-    /// Evaluation tasks executed across all Γ steps. One task per
-    /// predicate-level shard of the step's delta units (see
-    /// `crate::bytecode`): the decomposition depends only on the program
-    /// and the step's deltas, so the count is identical across thread
-    /// counts and hosts —
-    /// sequential and parallel runs agree on it. Replayed restart steps
-    /// schedule no tasks, so it differs from the paper's restart-from-`D`
-    /// construction, which is why it stays out of `ParkOutcome::fingerprint`.
+    /// Evaluation units (rule passes) run across all Γ steps: one per rule
+    /// at a run's first step, then one per planned delta pass (see
+    /// `crate::bytecode`). It depends only on the program and the steps'
+    /// deltas. Replayed restart steps run no units, so it differs from the
+    /// paper's restart-from-`D` construction, which is why it stays out of
+    /// `ParkOutcome::fingerprint`.
     pub eval_tasks: u64,
     /// Γ steps served from the warm-restart replay log instead of being
     /// evaluated live (see `crate::replay`). Like `eval_tasks`, this is
@@ -61,19 +59,13 @@ pub struct RunStats {
     /// through a hash index rather than a scan. Lowering telemetry like
     /// `lowered_ops`.
     pub index_picks: u64,
-    /// The worker-pool size actually used, after clamping the requested
-    /// `EngineOptions::parallelism` to the host's available parallelism
-    /// (1 = sequential, no pool). Task decomposition still follows the
-    /// *requested* count, so results stay byte-identical across hosts; only
-    /// the number of spawned threads is clamped.
-    pub effective_parallelism: usize,
     /// Wall-clock time of the evaluation.
     pub elapsed: Duration,
 }
 
 /// The deterministic subset of [`RunStats`]: every counter two runs of the
-/// same configuration must agree on exactly, with the wall-clock and
-/// host-dependent fields (`elapsed`, `effective_parallelism`) left out.
+/// same configuration must agree on exactly, with the wall-clock field
+/// (`elapsed`) left out.
 ///
 /// This is the comparison surface for stats equality — used by the metrics
 /// cross-check (`park_engine::metrics`) and anywhere a test wants to assert
@@ -90,7 +82,7 @@ pub struct StatCounters {
     pub groundings_fired: u64,
     /// Size of the final blocked set `B`.
     pub blocked_instances: u64,
-    /// Evaluation tasks executed across all Γ steps.
+    /// Evaluation units run across all Γ steps.
     pub eval_tasks: u64,
     /// Γ steps served from the warm-restart replay log.
     pub replayed_steps: u64,
@@ -191,12 +183,10 @@ mod tests {
             gamma_steps: 5,
             restarts: 1,
             elapsed: Duration::from_millis(3),
-            effective_parallelism: 1,
             ..RunStats::default()
         };
         let b = RunStats {
             elapsed: Duration::from_millis(900),
-            effective_parallelism: 4,
             ..a.clone()
         };
         assert_eq!(a.counters(), b.counters());

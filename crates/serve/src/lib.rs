@@ -57,8 +57,6 @@ pub struct ServeOptions {
     pub policy: String,
     /// Default conflict-resolution scope.
     pub scope: ResolutionScope,
-    /// Default intra-step evaluation parallelism (`None` = sequential).
-    pub threads: Option<usize>,
     /// Open databases with tracing enabled by default.
     pub trace: bool,
     /// Open databases with cross-transaction incremental evaluation by
@@ -73,7 +71,6 @@ impl Default for ServeOptions {
         ServeOptions {
             policy: "inertia".into(),
             scope: ResolutionScope::default(),
-            threads: None,
             trace: false,
             incremental: false,
         }
@@ -146,7 +143,6 @@ mod tests {
         let o = ServeOptions::default();
         assert_eq!(o.policy, "inertia");
         assert_eq!(o.scope, ResolutionScope::All);
-        assert_eq!(o.threads, None);
         assert!(!o.trace);
         assert!(!o.incremental);
     }

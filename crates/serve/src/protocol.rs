@@ -49,7 +49,7 @@ pub enum DbOp {
         facts: String,
         /// Session `SELECT` policy name (default: the serve default).
         policy: String,
-        /// Engine options resolved from `eval`/`scope`/`threads`/`trace`.
+        /// Engine options resolved from `scope`/`trace`.
         options: EngineOptions,
         /// Journal file to append committed update sets to.
         journal: Option<String>,
@@ -209,21 +209,12 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<Request, Str
                     let mut options = EngineOptions {
                         scope: defaults.scope,
                         trace: defaults.trace,
-                        parallelism: defaults.threads.filter(|&n| n > 1),
                         ..EngineOptions::default()
                     };
                     if let Some(s) = optional_str(&doc, "scope")? {
                         options.scope = parse_scope(&s)?;
                     }
                     options.trace = optional_bool(&doc, "trace", options.trace)?;
-                    if let Some(n) = doc.get("threads") {
-                        match n.as_i64() {
-                            Some(n) if n >= 1 => {
-                                options.parallelism = if n > 1 { Some(n as usize) } else { None }
-                            }
-                            _ => return Err("`threads` must be a positive integer".into()),
-                        }
-                    }
                     DbOp::Create {
                         program: required_str(&doc, "program", op)?,
                         facts: optional_str(&doc, "facts")?.unwrap_or_default(),
@@ -335,26 +326,43 @@ mod tests {
         };
         assert_eq!(db, "hr");
         assert_eq!(policy, "inertia");
-        // The retired `eval` key is ignored like any unknown key.
+        // The retired `eval` and `threads` keys are ignored like any
+        // unknown key.
         assert_eq!(
             options,
             EngineOptions {
                 scope: ResolutionScope::One,
                 trace: true,
-                parallelism: Some(4),
                 ..EngineOptions::default()
             }
         );
-        assert_eq!(options.scope, ResolutionScope::One);
-        assert_eq!(options.parallelism, Some(4));
-        assert!(options.trace);
+    }
+
+    #[test]
+    fn create_ignores_the_retired_threads_key() {
+        let options = |line: &str| {
+            let Request::Db {
+                op: DbOp::Create { options, .. },
+                ..
+            } = parse_request(line, &defaults()).unwrap()
+            else {
+                panic!("expected create")
+            };
+            options
+        };
+        let plain = options(r#"{"op":"create","db":"d","program":"p -> +q."}"#);
+        for threads in ["4", "0", "\"many\""] {
+            let line =
+                format!(r#"{{"op":"create","db":"d","program":"p -> +q.","threads":{threads}}}"#);
+            assert_eq!(options(&line), plain, "{line}");
+        }
     }
 
     #[test]
     fn create_inherits_session_defaults() {
         let mut opts = defaults();
         opts.policy = "prefer-insert".into();
-        opts.threads = Some(2);
+        opts.trace = true;
         let req = parse_request(r#"{"op":"create","db":"d","program":""}"#, &opts).unwrap();
         let Request::Db {
             op: DbOp::Create {
@@ -366,7 +374,7 @@ mod tests {
             panic!("expected create")
         };
         assert_eq!(policy, "prefer-insert");
-        assert_eq!(options.parallelism, Some(2));
+        assert!(options.trace);
     }
 
     #[test]
@@ -423,10 +431,6 @@ mod tests {
             ),
             (r#"{"op":"frobnicate","db":"d"}"#, "unknown op"),
             (r#"{"op":"transact","updates":"+p."}"#, "requires a `db`"),
-            (
-                r#"{"op":"create","db":"d","program":"","threads":0}"#,
-                "positive integer",
-            ),
             (
                 r#"{"op":"query","db":"d","query":"?- p.","pred":"p"}"#,
                 "exactly one",

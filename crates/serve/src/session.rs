@@ -403,7 +403,7 @@ fn vocab_json(v: VocabStats) -> Json {
 }
 
 /// The deterministic slice of [`park::engine::RunStats`] for a delta
-/// frame: identical across thread counts and hosts (scheduling counters
+/// frame: identical across hosts (scheduling counters
 /// like `eval_tasks` and the replay counters stay out).
 fn stats_json(report: &TransactionReport) -> Json {
     Json::object([

@@ -1,7 +1,6 @@
 //! Observable-identity comparison helpers.
 //!
-//! Both the differential harness and the hand-written identity tests
-//! compare runs on the same surface: the
+//! The differential harness compares runs on one surface: the
 //! mode-independent *fingerprint* of a [`ParkOutcome`] (final database,
 //! blocked set, key counters, and the full trace event stream — see
 //! [`ParkOutcome::fingerprint`]) plus the `SELECT` call transcript. The
@@ -66,21 +65,6 @@ pub fn diff_runs(
         diff_lines(label_a, &a_calls.join("\n"), label_b, &b_calls.join("\n"))
             .map(|d| format!("SELECT transcript: {d}"))
     })
-}
-
-/// Assert two runs are observably identical (panicking helper for tests).
-pub fn assert_observably_identical(
-    context: &str,
-    label_a: &str,
-    a: &ParkOutcome,
-    a_calls: &[String],
-    label_b: &str,
-    b: &ParkOutcome,
-    b_calls: &[String],
-) {
-    if let Some(d) = diff_runs(label_a, a, a_calls, label_b, b, b_calls) {
-        panic!("{context}: {d}");
-    }
 }
 
 /// Rewrite a trace into a canonical form that is invariant under the

@@ -1,8 +1,8 @@
 //! The cross-mode conformance harness.
 //!
 //! [`check_case`] runs one [`Case`] through the real engine under every
-//! configuration of the matrix — parallelism × resolution scope, under
-//! several `SELECT` policies — and checks each run against the
+//! configuration of the matrix — both resolution scopes, under several
+//! `SELECT` policies — and checks each run against the
 //! paper-literal oracle (`crate::oracle`). [`run_fuzz`] drives that check
 //! over a stream of generated cases and minimizes the first failure.
 //!
@@ -59,45 +59,32 @@ pub const POLICIES: [&str; 3] = ["inertia", "prefer-insert", "prefer-delete"];
 /// One cell of the engine's configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Intra-step parallelism (`None` = sequential).
-    pub parallelism: Option<usize>,
     /// Conflicts resolved per restart.
     pub scope: ResolutionScope,
 }
 
 impl EngineConfig {
-    /// The full matrix: sequential/4 threads × all/one — 4 configurations.
+    /// The full matrix: all/one scope — 2 configurations.
     pub fn matrix() -> Vec<EngineConfig> {
-        let mut out = Vec::with_capacity(4);
-        for parallelism in [None, Some(4)] {
-            for scope in [ResolutionScope::All, ResolutionScope::One] {
-                out.push(EngineConfig { parallelism, scope });
-            }
-        }
-        out
+        [ResolutionScope::All, ResolutionScope::One]
+            .into_iter()
+            .map(|scope| EngineConfig { scope })
+            .collect()
     }
 
-    /// A short label for failure reports, e.g. `4-threads/one`.
+    /// A short label for failure reports, e.g. `one`.
     pub fn label(&self) -> String {
-        format!(
-            "{}/{}",
-            match self.parallelism {
-                None => "seq".to_string(),
-                Some(n) => format!("{n}-threads"),
-            },
-            match self.scope {
-                ResolutionScope::All => "all",
-                ResolutionScope::One => "one",
-            },
-        )
+        match self.scope {
+            ResolutionScope::All => "all",
+            ResolutionScope::One => "one",
+        }
+        .to_string()
     }
 
     /// The engine options for this cell (tracing always on — the trace is
     /// part of the comparison surface).
     pub fn options(&self) -> EngineOptions {
-        EngineOptions::traced()
-            .with_scope(self.scope)
-            .with_parallelism(self.parallelism)
+        EngineOptions::traced().with_scope(self.scope)
     }
 }
 

@@ -10,8 +10,8 @@
 //!   databases ([`Case`]), with a line-oriented text format for the
 //!   regression corpus (`tests/corpus/`).
 //! * [`harness`] — the conformance check: every case runs through the
-//!   engine's full matrix (parallelism × scope, under several `SELECT`
-//!   policies) and every cell is compared against the oracle — byte-exact
+//!   engine's full matrix (both resolution scopes, under several
+//!   `SELECT` policies) and every cell is compared against the oracle — byte-exact
 //!   on ground programs, canonicalized on variable ones — plus a
 //!   stratified-datalog cross-check on the insert-only fragment. Failures
 //!   are shrunk by [`mod@minimize`].

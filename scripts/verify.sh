@@ -55,20 +55,6 @@ for prog in examples/data/*.park; do
 done
 rm -rf "$graph_dir"
 
-echo "==> storage smoke (threads 1 vs 4 byte-identical on the largest example)"
-storage_dir="${TMPDIR:-/tmp}/park-storage-$$"
-mkdir -p "$storage_dir"
-for t in 1 4; do
-  cargo run -p park-cli --bin park --release --offline --quiet -- \
-    run examples/data/payroll.park --db examples/data/payroll.facts \
-    --updates examples/data/payroll.updates --stats --threads "$t" 2>&1 \
-    | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$storage_dir/t$t.out"
-done
-# Results, counters (including tasks=), and blocked sets must not depend on
-# the thread count; only the masked wall-clock and thread line may differ.
-cmp "$storage_dir/t1.out" "$storage_dir/t4.out"
-rm -rf "$storage_dir"
-
 echo "==> query smoke (debug and release answers byte-identical)"
 query_dir="${TMPDIR:-/tmp}/park-query-$$"
 mkdir -p "$query_dir"
@@ -86,7 +72,7 @@ cmp "$query_dir/debug.out" "$query_dir/release.out"
 cmp "$query_dir/want.out" "$query_dir/release.out"
 rm -rf "$query_dir"
 
-echo "==> compiled evaluator smoke (debug vs release, threads 1 vs 4 byte-identical)"
+echo "==> compiled evaluator smoke (debug vs release byte-identical)"
 compiled_dir="${TMPDIR:-/tmp}/park-compiled-$$"
 mkdir -p "$compiled_dir/wl"
 cargo run -p park-cli --bin park --release --offline --quiet -- \
@@ -113,15 +99,6 @@ for prog in examples/data/*.park "$compiled_dir"/wl/*.park; do
       run "$prog" $db $updates --trace > "$compiled_dir/$name.$profile.out"
   done
   cmp "$compiled_dir/$name.debug.out" "$compiled_dir/$name.release.out"
-  # And the evaluator must not observe the thread count.
-  for t in 1 4; do
-    # shellcheck disable=SC2086
-    cargo run -p park-cli --bin park --release --offline --quiet -- \
-      run "$prog" $db $updates --stats --threads "$t" 2>&1 \
-      | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' \
-      > "$compiled_dir/$name.t$t.out"
-  done
-  cmp "$compiled_dir/$name.t1.out" "$compiled_dir/$name.t4.out"
 done
 # The lowered-plan dump is stable and names every cost-model pick.
 cargo run -p park-cli --bin park --release --offline --quiet -- \
@@ -130,16 +107,12 @@ cargo run -p park-cli --bin park --release --offline --quiet -- \
 grep -q 'lowered program:' "$compiled_dir/plan.out"
 rm -rf "$compiled_dir"
 
-echo "==> serve smoke (golden session, threads 1 vs 4 byte-identical)"
+echo "==> serve smoke (golden session byte-identical)"
 serve_dir="${TMPDIR:-/tmp}/park-serve-$$"
 mkdir -p "$serve_dir"
-for t in 1 4; do
-  cargo run -p park-cli --bin park --release --offline --quiet -- \
-    serve --threads "$t" \
-    < crates/cli/tests/golden/serve_session.ndjson > "$serve_dir/t$t.out"
-done
-cmp "$serve_dir/t1.out" "$serve_dir/t4.out"
-cmp "$serve_dir/t1.out" crates/cli/tests/golden/serve_session.golden
+cargo run -p park-cli --bin park --release --offline --quiet -- \
+  serve < crates/cli/tests/golden/serve_session.ndjson > "$serve_dir/session.out"
+cmp "$serve_dir/session.out" crates/cli/tests/golden/serve_session.golden
 # A request line that is not UTF-8 gets an error frame of its own, and
 # the session keeps serving.
 printf '{"op":"ping"}\n\377\n{"op":"ping"}\n' \
@@ -204,14 +177,14 @@ snap="$inc_dir/inc.snapshot.json"
 } > "$inc_dir/session.ndjson"
 # The certified chain is answered warm under --incremental and from
 # scratch without it; outside the opt-in stats frame (not requested
-# here) the transcripts must agree to the byte. The masks mirror the
-# storage smoke; serve frames carry neither field today.
+# here) the transcripts must agree to the byte. The mask hides
+# wall-clock time; serve frames carry none today.
 for mode in plain incremental; do
   if [ "$mode" = incremental ]; then flag="--incremental"; else flag=""; fi
   # shellcheck disable=SC2086
   cargo run -p park-cli --bin park --release --offline --quiet -- \
     serve $flag < "$inc_dir/session.ndjson" \
-    | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/$mode.out"
+    | sed -e 's/elapsed=[^ ]*/elapsed=_/' > "$inc_dir/$mode.out"
 done
 cmp "$inc_dir/plain.out" "$inc_dir/incremental.out"
 # A debug build also compares every warm refire pass (the seeding at
@@ -219,7 +192,7 @@ cmp "$inc_dir/plain.out" "$inc_dir/incremental.out"
 # inside the engine; its transcript must equal the release one.
 cargo run -p park-cli --bin park --offline --quiet -- \
   serve --incremental < "$inc_dir/session.ndjson" \
-  | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/incremental.debug.out"
+  | sed -e 's/elapsed=[^ ]*/elapsed=_/' > "$inc_dir/incremental.debug.out"
 cmp "$inc_dir/incremental.out" "$inc_dir/incremental.debug.out"
 
 # Deletion-bearing chain on a stratified-negation program: base-fact
@@ -244,12 +217,12 @@ for mode in plain incremental; do
   # shellcheck disable=SC2086
   cargo run -p park-cli --bin park --release --offline --quiet -- \
     serve $flag < "$inc_dir/deletions.ndjson" \
-    | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/del.$mode.out"
+    | sed -e 's/elapsed=[^ ]*/elapsed=_/' > "$inc_dir/del.$mode.out"
 done
 cmp "$inc_dir/del.plain.out" "$inc_dir/del.incremental.out"
 cargo run -p park-cli --bin park --offline --quiet -- \
   serve --incremental < "$inc_dir/deletions.ndjson" \
-  | sed -e 's/elapsed=[^ ]*/elapsed=_/' -e '/^threads=/d' > "$inc_dir/del.debug.out"
+  | sed -e 's/elapsed=[^ ]*/elapsed=_/' > "$inc_dir/del.debug.out"
 cmp "$inc_dir/del.incremental.out" "$inc_dir/del.debug.out"
 rm -rf "$inc_dir"
 

@@ -176,8 +176,7 @@ proptest! {
     /// `Code`s), so it gets its own generative probe: across random graph
     /// shapes and conflict chains, its committed output must be
     /// byte-identical with and without reversed intern preseeding — the
-    /// decode-at-boundary ordering rule has to survive lowering — and
-    /// identical to a 4-thread run on the same inputs.
+    /// decode-at-boundary ordering rule has to survive lowering.
     #[test]
     fn compiled_output_is_intern_order_independent(
         pick in 0usize..2,
@@ -195,14 +194,11 @@ proptest! {
         let mut reversed = idents(&format!("{rules}\n{facts}"));
         reversed.reverse();
         prop_assert!(reversed.len() > 1, "nothing to reorder");
-        let sequential = EngineOptions::default();
+        let options = EngineOptions::default();
         let policy = || RandomPolicy::seeded(seed ^ 0x9e37);
-        let (a, _) = run_with(&rules, &facts, sequential, &mut policy(), &[]);
-        let (b, _) = run_with(&rules, &facts, sequential, &mut policy(), &reversed);
+        let (a, _) = run_with(&rules, &facts, options, &mut policy(), &[]);
+        let (b, _) = run_with(&rules, &facts, options, &mut policy(), &reversed);
         prop_assert_eq!(&a, &b, "compiled output depends on intern order");
-        let parallel = sequential.with_parallelism(Some(4));
-        let (n, _) = run_with(&rules, &facts, parallel, &mut policy(), &[]);
-        prop_assert_eq!(&a, &n, "sequential and parallel outputs diverge");
     }
 }
 

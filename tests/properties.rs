@@ -200,9 +200,7 @@ proptest! {
 
     /// The engine's semi-naive (compiled delta) evaluation reaches the
     /// fixpoint naive Γ reaches from `D` under the same final blocked set
-    /// (Theorem 4.1(3)) — on arbitrary programs, conflicts and all — and
-    /// parallel evaluation (deterministic ordered merge) agrees with the
-    /// sequential run.
+    /// (Theorem 4.1(3)) — on arbitrary programs, conflicts and all.
     #[test]
     fn seminaive_agrees_with_naive(
         rules in arb_program(8, false),
@@ -212,18 +210,6 @@ proptest! {
         let naive = naive_lfp(&seq);
         prop_assert!(park::engine::bistructure::interp_subset(&naive, &seq.interpretation));
         prop_assert!(park::engine::bistructure::interp_subset(&seq.interpretation, &naive));
-
-        let par = run_park(
-            &rules,
-            &facts,
-            EngineOptions::default().with_parallelism(Some(4)),
-            &mut Inertia,
-        );
-        prop_assert!(seq.database.same_facts(&par.database));
-        prop_assert_eq!(seq.stats.restarts, par.stats.restarts);
-        prop_assert_eq!(seq.stats.gamma_steps, par.stats.gamma_steps);
-        prop_assert_eq!(seq.blocked.len(), par.blocked.len());
-        prop_assert_eq!(seq.stats.groundings_fired, par.stats.groundings_fired);
     }
 
     /// Γ is inflationary: one fire/absorb step never loses marked atoms.
@@ -280,28 +266,26 @@ proptest! {
     /// identical to cold restarts from `D`: every run of the traced
     /// evaluation, recomputed cold from `D` under that run's blocked set,
     /// reproduces the run's step interpretations and fixpoint — across
-    /// random restart-heavy programs, with and without a thread pool. A restart replays at least its first logged step, and replay
-    /// diverges somewhere (each resolution blocks a logged grounding).
+    /// random restart-heavy programs. A restart replays at least its first
+    /// logged step, and replay diverges somewhere (each resolution blocks a
+    /// logged grounding).
     #[test]
     fn replaying_restarts_match_restarts_from_d(
         rules in arb_program(8, false),
         facts in arb_database(),
     ) {
-        for par in [None, Some(4)] {
-            let opts = EngineOptions::traced().with_parallelism(par);
-            let mut oracle = RecordingOracle { calls: Vec::new() };
-            let warm = run_park(&rules, &facts, opts, &mut oracle);
-            let db = FactStore::from_source(Arc::clone(warm.program.vocab()), facts.as_str())
-                .unwrap();
-            let cold = runs_match_restarts_from_d(&warm, &db);
-            prop_assert!(cold.is_ok(), "{:?} (par {:?}): {}", cold, par, &rules);
-            prop_assert_eq!(oracle.calls.len() as u64, warm.stats.conflicts_resolved);
-            if warm.stats.restarts > 0 {
-                prop_assert!(warm.stats.replayed_steps > 0,
-                    "restarted without replaying: {}", &rules);
-                prop_assert!(warm.stats.replay_divergence_step.is_some(),
-                    "replay never diverged: {}", &rules);
-            }
+        let mut oracle = RecordingOracle { calls: Vec::new() };
+        let warm = run_park(&rules, &facts, EngineOptions::traced(), &mut oracle);
+        let db = FactStore::from_source(Arc::clone(warm.program.vocab()), facts.as_str())
+            .unwrap();
+        let cold = runs_match_restarts_from_d(&warm, &db);
+        prop_assert!(cold.is_ok(), "{:?}: {}", cold, &rules);
+        prop_assert_eq!(oracle.calls.len() as u64, warm.stats.conflicts_resolved);
+        if warm.stats.restarts > 0 {
+            prop_assert!(warm.stats.replayed_steps > 0,
+                "restarted without replaying: {}", &rules);
+            prop_assert!(warm.stats.replay_divergence_step.is_some(),
+                "replay never diverged: {}", &rules);
         }
     }
 }
@@ -378,20 +362,6 @@ proptest! {
         let again = run_park(&rules, &facts, EngineOptions::default(), &mut Inertia);
         prop_assert!(seq.database.same_facts(&again.database), "nondeterministic");
         prop_assert!(seq.interpretation.is_consistent());
-
-        let par = run_park(
-            &rules,
-            &facts,
-            EngineOptions::default().with_parallelism(Some(4)),
-            &mut Inertia,
-        );
-        prop_assert!(seq.database.same_facts(&par.database),
-            "parallel diverged: {:?} vs {:?}",
-            seq.database.sorted_display(), par.database.sorted_display());
-        prop_assert_eq!(seq.stats.gamma_steps, par.stats.gamma_steps);
-        prop_assert_eq!(seq.stats.restarts, par.stats.restarts);
-        prop_assert_eq!(seq.stats.groundings_fired, par.stats.groundings_fired);
-        prop_assert_eq!(seq.blocked.len(), par.blocked.len());
 
         // Theorem 4.1(3): lfp(Γ_{P,B*}) from D reproduces the fixpoint.
         let naive = naive_lfp(&seq);
