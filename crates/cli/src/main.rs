@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 use park_baselines::{immediate_fire, naive_mark_eliminate, ImmediateConfig, ImmediateResult};
-use park_engine::{Engine, EngineOptions, JsonMetrics, ResolutionScope};
+use park_engine::{Engine, EngineOptions, JsonMetrics, ResolutionScope, Trace};
 use park_json::Json;
 use park_policies::{parse_answer, CallbackOracle, ConflictResolver, Interactive};
 use park_storage::{FactStore, Snapshot, UpdateSet, Vocabulary};
@@ -50,7 +50,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
     let mut it = args.into_iter();
     let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
     match it.next().as_deref() {
-        Some("run") => done(cmd_run(it.collect(), false)),
+        Some("run") => done(cmd_run(it.collect())),
         Some("check") => done(cmd_check(it.collect())),
         Some("lint") => cmd_lint(it.collect()),
         Some("analyze") => done(cmd_analyze(it.collect())),
@@ -93,9 +93,8 @@ USAGE:
                                          ndjson requests on stdin (or a TCP
                                          socket) answered with park-serve/v1
                                          frames; accepts --policy/--scope/
-                                         --trace/--incremental session
-                                         defaults (see docs/serve.md and
-                                         docs/incremental.md)
+                                         --incremental session defaults (see
+                                         docs/serve.md and docs/incremental.md)
   park query '<body>' --db <data.facts>  conjunctive query over a database
   park baseline <naive|immediate> <program.park> [--db <f>]
                                          [--updates <f>] [--stats]
@@ -285,35 +284,35 @@ fn make_policy(name: &str) -> Result<Box<dyn ConflictResolver>, String> {
     park_policies::by_name(name).ok_or_else(|| format!("unknown policy `{name}`"))
 }
 
-fn cmd_run(args: Vec<String>, _baseline: bool) -> Result<(), String> {
+fn cmd_run(args: Vec<String>) -> Result<(), String> {
     let a = parse_run_args(args, RUN_FLAGS)?;
     let (vocab, program, db, updates) = load_session(&a)?;
     let options = EngineOptions {
-        trace: a.trace || a.trace_json.is_some(),
         scope: a.scope,
         ..EngineOptions::default()
     };
     let engine = Engine::with_options(vocab, &program, options).map_err(|e| e.to_string())?;
     let mut policy = make_policy(&a.policy)?;
-    let out = if let Some(path) = &a.metrics {
-        let mut sink = JsonMetrics::new("run");
-        let out = engine
-            .run_with_metrics(&db, &updates, policy.as_mut(), &mut sink)
-            .map_err(|e| e.to_string())?;
-        std::fs::write(path, format!("{}\n", sink.to_json().to_pretty()))
+    let mut sinks = (
+        (a.trace || a.trace_json.is_some()).then(Trace::new),
+        a.metrics.as_ref().map(|_| JsonMetrics::new("run")),
+    );
+    let out = engine
+        .run_with_metrics(&db, &updates, policy.as_mut(), &mut sinks)
+        .map_err(|e| e.to_string())?;
+    let (trace, metrics) = sinks;
+    if let (Some(path), Some(metrics)) = (&a.metrics, metrics) {
+        std::fs::write(path, format!("{}\n", metrics.to_json().to_pretty()))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        out
-    } else {
-        engine
-            .run(&db, &updates, policy.as_mut())
-            .map_err(|e| e.to_string())?
-    };
-    if a.trace {
-        println!("{}", out.trace.render());
     }
-    if let Some(path) = &a.trace_json {
-        std::fs::write(path, out.trace.to_json())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    if let Some(trace) = trace {
+        if a.trace {
+            println!("{}", trace.render());
+        }
+        if let Some(path) = &a.trace_json {
+            std::fs::write(path, trace.to_json())
+                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        }
     }
     println!("{}", out.database.to_source().trim_end());
     if a.stats {
@@ -350,7 +349,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                     other => return Err(format!("unknown scope `{other}`")),
                 }
             }
-            "--trace" => opts.trace = true,
             "--incremental" => opts.incremental = true,
             other => return Err(format!("unexpected argument `{other}`")),
         }

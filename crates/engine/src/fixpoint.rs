@@ -29,7 +29,6 @@ use crate::metrics::{
 use crate::options::{EngineOptions, ResolutionScope};
 use crate::replay::{Replayer, StepLog};
 use crate::stats::RunStats;
-use crate::trace::{Trace, TraceEvent};
 use park_storage::{FactStore, UpdateSet, Vocabulary};
 use park_syntax::Program;
 use std::sync::Arc;
@@ -49,41 +48,12 @@ pub struct ParkOutcome {
     pub program: CompiledProgram,
     /// Evaluation counters.
     pub stats: RunStats,
-    /// The execution trace (empty unless `EngineOptions::trace`).
-    pub trace: Trace,
 }
 
 impl ParkOutcome {
     /// The blocked groundings rendered in the paper's notation, sorted.
     pub fn blocked_display(&self) -> Vec<String> {
         self.blocked.display(&self.program)
-    }
-
-    /// The run's *configuration-independent observables*, rendered one per
-    /// line: the final database (sorted), the blocked set, the counters the
-    /// semantics fixes (restarts, Γ steps, conflicts resolved, blocked
-    /// instances), and the full trace event stream as JSON.
-    ///
-    /// Two evaluations of the same `PARK(D, P)` instance must produce
-    /// byte-identical fingerprints — this is the comparison surface of the
-    /// differential test harness (`park-testkit`), which holds the engine's
-    /// replaying restarts to the paper-literal oracle's restart-from-`D`
-    /// runs.
-    /// Scheduling counters (`eval_tasks`, `replayed_steps`, timings) are
-    /// deliberately excluded. The trace line is only meaningful for runs
-    /// with `EngineOptions::trace` enabled.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "database: {}\nblocked: {}\nrestarts: {}\ngamma_steps: {}\n\
-             conflicts_resolved: {}\nblocked_instances: {}\ntrace:\n{}",
-            self.database.sorted_display().join(", "),
-            self.blocked_display().join(", "),
-            self.stats.restarts,
-            self.stats.gamma_steps,
-            self.stats.conflicts_resolved,
-            self.stats.blocked_instances,
-            self.trace.to_json(),
-        )
     }
 }
 
@@ -210,8 +180,6 @@ impl Engine {
             index_picks: lowered.index_picks(),
             ..RunStats::default()
         };
-        let mut trace = Trace::new();
-        let tracing = self.options.trace;
         let metered = sink.is_some();
         // Storage counters are process-wide monotonic atomics; the finish
         // event reports the delta over this evaluation. Unmetered runs skip
@@ -224,6 +192,11 @@ impl Engine {
         // Restarts replay the previous run's firing log against the grown
         // blocked set (see `crate::replay`).
         let mut replayer: Option<Replayer> = None;
+        // What the sink is lent about each step and restart, in buffers
+        // reused across them; only metered runs fill them.
+        let mut new_marks: Vec<usize> = Vec::new();
+        let mut resolutions: Vec<(Resolution, usize)> = Vec::new();
+        let mut newly_blocked: Vec<usize> = Vec::new();
 
         // Build the cost model's base-zone indexes once, *outside* the
         // restart loop: every restart clones this pre-indexed store, and
@@ -244,9 +217,6 @@ impl Engine {
         let final_interp = 'outer: loop {
             // (Re)start the inflationary computation from I° = D.
             let run = stats.restarts + 1;
-            if tracing {
-                trace.push(TraceEvent::RunStarted { run });
-            }
             let mut interp = IInterpretation::from_database(seed_db.clone());
             for req in index_requests {
                 interp.zone_mut(req.zone).ensure_index(req.pred, req.mask);
@@ -345,16 +315,12 @@ impl Engine {
                     stats.gamma_steps += 1;
                     step_in_run += 1;
                     let mut added_count = 0usize;
-                    let mut added_display: Vec<String> = Vec::new();
-                    for f in &fired {
+                    new_marks.clear();
+                    for (i, f) in fired.iter().enumerate() {
                         if interp.insert_marked(f.sign, f.pred, &f.tuple) {
                             added_count += 1;
-                            if tracing {
-                                added_display.push(format!(
-                                    "{}{}",
-                                    f.sign,
-                                    working.vocab().display_row(f.pred, &f.tuple)
-                                ));
+                            if metered {
+                                new_marks.push(i);
                             }
                         }
                     }
@@ -373,20 +339,14 @@ impl Engine {
                                 StepOutcome::Applied
                             },
                             marked: interp.marked_len(),
+                            interp: &interp,
+                            new_marks: &new_marks,
+                            blocked: &blocked,
+                            program: &working,
                         });
                     }
                     if added_count == 0 {
                         // Γ_{P,B}(I) = I: the fixpoint ω is reached.
-                        if tracing {
-                            trace.push(TraceEvent::Fixpoint {
-                                run,
-                                interp: interp.display(),
-                                blocked: blocked.display(&working),
-                            });
-                            if let Some(r) = &replayer {
-                                trace.push_note(replay_note(run, r));
-                            }
-                        }
                         if let (Some(s), Some(r)) = (sink.as_mut(), &replayer) {
                             s.replay(&ReplayEvent {
                                 run,
@@ -395,14 +355,6 @@ impl Engine {
                             });
                         }
                         break 'outer interp;
-                    }
-                    if tracing {
-                        trace.push(TraceEvent::Step {
-                            run,
-                            step: step_in_run,
-                            interp: interp.display(),
-                            added: added_display,
-                        });
                     }
                     // Statically conflict-free programs never restart, so
                     // capturing a firing log for them would be pure overhead;
@@ -427,29 +379,23 @@ impl Engine {
                             nanos: step_nanos,
                             outcome: StepOutcome::Conflict,
                             marked: interp.marked_len(),
+                            interp: &interp,
+                            new_marks: &[],
+                            blocked: &blocked,
+                            program: &working,
                         });
                     }
                     let (selected, deferred) = match self.options.scope {
                         ResolutionScope::All => conflicts.split_at(conflicts.len()),
                         ResolutionScope::One => conflicts.split_at(1),
                     };
-                    if tracing {
-                        let atom = |c: &crate::conflict::Conflict| {
-                            working.vocab().display_fact(c.pred, &c.tuple)
-                        };
-                        trace.push(TraceEvent::Inconsistent {
-                            run,
-                            step: step_in_run + 1,
-                            atoms: selected.iter().map(atom).collect(),
-                            deferred: deferred.iter().map(atom).collect(),
-                        });
-                    }
                     let ctx = SelectContext {
                         database: db,
                         program: &working,
                         interp: &interp,
                     };
-                    let mut resolutions_meta: Vec<(String, Resolution, u64)> = Vec::new();
+                    resolutions.clear();
+                    newly_blocked.clear();
                     for c in selected {
                         let resolution =
                             resolver
@@ -459,15 +405,12 @@ impl Engine {
                                     message,
                                 })?;
                         stats.conflicts_resolved += 1;
-                        let mut newly: Vec<String> = Vec::new();
-                        let mut newly_count: u64 = 0;
                         let mut progressed = false;
-                        for g in c.losing_side(resolution) {
+                        for (i, g) in c.losing_side(resolution).iter().enumerate() {
                             if blocked.insert(g.clone()) {
                                 progressed = true;
-                                newly_count += 1;
-                                if tracing {
-                                    newly.push(g.display(&working));
+                                if metered {
+                                    newly_blocked.push(i);
                                 }
                             }
                         }
@@ -477,19 +420,7 @@ impl Engine {
                             });
                         }
                         if metered {
-                            resolutions_meta.push((
-                                working.vocab().display_fact(c.pred, &c.tuple),
-                                resolution,
-                                newly_count,
-                            ));
-                        }
-                        if tracing {
-                            trace.push(TraceEvent::ConflictResolved {
-                                conflict: c.display(&working),
-                                policy: policy_name.clone(),
-                                resolution,
-                                blocked: newly,
-                            });
+                            resolutions.push((resolution, newly_blocked.len()));
                         }
                     }
                     if let Some(s) = sink.as_mut() {
@@ -498,8 +429,11 @@ impl Engine {
                             step: step_in_run + 1,
                             scope: self.options.scope,
                             policy: &policy_name,
-                            resolutions: &resolutions_meta,
-                            deferred: deferred.len() as u64,
+                            program: &working,
+                            selected,
+                            resolutions: &resolutions,
+                            newly_blocked: &newly_blocked,
+                            deferred,
                         });
                         if let Some(r) = &replayer {
                             s.replay(&ReplayEvent {
@@ -507,11 +441,6 @@ impl Engine {
                                 served: r.served(),
                                 divergence_step: r.divergence_step(),
                             });
-                        }
-                    }
-                    if tracing {
-                        if let Some(r) = &replayer {
-                            trace.push_note(replay_note(run, r));
                         }
                     }
                     // The conflicting step's firings belong to the log too:
@@ -546,7 +475,6 @@ impl Engine {
             blocked,
             program: working,
             stats,
-            trace,
         })
     }
 }
@@ -610,22 +538,12 @@ fn check_against_gamma(
     }
 }
 
-/// Debug annotation describing what warm replay did for one run (goes to
-/// the trace's note side channel, never the event stream).
-fn replay_note(run: u64, r: &Replayer) -> String {
-    match r.divergence_step() {
-        Some(d) => format!(
-            "run {run}: warm replay served {} steps, diverged at step {d}",
-            r.served()
-        ),
-        None => format!("run {run}: warm replay served {} steps", r.served()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conflict::Inertia;
+    use crate::metrics::NoopMetrics;
+    use crate::trace::{Trace, TraceEvent};
     use park_syntax::parse_program;
 
     fn run(rules: &str, facts: &str) -> ParkOutcome {
@@ -633,12 +551,27 @@ mod tests {
     }
 
     fn run_opts(rules: &str, facts: &str, options: EngineOptions) -> ParkOutcome {
+        run_with(rules, facts, options, &mut NoopMetrics)
+    }
+
+    fn run_with(
+        rules: &str,
+        facts: &str,
+        options: EngineOptions,
+        sink: &mut dyn MetricsSink,
+    ) -> ParkOutcome {
         let vocab = Vocabulary::new();
         let engine =
             Engine::with_options(Arc::clone(&vocab), &parse_program(rules).unwrap(), options)
                 .unwrap();
         let db = FactStore::from_source(vocab, facts).unwrap();
-        engine.park(&db, &mut Inertia).unwrap()
+        engine.park_with_metrics(&db, &mut Inertia, sink).unwrap()
+    }
+
+    fn traced(rules: &str, facts: &str, options: EngineOptions) -> (ParkOutcome, Trace) {
+        let mut trace = Trace::new();
+        let out = run_with(rules, facts, options, &mut trace);
+        (out, trace)
     }
 
     #[test]
@@ -763,12 +696,12 @@ mod tests {
 
     #[test]
     fn trace_records_paper_style_steps() {
-        let out = run_opts(
+        let (_, trace) = traced(
             "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
             "p.",
-            EngineOptions::traced(),
+            EngineOptions::default(),
         );
-        let rendered = out.trace.render();
+        let rendered = trace.render();
         assert!(rendered.contains("run 1"), "{rendered}");
         assert!(rendered.contains("run 3"), "{rendered}");
         assert!(rendered.contains("inconsistent: q"), "{rendered}");
@@ -876,14 +809,13 @@ mod tests {
         // step 3 enumerate `r2` in full, so it fires again, next to `r5`'s
         // `-q`: the conflict's insertion side holds `r2` once, from this
         // step and from the log alike.
-        let out = run_opts(
+        let (out, trace) = traced(
             "r1: p -> +a. r2: a, !d -> +q. r3: p -> +e. r4: e -> -d. \
              r6: e -> +g. r5: g -> -q.",
             "p.",
-            EngineOptions::traced(),
+            EngineOptions::default(),
         );
-        let resolved: Vec<&str> = out
-            .trace
+        let resolved: Vec<&str> = trace
             .events()
             .iter()
             .filter_map(|e| match e {
@@ -953,7 +885,7 @@ mod tests {
             ),
         ];
         for (rules, facts, expected) in scenarios {
-            let out = run_opts(rules, facts, EngineOptions::traced());
+            let (out, _) = traced(rules, facts, EngineOptions::default());
             assert_eq!(out.database.sorted_display(), expected, "{rules}");
         }
     }
@@ -999,19 +931,25 @@ mod tests {
         // steps — diverging only at step 3, where filtering out r5 turns
         // the logged conflict step into the fixpoint. 1 + 3 replayed steps
         // total; the last divergence was at step 3.
-        let out = run_opts(
+        #[derive(Default)]
+        struct Replays(Vec<(u64, u64, Option<u64>)>);
+        impl MetricsSink for Replays {
+            fn replay(&mut self, ev: &ReplayEvent) {
+                self.0.push((ev.run, ev.served, ev.divergence_step));
+            }
+        }
+        let mut replays = Replays::default();
+        let out = run_with(
             "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
             "p.",
-            EngineOptions::traced(),
+            EngineOptions::default(),
+            &mut replays,
         );
         assert_eq!(out.database.sorted_display(), vec!["a", "b", "p"]);
         assert_eq!(out.stats.restarts, 2);
         assert_eq!(out.stats.replayed_steps, 4);
         assert_eq!(out.stats.replay_divergence_step, Some(3));
-        let notes = out.trace.notes();
-        assert_eq!(notes.len(), 2, "{notes:?}");
-        assert!(notes[0].contains("run 2"), "{notes:?}");
-        assert!(notes[1].contains("run 3"), "{notes:?}");
+        assert_eq!(replays.0, vec![(2, 1, Some(1)), (3, 3, Some(3))]);
     }
 
     #[test]
@@ -1043,13 +981,12 @@ mod tests {
         // Two simultaneous conflicts (q and a); under One-scope only the
         // least atom, `a`, is handed to SELECT per restart, and the
         // Inconsistent event must say so, listing `q` as deferred.
-        let out = run_opts(
+        let (_, trace) = traced(
             "p -> +q. p -> -q. p -> +a. p -> -a.",
             "p.",
-            EngineOptions::traced().with_scope(ResolutionScope::One),
+            EngineOptions::default().with_scope(ResolutionScope::One),
         );
-        let first_inconsistent = out
-            .trace
+        let first_inconsistent = trace
             .events()
             .iter()
             .find_map(|e| match e {
@@ -1062,12 +999,12 @@ mod tests {
         assert_eq!(first_inconsistent.0, vec!["a".to_string()]);
         assert_eq!(first_inconsistent.1, vec!["q".to_string()]);
         // All-scope: everything is resolved, nothing deferred.
-        let out = run_opts(
+        let (_, trace) = traced(
             "p -> +q. p -> -q. p -> +a. p -> -a.",
             "p.",
-            EngineOptions::traced(),
+            EngineOptions::default(),
         );
-        for e in out.trace.events() {
+        for e in trace.events() {
             if let TraceEvent::Inconsistent { deferred, .. } = e {
                 assert!(deferred.is_empty(), "{deferred:?}");
             }
@@ -1097,13 +1034,15 @@ mod tests {
         let engine = Engine::with_options(
             Arc::clone(&vocab),
             &parse_program("c -> +g. g -> +f. c -> -f. g -> -g.").unwrap(),
-            EngineOptions::traced().with_scope(ResolutionScope::One),
+            EngineOptions::default().with_scope(ResolutionScope::One),
         )
         .unwrap();
         let db = FactStore::from_source(vocab, "c.").unwrap();
-        let out = engine.park(&db, &mut PreferInsert).unwrap();
-        let resolved: Vec<(u64, Vec<String>, Vec<String>)> = out
-            .trace
+        let mut trace = Trace::new();
+        engine
+            .park_with_metrics(&db, &mut PreferInsert, &mut trace)
+            .unwrap();
+        let resolved: Vec<(u64, Vec<String>, Vec<String>)> = trace
             .events()
             .iter()
             .filter_map(|e| match e {
@@ -1121,7 +1060,7 @@ mod tests {
             (1, vec!["f".to_string()], vec!["g".to_string()]),
             "{resolved:?}"
         );
-        let rendered = out.trace.render();
+        let rendered = trace.render();
         assert!(rendered.contains("(f, "), "{rendered}");
     }
 

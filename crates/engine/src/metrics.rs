@@ -1,5 +1,5 @@
-//! Run-metrics observability: a zero-cost-when-disabled event sink
-//! threaded through the evaluation loop.
+//! Run observability: a zero-cost-when-disabled event sink threaded
+//! through the evaluation loop.
 //!
 //! The paper's tractability argument (§6) is stated in counters — Γ
 //! applications, restarts, blocked groundings — but a single end-of-run
@@ -7,7 +7,12 @@
 //! defines the [`MetricsSink`] trait the fixpoint loop reports into:
 //! per-Γ-step timings, firing and unit counts, per-restart causes (conflict
 //! atom, scope, policy decision, newly blocked groundings), and per-run
-//! replay savings.
+//! replay savings. The sink is the loop's only observation channel: the
+//! events lend out the interpretation, the step's new marks, the blocked
+//! set and the resolved conflicts, so the paper-style step listing
+//! ([`crate::trace::Trace`]) is one more sink. A caller that wants two
+//! sinks passes the pair `(a, b)`; an `Option` of a sink is a sink that
+//! may be absent.
 //!
 //! ## Overhead contract
 //!
@@ -30,9 +35,10 @@
 //! scopes.
 
 use crate::compile::CompiledProgram;
-use crate::conflict::Resolution;
+use crate::conflict::{Conflict, Resolution};
 use crate::gamma::FiredAction;
-use crate::grounding::BlockedSet;
+use crate::grounding::{BlockedSet, Grounding};
+use crate::interp::IInterpretation;
 use crate::options::{EngineOptions, ResolutionScope};
 use crate::stats::{RunStats, StatCounters};
 use park_json::Json;
@@ -80,6 +86,15 @@ pub struct StepEvent<'a> {
     /// Marked atoms held after the step (pre-step count for conflict steps,
     /// which add no marks).
     pub marked: usize,
+    /// `I` after the step (before it, for a conflict step).
+    pub interp: &'a IInterpretation,
+    /// Indices into `fired` of the actions that added a new mark, in
+    /// firing order (empty for a conflict step).
+    pub new_marks: &'a [usize],
+    /// The blocked set `B` the step ran under.
+    pub blocked: &'a BlockedSet,
+    /// The program evaluated (`P_U`) — lets sinks render groundings.
+    pub program: &'a CompiledProgram,
 }
 
 /// One conflict-resolution restart: the cause of run `run + 1`.
@@ -93,12 +108,45 @@ pub struct RestartEvent<'a> {
     pub scope: ResolutionScope,
     /// The `SELECT` policy name.
     pub policy: &'a str,
-    /// Per resolved conflict: the conflict atom (rendered), the policy's
-    /// decision, and how many groundings were newly blocked by it.
-    pub resolutions: &'a [(String, Resolution, u64)],
+    /// The program evaluated (`P_U`) — lets sinks render conflicts.
+    pub program: &'a CompiledProgram,
+    /// The conflicts handed to `SELECT`, in call order.
+    pub selected: &'a [Conflict],
+    /// Per selected conflict: the policy's decision and the end of the
+    /// conflict's entries in `newly_blocked` (see [`RestartEvent::resolved`]).
+    pub resolutions: &'a [(Resolution, usize)],
+    /// Per selected conflict, concatenated: the indices into its losing
+    /// side of the groundings its resolution newly blocked.
+    pub newly_blocked: &'a [usize],
     /// Conflicts detected but deferred to a later restart
     /// (`ResolutionScope::One`).
-    pub deferred: u64,
+    pub deferred: &'a [Conflict],
+}
+
+impl<'a> RestartEvent<'a> {
+    /// Each selected conflict with the policy's decision and the groundings
+    /// its resolution newly blocked, in `SELECT` call order.
+    pub fn resolved(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            &'a Conflict,
+            Resolution,
+            impl ExactSizeIterator<Item = &'a Grounding>,
+        ),
+    > {
+        let newly_blocked = self.newly_blocked;
+        let mut start = 0;
+        self.selected
+            .iter()
+            .zip(self.resolutions)
+            .map(move |(c, &(resolution, end))| {
+                let losing = c.losing_side(resolution);
+                let newly = newly_blocked[start..end].iter().map(move |&i| &losing[i]);
+                start = end;
+                (c, resolution, newly)
+            })
+    }
 }
 
 /// Replay savings of one run that had a warm-restart log to draw from.
@@ -214,6 +262,57 @@ pub struct NoopMetrics;
 impl MetricsSink for NoopMetrics {
     fn enabled(&self) -> bool {
         false
+    }
+}
+
+/// A sink that may be absent: `None` is disabled.
+impl<S: MetricsSink> MetricsSink for Option<S> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(S::enabled)
+    }
+    fn step(&mut self, ev: &StepEvent<'_>) {
+        if let Some(s) = self {
+            s.step(ev);
+        }
+    }
+    fn restart(&mut self, ev: &RestartEvent<'_>) {
+        if let Some(s) = self {
+            s.restart(ev);
+        }
+    }
+    fn replay(&mut self, ev: &ReplayEvent) {
+        if let Some(s) = self {
+            s.replay(ev);
+        }
+    }
+    fn finish(&mut self, ev: &FinishEvent<'_>) {
+        if let Some(s) = self {
+            s.finish(ev);
+        }
+    }
+}
+
+/// Two sinks fed from one run (a trace and a metrics document, say):
+/// enabled when either is, and every event goes to both in order.
+impl<A: MetricsSink, B: MetricsSink> MetricsSink for (A, B) {
+    fn enabled(&self) -> bool {
+        self.0.enabled() || self.1.enabled()
+    }
+    fn step(&mut self, ev: &StepEvent<'_>) {
+        self.0.step(ev);
+        self.1.step(ev);
+    }
+    fn restart(&mut self, ev: &RestartEvent<'_>) {
+        self.0.restart(ev);
+        self.1.restart(ev);
+    }
+    fn replay(&mut self, ev: &ReplayEvent) {
+        self.0.replay(ev);
+        self.1.replay(ev);
+    }
+    fn finish(&mut self, ev: &FinishEvent<'_>) {
+        self.0.finish(ev);
+        self.1.finish(ev);
     }
 }
 
@@ -487,13 +586,23 @@ impl MetricsSink for JsonMetrics {
     }
 
     fn restart(&mut self, ev: &RestartEvent<'_>) {
+        let vocab = ev.program.vocab();
         self.restarts.push(RestartRecord {
             run: ev.run,
             step: ev.step,
             scope: scope_str(ev.scope),
             policy: ev.policy.to_string(),
-            deferred: ev.deferred,
-            resolutions: ev.resolutions.to_vec(),
+            deferred: ev.deferred.len() as u64,
+            resolutions: ev
+                .resolved()
+                .map(|(c, resolution, newly)| {
+                    (
+                        vocab.display_fact(c.pred, &c.tuple),
+                        resolution,
+                        newly.len() as u64,
+                    )
+                })
+                .collect(),
         });
     }
 
@@ -546,10 +655,16 @@ mod tests {
     use super::*;
     use crate::conflict::Inertia;
     use crate::fixpoint::Engine;
+    use crate::trace::Trace;
     use park_storage::{FactStore, Vocabulary};
     use std::sync::Arc;
 
-    fn metered(rules: &str, facts: &str, options: EngineOptions) -> (JsonMetrics, StatCounters) {
+    fn run_into(
+        rules: &str,
+        facts: &str,
+        options: EngineOptions,
+        sink: &mut dyn MetricsSink,
+    ) -> StatCounters {
         let vocab = Vocabulary::new();
         let engine = Engine::with_options(
             Arc::clone(&vocab),
@@ -558,11 +673,14 @@ mod tests {
         )
         .unwrap();
         let db = FactStore::from_source(vocab, facts).unwrap();
+        let out = engine.park_with_metrics(&db, &mut Inertia, sink).unwrap();
+        out.stats.counters()
+    }
+
+    fn metered(rules: &str, facts: &str, options: EngineOptions) -> (JsonMetrics, StatCounters) {
         let mut sink = JsonMetrics::new("test");
-        let out = engine
-            .park_with_metrics(&db, &mut Inertia, &mut sink)
-            .unwrap();
-        (sink, out.stats.counters())
+        let counters = run_into(rules, facts, options, &mut sink);
+        (sink, counters)
     }
 
     #[test]
@@ -686,5 +804,43 @@ mod tests {
     fn noop_sink_reports_disabled() {
         assert!(!NoopMetrics.enabled());
         assert!(JsonMetrics::new("x").enabled());
+        assert!(!None::<JsonMetrics>.enabled());
+        assert!(!(None::<Trace>, None::<JsonMetrics>).enabled());
+        assert!((None::<Trace>, Some(JsonMetrics::new("x"))).enabled());
+    }
+
+    #[test]
+    fn a_pair_sink_sees_what_each_sink_sees_alone() {
+        for (rules, facts, scope) in [
+            (
+                "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
+                "p.",
+                ResolutionScope::All,
+            ),
+            (
+                "p -> +q. p -> -q. p -> +a. p -> -a.",
+                "p.",
+                ResolutionScope::One,
+            ),
+            (
+                "e(X, Y) -> +r(X, Y). r(X, Y), e(Y, Z) -> +r(X, Z). r(X, X) -> -r(X, X).",
+                "e(a, b). e(b, c). e(c, a).",
+                ResolutionScope::All,
+            ),
+        ] {
+            let options = EngineOptions::default().with_scope(scope);
+            let mut trace = Trace::new();
+            run_into(rules, facts, options, &mut trace);
+            let (metrics, _) = metered(rules, facts, options);
+            let mut pair = (Trace::new(), JsonMetrics::new("test"));
+            run_into(rules, facts, options, &mut pair);
+            assert!(!trace.is_empty(), "{rules}");
+            assert_eq!(pair.0, trace, "{rules}");
+            assert_eq!(pair.1.totals(), metrics.totals(), "{rules}");
+            assert_eq!(pair.1.restarts.len(), metrics.restarts.len(), "{rules}");
+            for (a, b) in pair.1.restarts.iter().zip(&metrics.restarts) {
+                assert_eq!(a.resolutions, b.resolutions, "{rules}");
+            }
+        }
     }
 }

@@ -23,8 +23,6 @@ pub enum ResolutionScope {
 pub struct EngineOptions {
     /// Conflict-resolution scope per restart.
     pub scope: ResolutionScope,
-    /// Record a full execution trace (costs string rendering per step).
-    pub trace: bool,
     /// Upper bound on Γ applications across all runs; exceeding it is an
     /// error (it would indicate an engine bug — PARK terminates).
     pub max_steps: u64,
@@ -36,7 +34,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             scope: ResolutionScope::All,
-            trace: false,
             max_steps: 1 << 22,
             max_restarts: 1 << 22,
         }
@@ -44,14 +41,6 @@ impl Default for EngineOptions {
 }
 
 impl EngineOptions {
-    /// Default options with tracing enabled.
-    pub fn traced() -> Self {
-        EngineOptions {
-            trace: true,
-            ..EngineOptions::default()
-        }
-    }
-
     /// Set the resolution scope (builder style).
     pub fn with_scope(mut self, scope: ResolutionScope) -> Self {
         self.scope = scope;
@@ -67,14 +56,12 @@ mod tests {
     fn defaults_are_paper_faithful() {
         let o = EngineOptions::default();
         assert_eq!(o.scope, ResolutionScope::All);
-        assert!(!o.trace);
         assert!(o.max_steps > 1_000_000);
     }
 
     #[test]
     fn builders() {
-        let o = EngineOptions::traced().with_scope(ResolutionScope::One);
-        assert!(o.trace);
+        let o = EngineOptions::default().with_scope(ResolutionScope::One);
         assert_eq!(o.scope, ResolutionScope::One);
     }
 }

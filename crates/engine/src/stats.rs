@@ -31,7 +31,7 @@ pub struct RunStats {
     /// `crate::bytecode`). It depends only on the program and the steps'
     /// deltas. Replayed restart steps run no units, so it differs from the
     /// paper's restart-from-`D` construction, which is why it stays out of
-    /// `ParkOutcome::fingerprint`.
+    /// the testkit's run fingerprint (`park_testkit::compare::fingerprint`).
     pub eval_tasks: u64,
     /// Γ steps served from the warm-restart replay log instead of being
     /// evaluated live (see `crate::replay`). Like `eval_tasks`, this is

@@ -1,8 +1,10 @@
 //! Execution traces in the paper's step-listing style.
 //!
-//! With tracing enabled, the engine records one event per Γ step, per
-//! detected inconsistency, per conflict resolution, and per restart. The
-//! renderer reproduces listings like the paper's Section 5 computation:
+//! A [`Trace`] is a [`MetricsSink`]: passed to `Engine::run_with_metrics`
+//! (alone, or paired with another sink), it records one event per run
+//! start, per Γ step, per detected inconsistency, per conflict resolution,
+//! and at the fixpoint. The renderer reproduces listings like the paper's
+//! Section 5 computation:
 //!
 //! ```text
 //! run 1
@@ -14,7 +16,8 @@
 //!   ...
 //! ```
 
-use crate::conflict::Resolution;
+use crate::conflict::{Conflict, Resolution};
+use crate::metrics::{MetricsSink, RestartEvent, StepEvent, StepOutcome};
 use park_json::Json;
 use std::fmt;
 
@@ -72,7 +75,9 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    fn to_json_value(&self) -> Json {
+    /// Encode as a JSON object whose `event` member names the variant in
+    /// `snake_case`, followed by the variant's fields in declaration order.
+    pub fn to_json_value(&self) -> Json {
         fn strings(items: &[String]) -> Json {
             Json::Array(items.iter().map(Json::str).collect())
         }
@@ -135,98 +140,13 @@ impl TraceEvent {
             ]),
         }
     }
-
-    fn from_json_value(value: &Json) -> Result<TraceEvent, String> {
-        fn run_of(value: &Json) -> Result<u64, String> {
-            num(value, "run")
-        }
-        fn num(value: &Json, key: &str) -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_i64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing numeric `{key}`"))
-        }
-        fn text(value: &Json, key: &str) -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string `{key}`"))
-        }
-        fn strings(value: &Json, key: &str) -> Result<Vec<String>, String> {
-            value
-                .get(key)
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("missing array `{key}`"))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("non-string entry in `{key}`"))
-                })
-                .collect()
-        }
-        let tag = value
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or("missing `event` tag")?;
-        match tag {
-            "run_started" => Ok(TraceEvent::RunStarted {
-                run: run_of(value)?,
-            }),
-            "step" => Ok(TraceEvent::Step {
-                run: run_of(value)?,
-                step: num(value, "step")?,
-                interp: text(value, "interp")?,
-                added: strings(value, "added")?,
-            }),
-            "inconsistent" => Ok(TraceEvent::Inconsistent {
-                run: run_of(value)?,
-                step: num(value, "step")?,
-                atoms: strings(value, "atoms")?,
-                // Absent in traces written before the field existed.
-                deferred: strings(value, "deferred").unwrap_or_default(),
-            }),
-            "conflict_resolved" => Ok(TraceEvent::ConflictResolved {
-                conflict: text(value, "conflict")?,
-                policy: text(value, "policy")?,
-                resolution: match text(value, "resolution")?.as_str() {
-                    "Insert" => Resolution::Insert,
-                    "Delete" => Resolution::Delete,
-                    other => return Err(format!("unknown resolution `{other}`")),
-                },
-                blocked: strings(value, "blocked")?,
-            }),
-            "fixpoint" => Ok(TraceEvent::Fixpoint {
-                run: run_of(value)?,
-                interp: text(value, "interp")?,
-                blocked: strings(value, "blocked")?,
-            }),
-            other => Err(format!("unknown event tag `{other}`")),
-        }
-    }
 }
 
 /// An ordered list of trace events.
-///
-/// Equality, JSON encoding, and rendering cover the *events* only: the
-/// [`Trace::notes`] side channel carries debug annotations (e.g. which
-/// steps a warm restart replayed) that must not perturb the event stream
-/// or any byte-identity comparison against it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    notes: Vec<String>,
 }
-
-impl PartialEq for Trace {
-    fn eq(&self, other: &Self) -> bool {
-        self.events == other.events
-    }
-}
-
-impl Eq for Trace {}
 
 impl Trace {
     /// An empty trace.
@@ -244,17 +164,7 @@ impl Trace {
         &self.events
     }
 
-    /// Append a debug annotation (not part of the event stream).
-    pub fn push_note(&mut self, note: String) {
-        self.notes.push(note);
-    }
-
-    /// Debug annotations recorded alongside the events.
-    pub fn notes(&self) -> &[String] {
-        &self.notes
-    }
-
-    /// True if no events were recorded (tracing disabled or nothing ran).
+    /// True if no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -264,25 +174,15 @@ impl Trace {
         self.events.len()
     }
 
-    /// Encode as a JSON array of tagged events (for tooling): each event is
-    /// an object whose `event` member names the variant in `snake_case`,
-    /// followed by the variant's fields in declaration order.
-    pub fn to_json(&self) -> String {
-        Json::Array(self.events.iter().map(TraceEvent::to_json_value).collect()).to_pretty()
+    /// The events as a JSON array of tagged objects (see
+    /// [`TraceEvent::to_json_value`]).
+    pub fn to_json_value(&self) -> Json {
+        Json::Array(self.events.iter().map(TraceEvent::to_json_value).collect())
     }
 
-    /// Decode a JSON array produced by [`Trace::to_json`].
-    pub fn from_json(json: &str) -> Result<Trace, String> {
-        let doc = park_json::parse(json).map_err(|e| e.to_string())?;
-        let items = doc.as_array().ok_or("trace JSON must be an array")?;
-        let events = items
-            .iter()
-            .map(TraceEvent::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace {
-            events,
-            notes: Vec::new(),
-        })
+    /// [`Trace::to_json_value`], pretty-printed (for tooling).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_pretty()
     }
 
     /// Render the whole trace as indented text.
@@ -344,6 +244,61 @@ impl Trace {
     }
 }
 
+/// The trace records from the loop's events: a run starts at its first
+/// step, a consistent step lists its new marks, and a restart lists the
+/// inconsistency and each resolution.
+impl MetricsSink for Trace {
+    fn step(&mut self, ev: &StepEvent<'_>) {
+        if ev.step == 1 {
+            self.push(TraceEvent::RunStarted { run: ev.run });
+        }
+        match ev.outcome {
+            StepOutcome::Applied => {
+                let vocab = ev.program.vocab();
+                self.push(TraceEvent::Step {
+                    run: ev.run,
+                    step: ev.step,
+                    interp: ev.interp.display(),
+                    added: ev
+                        .new_marks
+                        .iter()
+                        .map(|&i| {
+                            let f = &ev.fired[i];
+                            format!("{}{}", f.sign, vocab.display_row(f.pred, &f.tuple))
+                        })
+                        .collect(),
+                });
+            }
+            StepOutcome::Fixpoint => self.push(TraceEvent::Fixpoint {
+                run: ev.run,
+                interp: ev.interp.display(),
+                blocked: ev.blocked.display(ev.program),
+            }),
+            // Reported with its resolutions by the restart that follows.
+            StepOutcome::Conflict => {}
+        }
+    }
+
+    fn restart(&mut self, ev: &RestartEvent<'_>) {
+        let vocab = ev.program.vocab();
+        let atom = |c: &Conflict| vocab.display_fact(c.pred, &c.tuple);
+        self.push(TraceEvent::Inconsistent {
+            run: ev.run,
+            step: ev.step,
+            atoms: ev.selected.iter().map(atom).collect(),
+            deferred: ev.deferred.iter().map(atom).collect(),
+        });
+        for (c, resolution, newly) in ev.resolved() {
+            self.push(TraceEvent::ConflictResolved {
+                conflict: c.display(ev.program),
+                policy: ev.policy.to_string(),
+                resolution,
+                blocked: newly.map(|g| g.display(ev.program)).collect(),
+            });
+        }
+    }
+}
+
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
@@ -392,24 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_lossless() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::RunStarted { run: 1 });
-        t.push(TraceEvent::ConflictResolved {
-            conflict: "(q, {(r1)}, {(r2)})".into(),
-            policy: "inertia".into(),
-            resolution: Resolution::Insert,
-            blocked: vec!["(r2)".into()],
-        });
-        let json = t.to_json();
-        assert!(json.contains("\"event\": \"run_started\""), "{json}");
-        assert!(json.contains("\"resolution\": \"Insert\""), "{json}");
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back.events(), t.events());
-    }
-
-    #[test]
-    fn deferred_conflicts_render_and_roundtrip() {
+    fn deferred_conflicts_render_and_encode() {
         let mut t = Trace::new();
         t.push(TraceEvent::Inconsistent {
             run: 1,
@@ -417,40 +355,28 @@ mod tests {
             atoms: vec!["q".into()],
             deferred: vec!["r".into(), "s".into()],
         });
+        t.push(TraceEvent::Inconsistent {
+            run: 2,
+            step: 1,
+            atoms: vec!["r".into()],
+            deferred: vec![],
+        });
+        t.push(TraceEvent::ConflictResolved {
+            conflict: "(r, {(r1)}, {(r2)})".into(),
+            policy: "inertia".into(),
+            resolution: Resolution::Insert,
+            blocked: vec!["(r2)".into()],
+        });
         let rendered = t.render();
         assert!(rendered.contains("inconsistent: q"), "{rendered}");
         assert!(rendered.contains("(deferred: r, s)"), "{rendered}");
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.events(), t.events());
-        // Traces written before `deferred` existed still decode.
-        let legacy = r#"[{"event": "inconsistent", "run": 1, "step": 2, "atoms": ["q"]}]"#;
-        let back = Trace::from_json(legacy).unwrap();
-        assert_eq!(
-            back.events(),
-            &[TraceEvent::Inconsistent {
-                run: 1,
-                step: 2,
-                atoms: vec!["q".into()],
-                deferred: vec![],
-            }]
-        );
-    }
-
-    #[test]
-    fn notes_are_a_side_channel_outside_equality_and_json() {
-        let mut a = Trace::new();
-        a.push(TraceEvent::RunStarted { run: 1 });
-        let mut b = a.clone();
-        b.push_note("run 2: replayed 3 steps".into());
-        assert_eq!(a, b, "notes must not perturb trace equality");
-        assert_eq!(b.notes(), &["run 2: replayed 3 steps".to_string()]);
-        assert!(!b.to_json().contains("replayed"), "{}", b.to_json());
-    }
-
-    #[test]
-    fn malformed_trace_json_rejected() {
-        assert!(Trace::from_json("{not json").is_err());
-        assert!(Trace::from_json("{}").is_err());
-        assert!(Trace::from_json("[{\"event\": \"no_such_tag\"}]").is_err());
+        // `deferred` is encoded on every inconsistency, empty or not.
+        let json = t.to_json();
+        assert!(json.contains("\"deferred\": [\n"), "{json}");
+        assert!(json.contains("\"deferred\": []"), "{json}");
+        assert!(json.contains("\"event\": \"conflict_resolved\""), "{json}");
+        assert!(json.contains("\"resolution\": \"Insert\""), "{json}");
+        let compact = t.to_json_value().to_string();
+        assert!(compact.contains(r#""deferred":["r","s"]"#), "{compact}");
     }
 }

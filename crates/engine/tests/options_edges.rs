@@ -1,34 +1,44 @@
 //! Edge cases of `EngineOptions` and degenerate inputs: empty programs,
 //! empty databases, and self-undoing rules.
 
-use park_engine::{Engine, EngineOptions, Inertia, ParkOutcome, ResolutionScope, TraceEvent};
+use park_engine::{
+    Engine, EngineOptions, Inertia, ParkOutcome, ResolutionScope, Trace, TraceEvent,
+};
 use park_storage::{FactStore, Vocabulary};
 use park_syntax::parse_program;
 use std::sync::Arc;
 
 fn run(rules: &str, facts: &str, options: EngineOptions) -> ParkOutcome {
+    traced(rules, facts, options).0
+}
+
+fn traced(rules: &str, facts: &str, options: EngineOptions) -> (ParkOutcome, Trace) {
     let vocab = Vocabulary::new();
     let engine =
         Engine::with_options(Arc::clone(&vocab), &parse_program(rules).unwrap(), options).unwrap();
     let db = FactStore::from_source(vocab, facts).unwrap();
-    engine.park(&db, &mut Inertia).unwrap()
+    let mut trace = Trace::new();
+    let out = engine
+        .park_with_metrics(&db, &mut Inertia, &mut trace)
+        .unwrap();
+    (out, trace)
 }
 
 #[test]
 fn empty_program_returns_database_in_one_step() {
     // Γ_{∅,B}(I) = I immediately: one (no-op) step, no restarts, and a
     // trace of exactly RunStarted + Fixpoint.
-    let out = run("", "p(a). q(b).", EngineOptions::traced());
+    let (out, trace) = traced("", "p(a). q(b).", EngineOptions::default());
     assert_eq!(out.database.sorted_display(), vec!["p(a)", "q(b)"]);
     assert_eq!(out.stats.gamma_steps, 1);
     assert_eq!(out.stats.restarts, 0);
-    assert_eq!(out.trace.len(), 2);
+    assert_eq!(trace.len(), 2);
     assert!(matches!(
-        out.trace.events()[0],
+        trace.events()[0],
         TraceEvent::RunStarted { run: 1 }
     ));
     assert!(matches!(
-        out.trace.events()[1],
+        trace.events()[1],
         TraceEvent::Fixpoint { run: 1, .. }
     ));
 }
@@ -37,7 +47,7 @@ fn empty_program_returns_database_in_one_step() {
 fn empty_database_fires_only_unconditional_rules() {
     // Positive bodies cannot hold in an empty database; only the
     // body-less update rule fires.
-    let out = run("p -> +q. -> +r.", "", EngineOptions::traced());
+    let out = run("p -> +q. -> +r.", "", EngineOptions::default());
     assert_eq!(out.database.sorted_display(), vec!["r"]);
     assert_eq!(out.stats.restarts, 0);
 
@@ -54,7 +64,7 @@ fn self_undoing_rule_deletes_without_conflict() {
     // valid after the mark (validity of `a` looks at I° ∪ I⁺), so the run
     // converges rather than oscillating.
     for scope in [ResolutionScope::All, ResolutionScope::One] {
-        let out = run("a -> -a.", "a.", EngineOptions::traced().with_scope(scope));
+        let out = run("a -> -a.", "a.", EngineOptions::default().with_scope(scope));
         assert!(out.database.sorted_display().is_empty(), "{scope:?}");
         assert_eq!(out.stats.restarts, 0);
         assert_eq!(out.stats.conflicts_resolved, 0);

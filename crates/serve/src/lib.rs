@@ -57,8 +57,6 @@ pub struct ServeOptions {
     pub policy: String,
     /// Default conflict-resolution scope.
     pub scope: ResolutionScope,
-    /// Open databases with tracing enabled by default.
-    pub trace: bool,
     /// Open databases with cross-transaction incremental evaluation by
     /// default (see docs/incremental.md). Committed results are
     /// byte-identical either way; certified insert-only transactions skip
@@ -71,7 +69,6 @@ impl Default for ServeOptions {
         ServeOptions {
             policy: "inertia".into(),
             scope: ResolutionScope::default(),
-            trace: false,
             incremental: false,
         }
     }
@@ -143,7 +140,6 @@ mod tests {
         let o = ServeOptions::default();
         assert_eq!(o.policy, "inertia");
         assert_eq!(o.scope, ResolutionScope::All);
-        assert!(!o.trace);
         assert!(!o.incremental);
     }
 }

@@ -49,7 +49,7 @@ pub enum DbOp {
         facts: String,
         /// Session `SELECT` policy name (default: the serve default).
         policy: String,
-        /// Engine options resolved from `scope`/`trace`.
+        /// Engine options resolved from `scope`.
         options: EngineOptions,
         /// Journal file to append committed update sets to.
         journal: Option<String>,
@@ -61,8 +61,8 @@ pub enum DbOp {
     /// transaction through the rules and commit. `{"op": "settle"}` is
     /// the same with an empty update set. Optional fields: `answers`
     /// (conflict resolutions for this transaction, e.g. `["i", "d"]`),
-    /// `trace` (emit a trace frame; requires a traced database), and
-    /// `metrics` (emit a park-metrics/v1 frame).
+    /// `trace` (emit a trace frame), and `metrics` (emit a park-metrics/v1
+    /// frame).
     Transact {
         /// `.updates` source, e.g. `"+q(b). -p(a)."`.
         updates: String,
@@ -208,13 +208,11 @@ pub fn parse_request(line: &str, defaults: &ServeOptions) -> Result<Request, Str
                 "create" => {
                     let mut options = EngineOptions {
                         scope: defaults.scope,
-                        trace: defaults.trace,
                         ..EngineOptions::default()
                     };
                     if let Some(s) = optional_str(&doc, "scope")? {
                         options.scope = parse_scope(&s)?;
                     }
-                    options.trace = optional_bool(&doc, "trace", options.trace)?;
                     DbOp::Create {
                         program: required_str(&doc, "program", op)?,
                         facts: optional_str(&doc, "facts")?.unwrap_or_default(),
@@ -326,35 +324,45 @@ mod tests {
         };
         assert_eq!(db, "hr");
         assert_eq!(policy, "inertia");
-        // The retired `eval` and `threads` keys are ignored like any
-        // unknown key.
+        // The retired `eval`, `threads` and `trace` keys are ignored like
+        // any unknown key.
         assert_eq!(
             options,
             EngineOptions {
                 scope: ResolutionScope::One,
-                trace: true,
                 ..EngineOptions::default()
             }
         );
     }
 
+    fn create_options(line: &str) -> EngineOptions {
+        let Request::Db {
+            op: DbOp::Create { options, .. },
+            ..
+        } = parse_request(line, &defaults()).unwrap()
+        else {
+            panic!("expected create")
+        };
+        options
+    }
+
     #[test]
     fn create_ignores_the_retired_threads_key() {
-        let options = |line: &str| {
-            let Request::Db {
-                op: DbOp::Create { options, .. },
-                ..
-            } = parse_request(line, &defaults()).unwrap()
-            else {
-                panic!("expected create")
-            };
-            options
-        };
-        let plain = options(r#"{"op":"create","db":"d","program":"p -> +q."}"#);
+        let plain = create_options(r#"{"op":"create","db":"d","program":"p -> +q."}"#);
         for threads in ["4", "0", "\"many\""] {
             let line =
                 format!(r#"{{"op":"create","db":"d","program":"p -> +q.","threads":{threads}}}"#);
-            assert_eq!(options(&line), plain, "{line}");
+            assert_eq!(create_options(&line), plain, "{line}");
+        }
+    }
+
+    #[test]
+    fn create_ignores_the_retired_trace_key() {
+        let plain = create_options(r#"{"op":"create","db":"d","program":"p -> +q."}"#);
+        for trace in ["true", "false", "\"yes\""] {
+            let line =
+                format!(r#"{{"op":"create","db":"d","program":"p -> +q.","trace":{trace}}}"#);
+            assert_eq!(create_options(&line), plain, "{line}");
         }
     }
 
@@ -362,7 +370,7 @@ mod tests {
     fn create_inherits_session_defaults() {
         let mut opts = defaults();
         opts.policy = "prefer-insert".into();
-        opts.trace = true;
+        opts.scope = ResolutionScope::One;
         let req = parse_request(r#"{"op":"create","db":"d","program":""}"#, &opts).unwrap();
         let Request::Db {
             op: DbOp::Create {
@@ -374,7 +382,7 @@ mod tests {
             panic!("expected create")
         };
         assert_eq!(policy, "prefer-insert");
-        assert!(options.trace);
+        assert_eq!(options.scope, ResolutionScope::One);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::protocol::{self, frame, DbOp};
 use park::db::{ActiveDatabase, TransactionReport, VocabStats};
-use park::engine::{ConflictResolver, EngineOptions, JsonMetrics, NoopMetrics};
+use park::engine::{ConflictResolver, EngineOptions, JsonMetrics, Trace};
 use park::policies::{by_name, parse_answer, Interactive, Resolution};
 use park::storage::{FactStore, Snapshot, UpdateSet, Vocabulary};
 use park::syntax::parse_program;
@@ -38,7 +38,6 @@ pub struct DbSession {
     name: String,
     db: ActiveDatabase,
     policy: String,
-    traced: bool,
 }
 
 impl DbSession {
@@ -66,7 +65,6 @@ impl DbSession {
             name: name.into(),
             db,
             policy: policy.into(),
-            traced: options.trace,
         })
     }
 
@@ -287,12 +285,6 @@ impl DbSession {
         trace: bool,
         metrics: bool,
     ) -> Vec<String> {
-        if trace && !self.traced {
-            return vec![self.error(
-                seq,
-                "tracing is not enabled for this database (create it with \"trace\": true)",
-            )];
-        }
         let updates = match UpdateSet::from_source(self.db.vocab(), updates) {
             Ok(u) => u,
             Err(e) => return vec![self.error(seq, &format!("updates: {e}"))],
@@ -319,14 +311,13 @@ impl DbSession {
             }
             None => &mut **named.insert(by_name(&self.policy).expect("validated at open")),
         };
-        let mut sink = JsonMetrics::new("serve");
-        let result = if metrics {
-            self.db.transact_with_metrics(&updates, policy, &mut sink)
-        } else {
-            self.db
-                .transact_with_metrics(&updates, policy, &mut NoopMetrics)
-        };
-        let report = match result {
+        // Neither requested: no sink, the unmetered (and, in incremental
+        // mode, warm-eligible) path.
+        let mut sinks = (
+            trace.then(Trace::new),
+            metrics.then(|| JsonMetrics::new("serve")),
+        );
+        let report = match self.db.transact_with_metrics(&updates, policy, &mut sinks) {
             Ok(r) => r,
             Err(e) => return vec![self.error(seq, &e.to_string())],
         };
@@ -345,27 +336,26 @@ impl DbSession {
             fields.push(("answers_unused", Json::Int(answers_unused as i64)));
         }
         let mut frames = vec![frame("delta", seq, fields)];
-        if trace {
-            let events = park_json::parse(&report.trace.to_json())
-                .unwrap_or_else(|_| Json::Array(Vec::new()));
+        let (trace, metrics) = sinks;
+        if let Some(trace) = trace {
             frames.push(frame(
                 "trace",
                 seq,
                 vec![
                     ("db", Json::str(&self.name)),
                     ("tx", Json::Int(report.number as i64)),
-                    ("events", events),
+                    ("events", trace.to_json_value()),
                 ],
             ));
         }
-        if metrics {
+        if let Some(metrics) = metrics {
             frames.push(frame(
                 "metrics",
                 seq,
                 vec![
                     ("db", Json::str(&self.name)),
                     ("tx", Json::Int(report.number as i64)),
-                    ("doc", sink.to_json()),
+                    ("doc", metrics.to_json()),
                 ],
             ));
         }
@@ -551,53 +541,6 @@ mod tests {
         );
         let doc = park_json::parse(&frames[0]).unwrap();
         assert_eq!(doc.get("answers_unused").and_then(|j| j.as_i64()), Some(2));
-    }
-
-    #[test]
-    fn trace_requires_a_traced_database() {
-        let mut s = open_payroll();
-        let (frames, _) = s.handle(
-            1,
-            DbOp::Transact {
-                updates: "-active(ann).".into(),
-                answers: None,
-                trace: true,
-                metrics: false,
-            },
-        );
-        assert!(frames[0].contains("\"error\""), "{}", frames[0]);
-
-        let mut traced = DbSession::open(
-            "t",
-            "onleave: -active(X) -> +offboard(X).",
-            "active(ann).",
-            "inertia",
-            EngineOptions::traced(),
-            None,
-            false,
-        )
-        .unwrap();
-        let (frames, _) = traced.handle(
-            1,
-            DbOp::Transact {
-                updates: "-active(ann).".into(),
-                answers: None,
-                trace: true,
-                metrics: true,
-            },
-        );
-        assert_eq!(frames.len(), 3, "delta + trace + metrics");
-        let trace = park_json::parse(&frames[1]).unwrap();
-        assert_eq!(trace.get("frame").and_then(|j| j.as_str()), Some("trace"));
-        assert!(!trace.get("events").unwrap().as_array().unwrap().is_empty());
-        let metrics = park_json::parse(&frames[2]).unwrap();
-        assert_eq!(
-            metrics
-                .get("doc")
-                .and_then(|d| d.get("schema"))
-                .and_then(|j| j.as_str()),
-            Some("park-metrics/v1")
-        );
     }
 
     #[test]
@@ -790,6 +733,51 @@ mod tests {
         let (frames, _) = off.handle(2, DbOp::Stats);
         let doc = park_json::parse(&frames[0]).unwrap();
         assert!(doc.get("incremental").is_none(), "{}", frames[0]);
+    }
+
+    #[test]
+    fn trace_frames_are_per_request_and_leave_the_database_warm() {
+        let mut s = open_reach(true);
+        s.handle(1, tx("+e(b, c).")); // seeds warm (cold)
+        let (frames, _) = s.handle(
+            2,
+            DbOp::Transact {
+                updates: "+e(c, d).".into(),
+                answers: None,
+                trace: true,
+                metrics: true,
+            },
+        );
+        assert_eq!(frames.len(), 3, "delta + trace + metrics: {frames:?}");
+        let trace = park_json::parse(&frames[1]).unwrap();
+        assert_eq!(trace.get("frame").and_then(|j| j.as_str()), Some("trace"));
+        let events = trace.get("events").and_then(|j| j.as_array()).unwrap();
+        assert_eq!(
+            events[0].get("event").and_then(|j| j.as_str()),
+            Some("run_started")
+        );
+        let metrics = park_json::parse(&frames[2]).unwrap();
+        assert_eq!(
+            metrics
+                .get("doc")
+                .and_then(|d| d.get("schema"))
+                .and_then(|j| j.as_str()),
+            Some("park-metrics/v1")
+        );
+        let incremental_txs = |s: &mut DbSession, seq| {
+            let (frames, _) = s.handle(seq, DbOp::Stats);
+            let doc = park_json::parse(&frames[0]).unwrap();
+            doc.get("incremental")
+                .and_then(|inc| inc.get("incremental_txs"))
+                .and_then(|j| j.as_i64())
+                .unwrap()
+        };
+        // The traced transaction ran cold; the untraced one after it is
+        // answered warm.
+        assert_eq!(incremental_txs(&mut s, 3), 0);
+        let (frames, _) = s.handle(4, tx("+e(d, e)."));
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        assert_eq!(incremental_txs(&mut s, 5), 1);
     }
 
     #[test]

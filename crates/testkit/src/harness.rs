@@ -42,11 +42,10 @@ use park_baselines::stratified_datalog;
 use park_engine::refine::AnalysisVariant;
 use park_engine::{
     CompiledLiteral, CompiledProgram, Engine, EngineOptions, JsonMetrics, LitKind, ParkOutcome,
-    ResolutionScope, StatCounters,
+    ResolutionScope, StatCounters, Trace,
 };
 use park_storage::{FactStore, PredId, UpdateSet, Vocabulary};
 use park_syntax::Sign;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -81,10 +80,9 @@ impl EngineConfig {
         .to_string()
     }
 
-    /// The engine options for this cell (tracing always on — the trace is
-    /// part of the comparison surface).
+    /// The engine options for this cell.
     pub fn options(&self) -> EngineOptions {
-        EngineOptions::traced().with_scope(self.scope)
+        EngineOptions::default().with_scope(self.scope)
     }
 }
 
@@ -138,8 +136,8 @@ pub struct CaseStats {
 
 /// One engine or oracle run, reduced to its comparable observables.
 enum RunOutcome {
-    /// Outcome plus rendered `SELECT` transcript.
-    Done(Box<ParkOutcome>, Vec<String>),
+    /// Outcome, trace and rendered `SELECT` transcript.
+    Done(Box<ParkOutcome>, Trace, Vec<String>),
     /// The run failed; errors must agree with the oracle's too.
     Failed(String),
 }
@@ -166,7 +164,7 @@ fn diff_outcomes(
         (RunOutcome::Failed(x), RunOutcome::Failed(y)) => {
             (x != y).then(|| format!("{label_a} failed with `{x}`, {label_b} with `{y}`"))
         }
-        (RunOutcome::Done(oa, ca), RunOutcome::Done(ob, cb)) => {
+        (RunOutcome::Done(oa, ta, ca), RunOutcome::Done(ob, tb, cb)) => {
             if order_free {
                 let sort = |calls: &[String]| {
                     let mut s = calls.to_vec();
@@ -175,14 +173,21 @@ fn diff_outcomes(
                 };
                 compare::diff_runs(
                     label_a,
-                    &compare::canonical(oa),
+                    &compare::fingerprint(oa, &compare::canonical(ta)),
                     &sort(ca),
                     label_b,
-                    &compare::canonical(ob),
+                    &compare::fingerprint(ob, &compare::canonical(tb)),
                     &sort(cb),
                 )
             } else {
-                compare::diff_runs(label_a, oa, ca, label_b, ob, cb)
+                compare::diff_runs(
+                    label_a,
+                    &compare::fingerprint(oa, ta),
+                    ca,
+                    label_b,
+                    &compare::fingerprint(ob, tb),
+                    cb,
+                )
             }
         }
         _ => Some(format!(
@@ -190,6 +195,39 @@ fn diff_outcomes(
             a.brief(),
             b.brief()
         )),
+    }
+}
+
+/// Run `engine` on `db` under `updates` and `policy` through one pair
+/// sink: the [`Trace`] is part of the comparison surface, and the
+/// [`JsonMetrics`] totals, derived from the event stream alone, must equal
+/// the engine's own `RunStats` counters. Per-rule firing counts are added
+/// to `fired_by_rule`.
+fn run_engine(
+    engine: &Engine,
+    db: &FactStore,
+    updates: &UpdateSet,
+    policy: &str,
+    fired_by_rule: &mut BTreeMap<u32, u64>,
+) -> RunOutcome {
+    let mut rec = compare::recording_policy(policy);
+    let mut sinks = (Trace::new(), JsonMetrics::new("testkit"));
+    match engine.run_with_metrics(db, updates, &mut rec, &mut sinks) {
+        Ok(out) => {
+            let (trace, metrics) = sinks;
+            let totals = metrics.totals();
+            let counters = out.stats.counters();
+            if totals != counters {
+                return RunOutcome::Failed(format!(
+                    "metrics totals diverged from RunStats: metrics {totals:?} vs stats {counters:?}"
+                ));
+            }
+            for (&rule, &n) in metrics.fired_by_rule() {
+                *fired_by_rule.entry(rule).or_insert(0) += n;
+            }
+            RunOutcome::Done(Box::new(out), trace, compare::transcript(rec.decisions()))
+        }
+        Err(e) => RunOutcome::Failed(e.to_string()),
     }
 }
 
@@ -285,38 +323,13 @@ pub fn check_case_parsed(
         engines.push((cfg, engine));
     }
 
-    // Every engine run is metered through a `JsonMetrics` sink and its
-    // event-derived totals cross-checked against the engine's own
-    // `RunStats` counters — the two bookkeeping paths must agree exactly
-    // in every cell of the matrix.
     // Per-rule firing counts summed over every matrix run — the witness
     // stream for the unreachable / never-fires lint cross-check.
-    let fired_by_rule: RefCell<BTreeMap<u32, u64>> = RefCell::new(BTreeMap::new());
-    let run_engine = |engine: &Engine, policy: &str| -> RunOutcome {
-        let mut rec = compare::recording_policy(policy);
-        let mut sink = JsonMetrics::new("testkit");
-        match engine.park_with_metrics(&db, &mut rec, &mut sink) {
-            Ok(out) => {
-                let totals = sink.totals();
-                let counters = out.stats.counters();
-                if totals != counters {
-                    return RunOutcome::Failed(format!(
-                        "metrics totals diverged from RunStats: metrics {totals:?} vs stats {counters:?}"
-                    ));
-                }
-                let mut acc = fired_by_rule.borrow_mut();
-                for (&rule, &n) in sink.fired_by_rule() {
-                    *acc.entry(rule).or_insert(0) += n;
-                }
-                RunOutcome::Done(Box::new(out), compare::transcript(rec.decisions()))
-            }
-            Err(e) => RunOutcome::Failed(e.to_string()),
-        }
-    };
+    let mut fired_by_rule: BTreeMap<u32, u64> = BTreeMap::new();
     let run_oracle = |scope: ResolutionScope, policy: &str| -> RunOutcome {
         let mut p = park_policies::by_name(policy).expect("harness policies are known");
         match oracle::evaluate(&compiled, &db, scope, &mut p, variant) {
-            Ok(r) => RunOutcome::Done(Box::new(r.outcome), r.decisions),
+            Ok(r) => RunOutcome::Done(Box::new(r.outcome), r.trace, r.decisions),
             Err(e) => RunOutcome::Failed(e.to_string()),
         }
     };
@@ -335,7 +348,7 @@ pub fn check_case_parsed(
         // the collection the certificate vouches for.
         if lint.certified_conflict_free {
             for (scope, res) in [("all", &oracle_all), ("one", &oracle_one)] {
-                if let RunOutcome::Done(o, _) = res {
+                if let RunOutcome::Done(o, ..) = res {
                     let c = o.stats.counters();
                     if c.restarts > 0 || c.conflicts_resolved > 0 {
                         return Err(Divergence {
@@ -354,7 +367,7 @@ pub fn check_case_parsed(
         }
 
         if pi == 0 {
-            if let RunOutcome::Done(o, _) = &oracle_all {
+            if let RunOutcome::Done(o, ..) = &oracle_all {
                 stats.had_conflicts = o.stats.restarts > 0;
             }
             if insert_only_extensional(&compiled) {
@@ -366,7 +379,7 @@ pub fn check_case_parsed(
                     detail,
                 };
                 match (&oracle_all, stratified_datalog(&compiled, &db, 1 << 20)) {
-                    (RunOutcome::Done(o, _), Ok(s)) => {
+                    (RunOutcome::Done(o, ..), Ok(s)) => {
                         if let Some(d) = compare::diff_lines(
                             "park",
                             &o.database.sorted_display().join("\n"),
@@ -390,9 +403,12 @@ pub fn check_case_parsed(
             }
         }
 
-        let results: Vec<RunOutcome> = engines.iter().map(|(_, e)| run_engine(e, policy)).collect();
+        let results: Vec<RunOutcome> = engines
+            .iter()
+            .map(|(_, e)| run_engine(e, &db, &UpdateSet::empty(), policy, &mut fired_by_rule))
+            .collect();
         for res in &results {
-            if let RunOutcome::Done(o, _) = res {
+            if let RunOutcome::Done(o, ..) = res {
                 stats.counters.absorb(&o.stats.counters());
             }
         }
@@ -414,14 +430,13 @@ pub fn check_case_parsed(
 
     // A rule flagged unreachable (its event is unproducible) or never-firing
     // (its body is unsatisfiable) must not have fired in any matrix run.
-    let fired = fired_by_rule.into_inner();
     for (&rule, what) in lint
         .unreachable
         .iter()
         .map(|r| (r, "unreachable"))
         .chain(lint.never_fires.iter().map(|r| (r, "never-firing")))
     {
-        let n = fired.get(&rule.0).copied().unwrap_or(0);
+        let n = fired_by_rule.get(&rule.0).copied().unwrap_or(0);
         if n > 0 {
             return Err(Divergence {
                 seed,
@@ -552,7 +567,7 @@ fn check_sequence(
             let run_oracle = |scope: ResolutionScope, chain_db: &FactStore| -> RunOutcome {
                 let mut p = park_policies::by_name(policy).expect("harness policies are known");
                 match oracle::evaluate(&pu, chain_db, scope, &mut p, variant) {
-                    Ok(r) => RunOutcome::Done(Box::new(r.outcome), r.decisions),
+                    Ok(r) => RunOutcome::Done(Box::new(r.outcome), r.trace, r.decisions),
                     Err(e) => RunOutcome::Failed(e.to_string()),
                 }
             };
@@ -563,27 +578,12 @@ fn check_sequence(
                 .iter()
                 .zip(&chains)
                 .map(|((_, engine), chain_db)| {
-                    let mut rec = compare::recording_policy(policy);
-                    let mut sink = JsonMetrics::new("testkit");
-                    match engine.run_with_metrics(chain_db, u, &mut rec, &mut sink) {
-                        Ok(out) => {
-                            let totals = sink.totals();
-                            let counters = out.stats.counters();
-                            if totals != counters {
-                                return RunOutcome::Failed(format!(
-                                    "metrics totals diverged from RunStats: \
-                                     metrics {totals:?} vs stats {counters:?}"
-                                ));
-                            }
-                            RunOutcome::Done(Box::new(out), compare::transcript(rec.decisions()))
-                        }
-                        Err(e) => RunOutcome::Failed(e.to_string()),
-                    }
+                    run_engine(engine, chain_db, u, policy, &mut BTreeMap::new())
                 })
                 .collect();
 
             for ((cfg, _), res) in engines.iter().zip(&results) {
-                if let RunOutcome::Done(o, _) = res {
+                if let RunOutcome::Done(o, ..) = res {
                     stats.counters.absorb(&o.stats.counters());
                 }
                 let oracle_ref = match cfg.scope {
@@ -631,7 +631,7 @@ fn check_sequence(
                             cold_db.state().sorted_display()
                         )));
                     }
-                    if let RunOutcome::Done(o, _) = &oracle_all {
+                    if let RunOutcome::Done(o, ..) = &oracle_all {
                         if let Some(d) = compare::diff_lines(
                             "active-db",
                             &cold_db.state().sorted_display().join("\n"),
@@ -656,11 +656,11 @@ fn check_sequence(
             // Advance the chains; if the oracle could not complete this
             // transaction (errors already checked to agree), stop here.
             match (&oracle_all, &oracle_one) {
-                (RunOutcome::Done(oa, _), RunOutcome::Done(oo, _)) => {
+                (RunOutcome::Done(oa, ..), RunOutcome::Done(oo, ..)) => {
                     oracle_dbs[0] = oa.database.clone();
                     oracle_dbs[1] = oo.database.clone();
                     for (chain_db, res) in chains.iter_mut().zip(&results) {
-                        if let RunOutcome::Done(o, _) = res {
+                        if let RunOutcome::Done(o, ..) = res {
                             *chain_db = o.database.clone();
                         }
                     }

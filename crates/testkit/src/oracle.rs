@@ -21,7 +21,7 @@
 //! * **incorp** spelled out as `(I° ∪ I⁺) − I⁻`.
 //!
 //! The oracle emits the same observable record the engine does — a
-//! [`ParkOutcome`] with a full trace — so the harness can compare the two
+//! [`ParkOutcome`] and a full [`Trace`] — so the harness can compare the two
 //! byte for byte (see `crate::harness` for which fragments admit exact
 //! comparison and which need canonical ordering).
 
@@ -59,14 +59,16 @@ pub enum OracleVariant {
     SkipRestartFromD,
 }
 
-/// The oracle's result: the same outcome record the engine produces, plus
-/// the `SELECT` transcript (one `"<conflict> -> <resolution>"` line per
-/// call, in call order).
+/// The oracle's result: the same outcome record and trace the engine
+/// produces, plus the `SELECT` transcript (one `"<conflict> -> <resolution>"`
+/// line per call, in call order).
 #[derive(Debug)]
 pub struct OracleRun {
-    /// Database, blocked set, stats, and full trace — comparable via
-    /// [`ParkOutcome::fingerprint`].
+    /// Database, blocked set and stats.
     pub outcome: ParkOutcome,
+    /// The full trace, built event by event — the reference the engine's
+    /// [`Trace`] sink is compared with (see [`crate::compare::fingerprint`]).
+    pub trace: Trace,
     /// The `SELECT` calls, rendered, in the order the policy was consulted.
     pub decisions: Vec<String>,
 }
@@ -237,8 +239,8 @@ pub fn evaluate(
             blocked,
             program: program.clone(),
             stats,
-            trace,
         },
+        trace,
         decisions,
     })
 }

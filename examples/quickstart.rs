@@ -7,7 +7,7 @@
 //! differs from naive conflict handling.
 
 use park::baselines::naive_mark_eliminate;
-use park::engine::{CompiledProgram, Engine, EngineOptions, Inertia};
+use park::engine::{CompiledProgram, Engine, Inertia, Trace};
 use park::prelude::*;
 use park::storage::UpdateSet;
 
@@ -22,13 +22,17 @@ fn main() {
          r3: q -> +a.",
     )
     .expect("P1 parses");
-    let engine =
-        Engine::with_options(vocab.clone(), &p1, EngineOptions::traced()).expect("P1 compiles");
+    let engine = Engine::new(vocab.clone(), &p1).expect("P1 compiles");
     let db = FactStore::from_source(vocab, "p.").expect("database parses");
 
-    let out = engine.park(&db, &mut Inertia).expect("PARK terminates");
+    // The trace is a metrics sink: pass it to the run to record the
+    // paper-style step listing.
+    let mut trace = Trace::new();
+    let out = engine
+        .park_with_metrics(&db, &mut Inertia, &mut trace)
+        .expect("PARK terminates");
     println!("P1 on D = {{p}} under inertia:");
-    println!("{}", out.trace.render());
+    println!("{}", trace.render());
     println!("result: {}\n", out.database);
     assert_eq!(out.database.to_string(), "{p, q}");
 

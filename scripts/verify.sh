@@ -233,6 +233,22 @@ cargo run -p park-cli --bin park --release --offline --quiet -- \
   run examples/data/p1.park --db examples/data/p1.facts \
   --metrics "$metrics_dir/metrics.json" > /dev/null
 grep -q '"schema": "park-metrics/v1"' "$metrics_dir/metrics.json"
+# A trace and a metrics document fed from one run: the step listing must
+# be byte-identical to the trace-only run's.
+for prog in examples/data/*.park; do
+  base="${prog%.park}"
+  name="$(basename "$base")"
+  updates=""; [ -f "$base.updates" ] && updates="--updates $base.updates"
+  # shellcheck disable=SC2086
+  cargo run -p park-cli --bin park --release --offline --quiet -- \
+    run "$prog" --db "$base.facts" $updates --trace > "$metrics_dir/$name.trace.out"
+  # shellcheck disable=SC2086
+  cargo run -p park-cli --bin park --release --offline --quiet -- \
+    run "$prog" --db "$base.facts" $updates --trace \
+    --metrics "$metrics_dir/$name.metrics.json" > "$metrics_dir/$name.both.out"
+  cmp "$metrics_dir/$name.trace.out" "$metrics_dir/$name.both.out"
+  grep -q '"schema": "park-metrics/v1"' "$metrics_dir/$name.metrics.json"
+done
 cargo run -p park-cli --bin park --release --offline --quiet -- \
   report "$metrics_dir/metrics.json" > "$metrics_dir/report.md"
 grep -q '# PARK run-metrics report' "$metrics_dir/report.md"

@@ -37,7 +37,7 @@
 
 use park_engine::{
     certify_incremental, ConflictResolver, Engine, EngineOptions, EngineResult, IncrementalReport,
-    MetricsSink, NoopMetrics, ParkOutcome, RunStats, Trace, WarmState,
+    MetricsSink, NoopMetrics, ParkOutcome, RunStats, WarmState,
 };
 use park_storage::{FactStore, Snapshot, StorageError, UpdateSet, Vocabulary};
 use park_syntax::{Program, Sign};
@@ -56,9 +56,6 @@ pub struct TransactionReport {
     pub blocked: Vec<String>,
     /// Engine counters for the evaluation.
     pub stats: RunStats,
-    /// The execution trace (empty unless the database was opened with
-    /// `EngineOptions::trace`).
-    pub trace: Trace,
 }
 
 impl TransactionReport {
@@ -326,8 +323,7 @@ impl ActiveDatabase {
         policy: &mut dyn ConflictResolver,
         sink: &mut dyn MetricsSink,
     ) -> EngineResult<TransactionReport> {
-        let warm_eligible =
-            self.certified_incremental && !self.engine.options().trace && !sink.enabled();
+        let warm_eligible = self.certified_incremental && !sink.enabled();
         if let (true, Committed::Warm(warm)) = (warm_eligible, &mut self.committed) {
             match warm.propagate(updates) {
                 Some(propagation) => {
@@ -358,7 +354,7 @@ impl ActiveDatabase {
         // Attribute the miss: an uncertified program dominates (nothing
         // about this transaction could have gone warm), then a conflicting
         // deletion in `U`; the remainder is warm-state seeding or
-        // trace/metrics runs.
+        // runs with a metrics sink (trace or metrics).
         if !self.certified_incremental {
             self.stats.cold_txs_uncertified += 1;
         } else if updates.iter().any(|u| u.sign == Sign::Delete) {
@@ -385,7 +381,6 @@ impl ActiveDatabase {
             removed: render(&report.removed),
             blocked: Vec::new(),
             stats: report.stats,
-            trace: Trace::new(),
         }
     }
 
@@ -425,7 +420,6 @@ impl ActiveDatabase {
             removed: render(&removed),
             blocked: outcome.blocked_display(),
             stats: std::mem::take(&mut outcome.stats),
-            trace: std::mem::take(&mut outcome.trace),
         };
         // Release the old state before seeding: it shares every shard the
         // transaction left alone with the outcome, and the warm state's
@@ -1175,17 +1169,16 @@ mod tests {
         db.transact_source("+e(e, f).", &mut Inertia).unwrap();
         assert_eq!(db.incremental_stats().incremental_txs, 1);
 
-        let vocab = Vocabulary::new();
-        let program = parse_program("e(X, Y) -> +r(X, Y).").unwrap();
-        let initial = FactStore::from_source(vocab, "e(a, b).").unwrap();
-        let mut traced =
-            ActiveDatabase::open_with_options(&program, initial, EngineOptions::traced())
-                .unwrap()
-                .with_incremental(true);
-        traced.transact_source("+e(b, c).", &mut Inertia).unwrap();
-        let r = traced.transact_source("+e(c, d).", &mut Inertia).unwrap();
-        assert!(!r.trace.is_empty(), "traced runs must keep their trace");
-        assert_eq!(traced.incremental_stats().incremental_txs, 0);
+        // A traced transaction runs cold too, and the untraced one after
+        // it is answered warm.
+        let mut trace = park_engine::Trace::new();
+        let u = UpdateSet::from_source(db.vocab(), "+e(f, g).").unwrap();
+        db.transact_with_metrics(&u, &mut Inertia, &mut trace)
+            .unwrap();
+        assert!(!trace.is_empty(), "traced runs must keep their trace");
+        assert_eq!(db.incremental_stats().cold_txs, 3);
+        db.transact_source("+e(g, h).", &mut Inertia).unwrap();
+        assert_eq!(db.incremental_stats().incremental_txs, 2);
     }
 
     #[test]

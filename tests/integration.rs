@@ -209,15 +209,14 @@ fn recording_matches_trace() {
         "@priority(1) r1: p -> +q. @priority(9) r2: p -> -q. @priority(1) r3: p -> +z.",
     )
     .unwrap();
-    let engine =
-        Engine::with_options(Arc::clone(&vocab), &program, EngineOptions::traced()).unwrap();
+    let engine = Engine::new(Arc::clone(&vocab), &program).unwrap();
     let db = FactStore::from_source(vocab, "p.").unwrap();
     let mut rec = Recording::new(RulePriority::new());
-    let out = engine.park(&db, &mut rec).unwrap();
+    let mut trace = park::engine::Trace::new();
+    let out = engine.park_with_metrics(&db, &mut rec, &mut trace).unwrap();
     assert_eq!(rec.decisions().len(), 1);
     assert_eq!(rec.decisions()[0].resolution, Resolution::Delete);
-    let conflict_events = out
-        .trace
+    let conflict_events = trace
         .events()
         .iter()
         .filter(|e| matches!(e, park::engine::TraceEvent::ConflictResolved { .. }))

@@ -5,18 +5,21 @@
 //! them, the intermediate interpretations, conflicts, and blocked sets.
 
 use park::engine::{
-    Conflict, ConflictResolver, Engine, EngineOptions, Inertia, Resolution, SelectContext,
+    Conflict, ConflictResolver, Engine, Inertia, ParkOutcome, Resolution, SelectContext, Trace,
+    TraceEvent,
 };
 use park::policies::RulePriority;
 use park::prelude::*;
 
 fn engine(rules: &str, vocab: &std::sync::Arc<Vocabulary>) -> Engine {
-    Engine::with_options(
-        std::sync::Arc::clone(vocab),
-        &parse_program(rules).unwrap(),
-        EngineOptions::traced(),
-    )
-    .unwrap()
+    Engine::new(std::sync::Arc::clone(vocab), &parse_program(rules).unwrap()).unwrap()
+}
+
+/// Run under inertia with a [`Trace`] sink.
+fn traced(eng: &Engine, db: &FactStore) -> (ParkOutcome, Trace) {
+    let mut trace = Trace::new();
+    let out = eng.park_with_metrics(db, &mut Inertia, &mut trace).unwrap();
+    (out, trace)
 }
 
 fn db(vocab: &std::sync::Arc<Vocabulary>, facts: &str) -> FactStore {
@@ -191,13 +194,13 @@ fn e7a_section5_inertia() {
         "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
         &vocab,
     );
-    let out = eng.park(&db(&vocab, "p."), &mut Inertia).unwrap();
+    let (out, trace) = traced(&eng, &db(&vocab, "p."));
     assert_eq!(out.database.to_string(), "{a, b, p}");
     assert_eq!(out.blocked_display(), vec!["(r2)", "(r5)"]);
     assert_eq!(out.interpretation.display(), "{+a, +b, p, -q}");
     assert_eq!(out.stats.restarts, 2);
     // The trace reproduces the paper's two inconsistencies on q.
-    let rendered = out.trace.render();
+    let rendered = trace.render();
     assert_eq!(rendered.matches("inconsistent: q").count(), 2, "{rendered}");
 }
 
@@ -249,13 +252,12 @@ fn e7a_step_listing_matches_paper() {
         "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
         &vocab,
     );
-    let out = eng.park(&db(&vocab, "p."), &mut Inertia).unwrap();
-    let steps: Vec<(u64, u64, String)> = out
-        .trace
+    let (_, trace) = traced(&eng, &db(&vocab, "p."));
+    let steps: Vec<(u64, u64, String)> = trace
         .events()
         .iter()
         .filter_map(|e| match e {
-            park::engine::TraceEvent::Step {
+            TraceEvent::Step {
                 run, step, interp, ..
             } => Some((*run, *step, interp.clone())),
             _ => None,
@@ -276,12 +278,11 @@ fn e7a_step_listing_matches_paper() {
         ]
     );
     // The paper's inconsistent states (2) and (5) appear as detections.
-    let inconsistencies: Vec<u64> = out
-        .trace
+    let inconsistencies: Vec<u64> = trace
         .events()
         .iter()
         .filter_map(|e| match e {
-            park::engine::TraceEvent::Inconsistent { run, .. } => Some(*run),
+            TraceEvent::Inconsistent { run, .. } => Some(*run),
             _ => None,
         })
         .collect();
@@ -298,9 +299,9 @@ fn e2_first_run_steps() {
         "r1: p -> +q. r2: p -> -a. r3: q -> +a. r4: !a -> +r. r5: a -> +s.",
         &vocab,
     );
-    let out = eng.park(&db(&vocab, "p."), &mut Inertia).unwrap();
-    let first_step = out.trace.events().iter().find_map(|e| match e {
-        park::engine::TraceEvent::Step {
+    let (out, trace) = traced(&eng, &db(&vocab, "p."));
+    let first_step = trace.events().iter().find_map(|e| match e {
+        TraceEvent::Step {
             run: 1,
             step: 1,
             interp,

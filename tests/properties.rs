@@ -69,11 +69,27 @@ fn run_park(
     options: EngineOptions,
     policy: &mut dyn park::engine::ConflictResolver,
 ) -> park::engine::ParkOutcome {
+    run_park_into(
+        rules,
+        facts,
+        options,
+        policy,
+        &mut park::engine::NoopMetrics,
+    )
+}
+
+fn run_park_into(
+    rules: &str,
+    facts: &str,
+    options: EngineOptions,
+    policy: &mut dyn park::engine::ConflictResolver,
+    sink: &mut dyn park::engine::MetricsSink,
+) -> park::engine::ParkOutcome {
     let vocab = Vocabulary::new();
     let engine =
         Engine::with_options(Arc::clone(&vocab), &parse_program(rules).unwrap(), options).unwrap();
     let db = FactStore::from_source(vocab, facts).unwrap();
-    engine.park(&db, policy).unwrap()
+    engine.park_with_metrics(&db, policy, sink).unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -275,10 +291,11 @@ proptest! {
         facts in arb_database(),
     ) {
         let mut oracle = RecordingOracle { calls: Vec::new() };
-        let warm = run_park(&rules, &facts, EngineOptions::traced(), &mut oracle);
+        let mut trace = park::engine::Trace::new();
+        let warm = run_park_into(&rules, &facts, EngineOptions::default(), &mut oracle, &mut trace);
         let db = FactStore::from_source(Arc::clone(warm.program.vocab()), facts.as_str())
             .unwrap();
-        let cold = runs_match_restarts_from_d(&warm, &db);
+        let cold = runs_match_restarts_from_d(&warm, &trace, &db);
         prop_assert!(cold.is_ok(), "{:?}: {}", cold, &rules);
         prop_assert_eq!(oracle.calls.len() as u64, warm.stats.conflicts_resolved);
         if warm.stats.restarts > 0 {
@@ -632,6 +649,7 @@ fn cold_run(
 /// the last run, its fixpoint.
 fn runs_match_restarts_from_d(
     out: &park::engine::ParkOutcome,
+    trace: &park::engine::Trace,
     db: &FactStore,
 ) -> Result<(), String> {
     use park::engine::TraceEvent;
@@ -642,7 +660,7 @@ fn runs_match_restarts_from_d(
         .collect();
     let mut blocked = BlockedSet::new();
     let mut cold: Vec<String> = Vec::new();
-    for event in out.trace.events() {
+    for event in trace.events() {
         let (run, at, interp) = match event {
             TraceEvent::RunStarted { .. } => {
                 cold = cold_run(&out.program, &blocked, db);
