@@ -533,7 +533,8 @@ fn c8_c11_certificate_and_incremental() {
             .run(&db, &UpdateSet::empty(), &mut Inertia)
             .expect("PARK terminates");
         let base = settle.database.clone();
-        let warm0 = WarmState::build(engine.program(), settle).expect("C9 warm state builds");
+        let warm0 = WarmState::build(engine.program(), settle.database, &settle.blocked)
+            .expect("C9 warm state builds");
         let facts_n = base.len();
         const K: usize = 8;
         let chain: Vec<UpdateSet> = (0..K)
@@ -634,7 +635,8 @@ fn c8_c11_certificate_and_incremental() {
             .run(&db, &UpdateSet::empty(), &mut Inertia)
             .expect("PARK terminates");
         let base = settle.database.clone();
-        let warm0 = WarmState::build(engine.program(), settle).expect("C11 warm state builds");
+        let warm0 = WarmState::build(engine.program(), settle.database, &settle.blocked)
+            .expect("C11 warm state builds");
         let facts_n = base.len();
         const K: usize = 8;
         let chain: Vec<UpdateSet> = (0..K)

@@ -23,10 +23,34 @@ fn write(dir: &Path, name: &str, contents: &str) -> PathBuf {
     path
 }
 
-fn tempdir(tag: &str) -> PathBuf {
+/// A fresh directory under the system temp dir, removed with everything in
+/// it when the guard drops, on success and on a failed assertion alike.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tempdir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("park-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 /// Run one full `park serve` session over stdin/stdout.

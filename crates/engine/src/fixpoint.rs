@@ -1,6 +1,11 @@
 //! The PARK evaluation loop: the transition operator Δ iterated to its
 //! fixpoint ω, followed by `incorp` (Sections 4.2–4.3).
 //!
+//! [`Engine::run`] leaves `D` to its caller and returns `incorp(int(ω))`
+//! as a copy-on-write clone of it. [`Engine::evaluate`] stops at `int(ω)`,
+//! for a caller that owns `D` and commits the result in its place
+//! ([`Evaluation::incorporate`]).
+//!
 //! ```text
 //! PARK(D, P, U) = incorp(int(ω_{P_U}(⟨∅, D⟩)))
 //! ```
@@ -24,7 +29,8 @@ use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
 use crate::lower::LoweredProgram;
 use crate::metrics::{
-    FinishEvent, MetricsSink, ReplayEvent, RestartEvent, StepEvent, StepOutcome, StorageCounters,
+    FinishEvent, MetricsSink, NoopMetrics, ReplayEvent, RestartEvent, StepEvent, StepOutcome,
+    StorageCounters,
 };
 use crate::options::{EngineOptions, ResolutionScope};
 use crate::replay::{Replayer, StepLog};
@@ -54,6 +60,85 @@ impl ParkOutcome {
     /// The blocked groundings rendered in the paper's notation, sorted.
     pub fn blocked_display(&self) -> Vec<String> {
         self.blocked.display(&self.program)
+    }
+}
+
+/// A finished PARK evaluation whose final interpretation is not yet
+/// incorporated: what [`Engine::evaluate`] hands a caller that owns `D`
+/// and commits `PARK(D, P, U)` in its place.
+///
+/// The base zone of `interpretation` is `D` itself, sharing every shard
+/// with the caller's store. A caller that releases its own handle first
+/// has [`Evaluation::incorporate`] write the marks in place, copying no
+/// shard.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// The final i-interpretation `int(ω)` (consistent by construction).
+    pub interpretation: IInterpretation,
+    /// The final blocked set `B`.
+    pub blocked: BlockedSet,
+    /// The program actually evaluated (`P_U` when updates were supplied).
+    pub program: CompiledProgram,
+    /// Evaluation counters.
+    pub stats: RunStats,
+    finish: FinishContext,
+}
+
+impl Evaluation {
+    /// The blocked groundings rendered in the paper's notation, sorted.
+    pub fn blocked_display(&self) -> Vec<String> {
+        self.blocked.display(&self.program)
+    }
+
+    /// `PARK(D, P, U) = incorp(int(ω))` by
+    /// [`IInterpretation::into_incorp`], then the run's finish event into
+    /// `sink`, which must be the sink [`Engine::evaluate`] was given.
+    /// Returns the new state and the blocked set.
+    pub fn incorporate(self, sink: &mut dyn MetricsSink) -> (FactStore, BlockedSet) {
+        let Evaluation {
+            interpretation,
+            blocked,
+            program,
+            stats,
+            finish,
+        } = self;
+        let database = interpretation.into_incorp();
+        finish.report(sink, &program, &blocked, &stats, &database);
+        (database, blocked)
+    }
+}
+
+/// What a metered run's finish event needs besides the run's results.
+#[derive(Debug)]
+struct FinishContext {
+    options: EngineOptions,
+    policy: String,
+    /// The storage counters when evaluation started; `None` for an
+    /// unmetered run, which reports no finish event.
+    storage_at_start: Option<StorageCounters>,
+}
+
+impl FinishContext {
+    fn report(
+        &self,
+        sink: &mut dyn MetricsSink,
+        program: &CompiledProgram,
+        blocked: &BlockedSet,
+        stats: &RunStats,
+        database: &FactStore,
+    ) {
+        let Some(start) = self.storage_at_start else {
+            return;
+        };
+        sink.finish(&FinishEvent {
+            program,
+            blocked,
+            stats,
+            options: &self.options,
+            policy: &self.policy,
+            database,
+            storage: StorageCounters::now().delta_since(start),
+        });
     }
 }
 
@@ -122,7 +207,7 @@ impl Engine {
         updates: &UpdateSet,
         resolver: &mut dyn ConflictResolver,
     ) -> EngineResult<ParkOutcome> {
-        self.run_inner(db, updates, resolver, None)
+        self.run_with_metrics(db, updates, resolver, &mut NoopMetrics)
     }
 
     /// [`Engine::run`] with evaluation events reported into `sink` (see
@@ -137,17 +222,39 @@ impl Engine {
         resolver: &mut dyn ConflictResolver,
         sink: &mut dyn MetricsSink,
     ) -> EngineResult<ParkOutcome> {
-        let sink = sink.enabled().then_some(sink);
-        self.run_inner(db, updates, resolver, sink)
+        let Evaluation {
+            interpretation,
+            blocked,
+            program,
+            stats,
+            finish,
+        } = self.evaluate(db, updates, resolver, sink)?;
+        // The caller keeps `D`: incorporation copies the shards it writes.
+        let database = interpretation.incorp();
+        finish.report(sink, &program, &blocked, &stats, &database);
+        Ok(ParkOutcome {
+            database,
+            interpretation,
+            blocked,
+            program,
+            stats,
+        })
     }
 
-    fn run_inner(
+    /// Evaluate `int(ω)` of `PARK(D, P, U)` without incorporating it, for a
+    /// caller that owns `db` and commits the result in its place (see
+    /// [`Evaluation`]). `db` is only read: a failing or panicking
+    /// evaluation leaves it as it was. The sink is consulted as by
+    /// [`Engine::run_with_metrics`]; its finish event is reported by
+    /// [`Evaluation::incorporate`].
+    pub fn evaluate(
         &self,
         db: &FactStore,
         updates: &UpdateSet,
         resolver: &mut dyn ConflictResolver,
-        mut sink: Option<&mut dyn MetricsSink>,
-    ) -> EngineResult<ParkOutcome> {
+        sink: &mut dyn MetricsSink,
+    ) -> EngineResult<Evaluation> {
+        let mut sink = sink.enabled().then_some(sink);
         assert!(
             Arc::ptr_eq(db.vocab(), self.program.vocab()),
             "database and program must share one Vocabulary"
@@ -184,11 +291,7 @@ impl Engine {
         // Storage counters are process-wide monotonic atomics; the finish
         // event reports the delta over this evaluation. Unmetered runs skip
         // the reads entirely (the zero-overhead contract).
-        let storage_at_start = if metered {
-            StorageCounters::now()
-        } else {
-            StorageCounters::default()
-        };
+        let storage_at_start = metered.then(StorageCounters::now);
         // Restarts replay the previous run's firing log against the grown
         // blocked set (see `crate::replay`).
         let mut replayer: Option<Replayer> = None;
@@ -455,26 +558,21 @@ impl Engine {
         };
 
         debug_assert!(final_interp.is_consistent());
+        // Release this run's handle on `D`'s shards, so that a caller who
+        // owns `D` and drops its own incorporates in place.
+        drop(seed_db);
         stats.blocked_instances = blocked.len() as u64;
         stats.elapsed = started.elapsed();
-        let database = final_interp.incorp();
-        if let Some(s) = sink.as_mut() {
-            s.finish(&FinishEvent {
-                program: &working,
-                blocked: &blocked,
-                stats: &stats,
-                options: &self.options,
-                policy: &policy_name,
-                database: &database,
-                storage: StorageCounters::now().delta_since(storage_at_start),
-            });
-        }
-        Ok(ParkOutcome {
-            database,
+        Ok(Evaluation {
             interpretation: final_interp,
             blocked,
             program: working,
             stats,
+            finish: FinishContext {
+                options: self.options,
+                policy: policy_name,
+                storage_at_start,
+            },
         })
     }
 }

@@ -58,7 +58,6 @@
 
 use crate::bytecode::{self, fire_all_lowered, ZoneLens};
 use crate::compile::{CompiledLiteral, CompiledProgram, LitKind, RuleId};
-use crate::fixpoint::ParkOutcome;
 use crate::grounding::BlockedSet;
 use crate::interp::IInterpretation;
 use crate::lower::{lower, LoweredProgram};
@@ -167,11 +166,11 @@ pub fn certify_incremental(program: &CompiledProgram) -> bool {
 }
 
 /// What one warm transaction observed — the same surface a cold
-/// [`ParkOutcome`] would yield for the fragment: the committed additions and
-/// removals (sorted as [`FactStore::diff`] sorts them) and the
-/// mode-independent counters. `blocked`, restarts, and conflicts are
-/// structurally empty/zero on the warm path (a would-be conflict bails to
-/// cold instead).
+/// [`ParkOutcome`](crate::ParkOutcome) would yield for the fragment: the
+/// committed additions and removals (sorted as [`FactStore::diff`] sorts
+/// them) and the mode-independent counters. `blocked`, restarts, and
+/// conflicts are structurally empty/zero on the warm path (a would-be
+/// conflict bails to cold instead).
 #[derive(Debug, Clone)]
 pub struct IncrementalReport {
     /// Facts added to the committed state, sorted by rendered fact.
@@ -208,24 +207,19 @@ impl WarmState {
     /// Build a warm state over a finished cold run's committed state, which
     /// it takes by value and becomes the only owner of. Hands the state back
     /// untouched but for added indexes when the run cannot seed one: a run
-    /// that blocked groundings has consequences the warm invariant cannot
-    /// represent.
+    /// that blocked groundings (`blocked` is its final blocked set) has
+    /// consequences the warm invariant cannot represent.
     ///
     /// The invariant is established by one compiled full pass of every rule
     /// against `⟨∅, S⟩`, the pass that also revalidates strata at commit:
     /// at a blocked-free PARK fixpoint every valid-grounding head is in `S`;
     /// a deleting or escaping head means the outcome is not one (e.g. an
     /// uncertified program mid-chain) and cannot seed a warm state.
-    pub fn build(program: &CompiledProgram, outcome: ParkOutcome) -> Result<WarmState, FactStore> {
-        let ParkOutcome {
-            database,
-            blocked,
-            interpretation,
-            ..
-        } = outcome;
-        // The run's final interpretation shares shards with `database`:
-        // release them first, so the index builds below write in place.
-        drop(interpretation);
+    pub fn build(
+        program: &CompiledProgram,
+        database: FactStore,
+        blocked: &BlockedSet,
+    ) -> Result<WarmState, FactStore> {
         if !blocked.is_empty() {
             return Err(database);
         }
@@ -631,7 +625,7 @@ mod tests {
     use super::*;
     use crate::compile::IndexRequest;
     use crate::conflict::Inertia;
-    use crate::fixpoint::Engine;
+    use crate::fixpoint::{Engine, ParkOutcome};
     use crate::metrics::NoopMetrics;
     use crate::options::EngineOptions;
     use park_storage::Vocabulary;
@@ -655,6 +649,11 @@ mod tests {
             .unwrap()
     }
 
+    /// A warm state over a cold run's outcome.
+    fn seed(engine: &Engine, out: ParkOutcome) -> Result<WarmState, FactStore> {
+        WarmState::build(engine.program(), out.database, &out.blocked)
+    }
+
     fn updates(db: &FactStore, src: &str) -> UpdateSet {
         UpdateSet::from_source(db.vocab(), src).unwrap()
     }
@@ -667,7 +666,7 @@ mod tests {
         assert!(certify_incremental(engine.program()));
         let settle = cold(&engine, &db, &UpdateSet::empty());
         let mut cold_state = settle.database.clone();
-        let mut warm = WarmState::build(engine.program(), settle).expect("warm state builds");
+        let mut warm = seed(&engine, settle).expect("warm state builds");
         for (i, tx) in txs.iter().enumerate() {
             let u = updates(&cold_state, tx);
             let out = cold(&engine, &cold_state, &u);
@@ -808,7 +807,7 @@ mod tests {
     fn deleting_a_derived_fact_bails_to_cold() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let mut warm = seed(&engine, settle).unwrap();
         // q(a) is program-derived: deleting it is a PARK conflict only the
         // policy can resolve — the warm path must refuse.
         let u = updates(warm.state(), "-q(a).");
@@ -819,7 +818,7 @@ mod tests {
     fn insert_delete_clash_in_one_update_set_bails() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let mut warm = seed(&engine, settle).unwrap();
         let u = updates(warm.state(), "+z(k). -z(k).");
         assert!(warm.transact(engine.program(), &u).is_none());
     }
@@ -828,7 +827,7 @@ mod tests {
     fn deriving_a_deleted_fact_bails() {
         let (engine, db) = setup("trig(X) -> +q(X).", "q0(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let mut warm = seed(&engine, settle).unwrap();
         // +trig(a) derives q(a) while -q(a) is marked: cold resolves the
         // conflict through the policy; warm refuses.
         let u = updates(warm.state(), "+trig(a). -q(a).");
@@ -847,7 +846,7 @@ mod tests {
     fn noop_transaction_touches_nothing_and_counts_like_cold() {
         let (engine, db) = setup("p(X) -> +q(X).", "p(a).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let mut warm = seed(&engine, settle).unwrap();
         let before = warm.state().sorted_display();
         let report = warm
             .transact(engine.program(), &UpdateSet::empty())
@@ -859,7 +858,7 @@ mod tests {
         // A program with no valid grounding fixpoints in one step.
         let (engine2, db2) = setup("z(X) -> +q(X).", "p(a).");
         let settle2 = cold(&engine2, &db2, &UpdateSet::empty());
-        let mut warm2 = WarmState::build(engine2.program(), settle2).unwrap();
+        let mut warm2 = seed(&engine2, settle2).unwrap();
         let report2 = warm2
             .transact(engine2.program(), &UpdateSet::empty())
             .unwrap();
@@ -873,7 +872,7 @@ mod tests {
         // byte-identically afterwards.
         let out = cold(&engine, &db, &updates(&db, "-q(b)."));
         let out_state = out.database.clone();
-        let mut warm = WarmState::build(engine.program(), out).expect("deletion run seeds");
+        let mut warm = seed(&engine, out).expect("deletion run seeds");
         let u = updates(warm.state(), "+p(c).");
         let next = cold(&engine, &out_state, &u);
         let report = warm.transact(engine.program(), &u).unwrap();
@@ -882,13 +881,13 @@ mod tests {
         assert!(warm.state().same_facts(&next.database));
         // A plain `Engine::run` outcome seeds one too.
         let plain = engine.run(&db, &UpdateSet::empty(), &mut Inertia).unwrap();
-        assert!(WarmState::build(engine.program(), plain).is_ok());
+        assert!(seed(&engine, plain).is_ok());
         // A blocked run cannot: the blocked set is not representable.
         let (engine3, db3) = setup("p(X) -> +q(X). p(X) -> -q(X).", "p(a).");
         let blocked_run = cold(&engine3, &db3, &UpdateSet::empty());
         assert!(!blocked_run.blocked.is_empty());
         let blocked_state = blocked_run.database.sorted_display();
-        let handed_back = WarmState::build(engine3.program(), blocked_run).unwrap_err();
+        let handed_back = seed(&engine3, blocked_run).unwrap_err();
         assert_eq!(handed_back.sorted_display(), blocked_state);
     }
 
@@ -904,7 +903,7 @@ mod tests {
             "s1(a0, b0). s1(a1, b1). s1(a2, b2). s2(a0).",
         );
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let mut warm = seed(&engine, settle).unwrap();
         let s1 = engine.program().vocab().lookup_pred("s1").unwrap();
         let col0 = park_storage::ColumnMask::from_cols([0]);
         let base_s1 = IndexRequest {
@@ -929,7 +928,7 @@ mod tests {
         // then bail and compare the handed-back rows position by position.
         let (engine, db) = setup("e(X, Y) -> +r(X, Y).", "e(a, b). e(b, c). e(c, d).");
         let settle = cold(&engine, &db, &UpdateSet::empty());
-        let mut warm = WarmState::build(engine.program(), settle).unwrap();
+        let mut warm = seed(&engine, settle).unwrap();
         for tx in ["-e(a, b).", "+e(d, e).", "-e(zz, zz)."] {
             let u = updates(warm.state(), tx);
             warm.transact(engine.program(), &u).expect("stays warm");

@@ -12,7 +12,7 @@
 
 use crate::validity::MarkZone;
 use park_storage::store::FactList;
-use park_storage::{Code, FactStore, PredId, Tuple, Vocabulary};
+use park_storage::{Code, ColumnMask, FactStore, PredId, Tuple, Vocabulary};
 use park_syntax::Sign;
 use std::fmt;
 use std::sync::Arc;
@@ -142,20 +142,46 @@ impl IInterpretation {
     /// The `incorp` operator of Section 4.2:
     /// `incorp(I) = (I° ∪ {a | +a ∈ I⁺}) − {a | -a ∈ I⁻}`.
     ///
+    /// For a caller that keeps `I°`: the result is a copy-on-write clone,
+    /// so exactly the shards the marked zones write are copied. A caller
+    /// that commits the result in place of `I°` uses
+    /// [`IInterpretation::into_incorp`] instead.
+    pub fn incorp(&self) -> FactStore {
+        self.clone().into_incorp()
+    }
+
+    /// [`IInterpretation::incorp`] written into the base zone itself. A
+    /// shard the base zone holds the only handle on is written in place; a
+    /// shared one is copied, exactly as `incorp` copies it.
+    ///
     /// Defined for consistent i-interpretations; the order of operations
     /// makes the overlap cases deterministic regardless (`-` wins over an
-    /// unmarked atom, `+` of an absent atom adds it).
-    pub fn incorp(&self) -> FactStore {
-        // The clone is copy-on-write: only shards the marked zones touch
-        // are ever copied.
-        let mut out = self.base.clone();
-        for (p, r) in self.plus.iter_rows() {
-            out.insert_row(p, r);
+    /// unmarked atom, `+` of an absent atom adds it), and both entry points
+    /// leave the rows in the same order. A removal invalidates its shard's
+    /// secondary indexes; the ones current before it are rebuilt in place,
+    /// so the next run over the result does not copy the shard to rebuild
+    /// them.
+    pub fn into_incorp(self) -> FactStore {
+        let IInterpretation {
+            mut base,
+            plus,
+            minus,
+        } = self;
+        for (p, r) in plus.iter_rows() {
+            base.insert_row(p, r);
         }
-        for (p, r) in self.minus.iter_rows() {
-            out.remove_row(p, r);
+        let indexed: Vec<(PredId, ColumnMask)> = minus
+            .nonempty_preds()
+            .filter_map(|p| base.relation(p).map(|rel| (p, rel)))
+            .flat_map(|(p, rel)| rel.indexed_masks().map(move |mask| (p, mask)))
+            .collect();
+        for (p, r) in minus.iter_rows() {
+            base.remove_row(p, r);
         }
-        out
+        for (p, mask) in indexed {
+            base.ensure_index(p, mask);
+        }
+        base
     }
 
     /// `self.base().diff(&self.incorp())` of a consistent `I` at O(marks)

@@ -71,7 +71,7 @@ pub use conflict::{
     collect_conflicts, Conflict, ConflictResolver, Inertia, Resolution, SelectContext,
 };
 pub use error::{EngineError, EngineResult};
-pub use fixpoint::{Engine, ParkOutcome};
+pub use fixpoint::{Engine, Evaluation, ParkOutcome};
 pub use gamma::{fire_all, FiredAction};
 pub use grounding::{BlockedSet, Grounding};
 pub use incremental::{

@@ -67,7 +67,8 @@ fn warm_db(n: usize) -> (CompiledProgram, WarmState) {
     assert!(certify_incremental(engine.program()));
     let db = FactStore::from_source(vocab, &src).unwrap();
     let settle = engine.run(&db, &UpdateSet::empty(), &mut Inertia).unwrap();
-    let warm = WarmState::build(engine.program(), settle).expect("warm state builds");
+    let warm = WarmState::build(engine.program(), settle.database, &settle.blocked)
+        .expect("warm state builds");
     (engine.program().clone(), warm)
 }
 

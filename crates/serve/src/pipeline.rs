@@ -655,8 +655,7 @@ mod tests {
             let snap = park::storage::Snapshot::from_json(&std::fs::read_to_string(&path).unwrap())
                 .unwrap();
             assert_eq!(snap.len(), facts);
-            let _ = std::fs::remove_file(&path);
         }
-        let _ = std::fs::remove_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

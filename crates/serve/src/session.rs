@@ -647,7 +647,7 @@ mod tests {
             doc.get("rows").and_then(|j| j.as_array()).map(|a| a.len()),
             Some(1)
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn open_reach(incremental: bool) -> DbSession {

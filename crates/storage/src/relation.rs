@@ -362,14 +362,19 @@ impl Relation {
         self.rows.len() * std::mem::size_of::<Code>()
     }
 
+    /// The masks of the current (non-stale) secondary indexes.
+    pub fn indexed_masks(&self) -> impl Iterator<Item = ColumnMask> + '_ {
+        self.indexes
+            .iter()
+            .filter(|(_, e)| e.built_at == self.generation)
+            .map(|(&mask, _)| mask)
+    }
+
     /// Number of secondary indexes currently materialized (stale retained
     /// entries awaiting rebuild are not counted, and neither are the
     /// row-hash buckets full masks probe through).
     pub fn index_count(&self) -> usize {
-        self.indexes
-            .values()
-            .filter(|e| e.built_at == self.generation)
-            .count()
+        self.indexed_masks().count()
     }
 }
 

@@ -109,6 +109,14 @@ impl FactStore {
         Arc::make_mut(arc)
     }
 
+    /// Whether the shard for `pred` exists and another store shares it, so
+    /// that writing it would copy it.
+    fn is_shared(&self, pred: PredId) -> bool {
+        self.rels
+            .get(pred.0 as usize)
+            .is_some_and(|arc| Arc::strong_count(arc) > 1)
+    }
+
     /// The relation for `pred`, if any tuples or indexes were created for it.
     pub fn relation(&self, pred: PredId) -> Option<&Relation> {
         self.rels.get(pred.0 as usize).map(Arc::as_ref)
@@ -125,13 +133,18 @@ impl FactStore {
             });
         }
         let row = self.vocab.encode_tuple(&tuple);
-        Ok(self.rel_mut(pred).insert(&row))
+        Ok(self.insert_row(pred, &row))
     }
 
     /// Insert an encoded row; returns `true` if new. The caller guarantees
     /// the arity (rule heads are arity-checked at compile time).
     pub fn insert_row(&mut self, pred: PredId, row: &[Code]) -> bool {
         debug_assert_eq!(row.len(), self.vocab.pred_arity(pred));
+        // A shared shard is checked through a shared reference first, as
+        // `remove_row` does: a row it already holds never copies it.
+        if self.is_shared(pred) && self.contains_row(pred, row) {
+            return false;
+        }
         self.rel_mut(pred).insert(row)
     }
 

@@ -273,6 +273,20 @@ for prog in examples/data/*.park "$lint_dir"/*.park; do
 done
 rm -rf "$lint_dir"
 
+echo "==> perfbench build, tests and traced smoke run (served frames vs replay)"
+# perfbench is a package of its own and builds against the engine API it
+# uses, so a change to that API fails here rather than in a benchmark run.
+# A traced run checks every served frame against a replay, byte for byte,
+# so a commit that reorders rows fails it. It writes its spans to
+# perfbench/runs/ (ignored by git).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+perf_out="${TMPDIR:-/tmp}/park-perfbench-$$.out"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 1 --seconds 2 --trace 1 > "$perf_out"
+tail -n 1 "$perf_out" | grep -q '"correct":true'
+rm -f "$perf_out"
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 

@@ -7,13 +7,18 @@
 //! the chosen `SELECT` policy and *commits* the result as the new state,
 //! returning a [`TransactionReport`] with the net changes.
 //!
-//! The committed state has exactly one owner. Cold transactions keep it as
-//! a plain [`FactStore`]; in incremental mode the live [`WarmState`] holds
-//! it as its base zone and commits into it in place. Every path that drops
-//! the warm state (a bail, a refused journal append, `invalidate_warm`,
-//! `restore`, `reload`, `compact`, turning incremental mode off) takes the
-//! state back by move with [`WarmState::into_state`]; nothing keeps a
-//! second handle that would make a commit copy the shards it writes.
+//! The committed state has exactly one owner, and both paths commit into
+//! it in place. Cold transactions keep it as a plain [`FactStore`]: they
+//! evaluate from it through a shared reference ([`Engine::evaluate`]),
+//! journal the update set, and only then release the old handle and write
+//! the marks into the evaluation's base zone, which is the state itself
+//! ([`park_engine::Evaluation::incorporate`]). In incremental mode the live
+//! [`WarmState`] holds the state as its base zone and commits into it.
+//! Every path that drops the warm state (a bail, a refused journal append,
+//! `invalidate_warm`, `restore`, `reload`, `compact`, turning incremental
+//! mode off) takes the state back by move with [`WarmState::into_state`];
+//! nothing keeps a second handle that would make a commit copy the shards
+//! it writes.
 //!
 //! ```
 //! use park::db::ActiveDatabase;
@@ -37,7 +42,7 @@
 
 use park_engine::{
     certify_incremental, ConflictResolver, Engine, EngineOptions, EngineResult, IncrementalReport,
-    MetricsSink, NoopMetrics, ParkOutcome, RunStats, WarmState,
+    MetricsSink, NoopMetrics, RunStats, WarmState,
 };
 use park_storage::{FactStore, Snapshot, StorageError, UpdateSet, Vocabulary};
 use park_syntax::{Program, Sign};
@@ -303,11 +308,7 @@ impl ActiveDatabase {
         if self.incremental {
             return self.transact_incremental(updates, policy, sink);
         }
-        let outcome = self
-            .engine
-            .run_with_metrics(self.state(), updates, policy, sink)?;
-        append_journal(self.journal.as_deref(), self.vocab(), updates)?;
-        Ok(self.commit(outcome, false))
+        self.transact_cold(updates, policy, sink, false)
     }
 
     /// The incremental-mode transaction path: answer from the warm state
@@ -346,10 +347,7 @@ impl ActiveDatabase {
                 }
             }
         }
-        let outcome = self
-            .engine
-            .run_with_metrics(self.state(), updates, policy, sink)?;
-        append_journal(self.journal.as_deref(), self.vocab(), updates)?;
+        let report = self.transact_cold(updates, policy, sink, self.certified_incremental)?;
         self.stats.cold_txs += 1;
         // Attribute the miss: an uncertified program dominates (nothing
         // about this transaction could have gone warm), then a conflicting
@@ -360,7 +358,7 @@ impl ActiveDatabase {
         } else if updates.iter().any(|u| u.sign == Sign::Delete) {
             self.stats.cold_txs_deletion += 1;
         }
-        Ok(self.commit(outcome, self.certified_incremental))
+        Ok(report)
     }
 
     /// Count and render a committed warm transaction.
@@ -401,15 +399,24 @@ impl ActiveDatabase {
         self.transact(&UpdateSet::empty(), policy)
     }
 
-    /// Commit a cold run's outcome as the new state; with `reseed`, hand
-    /// it to a fresh warm state, which owns it from then on.
-    fn commit(&mut self, mut outcome: ParkOutcome, reseed: bool) -> TransactionReport {
+    /// The cold path: evaluate `PARK(S, P, U)` from `S`, journal `U`, then
+    /// commit `incorp(int(ω))` into `S` in place; with `reseed`, hand the
+    /// new state to a fresh warm state, which owns it from then on.
+    ///
+    /// The evaluation only reads `S` and the journal append is the last
+    /// step that can fail, so a failing (or panicking) transaction leaves
+    /// `S` exactly as it was, rows in their order.
+    fn transact_cold(
+        &mut self,
+        updates: &UpdateSet,
+        policy: &mut dyn ConflictResolver,
+        sink: &mut dyn MetricsSink,
+        reseed: bool,
+    ) -> EngineResult<TransactionReport> {
+        let evaluation = self.engine.evaluate(self.state(), updates, policy, sink)?;
+        append_journal(self.journal.as_deref(), self.vocab(), updates)?;
         self.transactions += 1;
-        let (added, removed) = outcome.interpretation.incorp_diff();
-        debug_assert_eq!(
-            (added.clone(), removed.clone()),
-            self.state().diff(&outcome.database)
-        );
+        let (added, removed) = evaluation.interpretation.incorp_diff();
         let vocab = self.vocab();
         let render = |xs: &[(park_storage::PredId, park_storage::Tuple)]| -> Vec<String> {
             xs.iter().map(|(p, t)| vocab.display_fact(*p, t)).collect()
@@ -418,22 +425,38 @@ impl ActiveDatabase {
             number: self.transactions,
             added: render(&added),
             removed: render(&removed),
-            blocked: outcome.blocked_display(),
-            stats: std::mem::take(&mut outcome.stats),
+            blocked: evaluation.blocked_display(),
+            stats: evaluation.stats.clone(),
         };
-        // Release the old state before seeding: it shares every shard the
-        // transaction left alone with the outcome, and the warm state's
-        // first write to such a shard would copy it.
+        // The reference for the state after the commit, holding no second
+        // handle on its shards: the marks and the expected fact count.
+        #[cfg(debug_assertions)]
+        let expected = (
+            self.state().len() + added.len() - removed.len(),
+            evaluation.interpretation.plus().clone(),
+            evaluation.interpretation.minus().clone(),
+        );
+        // Release the old state first: the evaluation's base zone shares
+        // every shard with it, and incorporating into a shared shard would
+        // copy it.
         drop(self.committed.take());
+        let (state, blocked) = evaluation.incorporate(sink);
+        #[cfg(debug_assertions)]
+        {
+            let (len, plus, minus) = expected;
+            assert_eq!(state.len(), len, "committed fact count");
+            assert!(plus.iter_rows().all(|(p, r)| state.contains_row(p, r)));
+            assert!(minus.iter_rows().all(|(p, r)| !state.contains_row(p, r)));
+        }
         self.committed = if reseed {
-            match WarmState::build(self.engine.program(), outcome) {
+            match WarmState::build(self.engine.program(), state, &blocked) {
                 Ok(warm) => Committed::Warm(warm),
                 Err(state) => Committed::Cold(state),
             }
         } else {
-            Committed::Cold(outcome.database)
+            Committed::Cold(state)
         };
-        report
+        Ok(report)
     }
 
     /// Evaluate a conjunctive query (e.g. `"?- emp(X), !active(X)."`)
@@ -581,6 +604,33 @@ mod tests {
         ActiveDatabase::open(&program, initial).unwrap()
     }
 
+    /// A fresh directory under the system temp dir, removed with everything
+    /// in it when the guard drops, on success and on a failed assertion
+    /// alike.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("park-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn transactions_commit_and_report_changes() {
         let mut db = payroll_db();
@@ -633,6 +683,135 @@ mod tests {
         assert!(db.settle(&mut Inertia).is_ok());
     }
 
+    /// A non-incremental database whose `+p(X)` transactions conflict
+    /// twice: on `q(X)`, and, once the insertion wins, on `r` of X's
+    /// successor. Its 40-row `e` is probed on column 0, so the runs build
+    /// base indexes.
+    fn two_conflict_db() -> ActiveDatabase {
+        let program = parse_program(
+            "a: p(X) -> +q(X). b: p(X) -> -q(X).
+             c: q(X), e(X, Y) -> +r(Y). d: q(X), e(X, Y) -> -r(Y).",
+        )
+        .unwrap();
+        let facts: String = (0..40).map(|i| format!("e(n{i}, n{}). ", i + 1)).collect();
+        let initial = FactStore::from_source(Vocabulary::new(), &facts).unwrap();
+        ActiveDatabase::open(&program, initial).unwrap()
+    }
+
+    /// The committed rows in storage order.
+    fn rows_in_order(db: &ActiveDatabase) -> Vec<String> {
+        let state = db.state();
+        state
+            .iter_rows()
+            .map(|(p, r)| state.vocab().display_row(p, r))
+            .collect()
+    }
+
+    /// Decides its first conflict for the insertion, then fails, or
+    /// panics.
+    struct FailsOnSecond {
+        calls: u32,
+        panic: bool,
+    }
+
+    impl ConflictResolver for FailsOnSecond {
+        fn name(&self) -> &str {
+            "fails-on-second"
+        }
+        fn select(
+            &mut self,
+            _: &park_engine::SelectContext<'_>,
+            _: &park_engine::Conflict,
+        ) -> Result<park_engine::Resolution, String> {
+            self.calls += 1;
+            match (self.calls, self.panic) {
+                (1, _) => Ok(park_engine::Resolution::Insert),
+                (_, false) => Err("no second answer".to_string()),
+                (_, true) => panic!("the policy panics on its second conflict"),
+            }
+        }
+    }
+
+    /// Run `fail` (which reports whether the transaction it ran failed) on
+    /// `db` twice: on the initial state, and after deletions have reordered
+    /// its rows. Each time the failure must leave the state exactly as on a
+    /// twin database that never ran it, rows in their order, and the next
+    /// transaction must commit as on the twin.
+    fn assert_failure_leaves_the_state(
+        mut db: ActiveDatabase,
+        fail: impl Fn(&mut ActiveDatabase) -> bool,
+    ) {
+        let mut twin = two_conflict_db();
+        let preludes: [&[&str]; 2] = [&[], &["+p(n5).", "-e(n3, n4).", "-e(n0, n1). +e(n3, n4)."]];
+        for prelude in preludes {
+            for tx in prelude {
+                db.transact_source(tx, &mut Inertia).unwrap();
+                twin.transact_source(tx, &mut Inertia).unwrap();
+            }
+            let before = db.state().to_source();
+            assert!(fail(&mut db), "the transaction must fail");
+            assert_eq!(db.transactions(), twin.transactions());
+            assert_eq!(db.state().to_source(), before);
+            assert_eq!(rows_in_order(&db), rows_in_order(&twin));
+            let next = db.transact_source("+p(n7).", &mut Inertia).unwrap();
+            let want = twin.transact_source("+p(n7).", &mut Inertia).unwrap();
+            assert_eq!(
+                (next.number, next.added, next.removed, next.blocked),
+                (want.number, want.added, want.removed, want.blocked)
+            );
+            assert_eq!(rows_in_order(&db), rows_in_order(&twin));
+        }
+    }
+
+    #[test]
+    fn a_refused_journal_append_leaves_the_cold_state_uncommitted() {
+        let dir = TempDir::new("coldjournal");
+        let path = dir.join("cold.journal");
+        let db = two_conflict_db().with_journal(&path);
+        // A directory in the journal's place refuses the append; the
+        // journal itself waits aside.
+        let aside = dir.join("aside.journal");
+        assert_failure_leaves_the_state(db, |db| {
+            let journaled = std::fs::rename(&path, &aside).is_ok();
+            std::fs::create_dir(&path).unwrap();
+            let failed = db.transact_source("+p(n1).", &mut Inertia).is_err();
+            std::fs::remove_dir(&path).unwrap();
+            if journaled {
+                std::fs::rename(&aside, &path).unwrap();
+            }
+            failed
+        });
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(journal.lines().count(), 5, "only committed transactions");
+    }
+
+    #[test]
+    fn a_policy_failing_after_a_restart_leaves_the_state_uncommitted() {
+        assert_failure_leaves_the_state(two_conflict_db(), |db| {
+            let mut policy = FailsOnSecond {
+                calls: 0,
+                panic: false,
+            };
+            let failed = db.transact_source("+p(n1).", &mut policy).is_err();
+            assert_eq!(policy.calls, 2, "the run restarted once before failing");
+            failed
+        });
+    }
+
+    #[test]
+    fn a_panicking_policy_leaves_the_state_uncommitted() {
+        assert_failure_leaves_the_state(two_conflict_db(), |db| {
+            let mut policy = FailsOnSecond {
+                calls: 0,
+                panic: true,
+            };
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                db.transact_source("+p(n1).", &mut policy)
+            }))
+            .is_err()
+        });
+    }
+
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut db = payroll_db();
@@ -646,10 +825,8 @@ mod tests {
 
     #[test]
     fn journal_replay_reconstructs_state() {
-        let dir = std::env::temp_dir().join(format!("park-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("journal");
         let path = dir.join("tx.journal");
-        let _ = std::fs::remove_file(&path);
 
         let program = parse_program(
             "onleave: -active(X) -> +offboard(X).
@@ -675,20 +852,17 @@ mod tests {
         let replayed = ActiveDatabase::replay(&program, initial2, &path, &mut Inertia).unwrap();
         assert_eq!(replayed.state().sorted_display(), final_state);
         assert_eq!(replayed.transactions(), 3);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Replay `journal` (raw bytes) for a two-rule reachability program
     /// over `e(a, b).`, returning the replayed state or the error.
     fn replay_bytes(name: &str, journal: &str) -> EngineResult<Vec<String>> {
-        let dir = std::env::temp_dir().join(format!("park-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new(&format!("torn-{name}"));
         let path = dir.join(name);
         std::fs::write(&path, journal).unwrap();
         let program = parse_program("e(X, Y) -> +r(X, Y).").unwrap();
         let initial = FactStore::from_source(Vocabulary::new(), "e(a, b).").unwrap();
         let replayed = ActiveDatabase::replay(&program, initial, &path, &mut Inertia);
-        let _ = std::fs::remove_file(&path);
         replayed.map(|db| db.state().sorted_display())
     }
 
@@ -973,10 +1147,8 @@ mod tests {
 
     #[test]
     fn incremental_mode_keeps_journaling_replayable() {
-        let dir = std::env::temp_dir().join(format!("park-incjournal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("incjournal");
         let path = dir.join("inc.journal");
-        let _ = std::fs::remove_file(&path);
 
         let mut db = reachability_db(true).with_journal(&path);
         db.transact_source("+e(c, d).", &mut Inertia).unwrap();
@@ -990,15 +1162,12 @@ mod tests {
         let initial = FactStore::from_source(vocab, "e(a, b). e(b, c).").unwrap();
         let replayed = ActiveDatabase::replay(&program, initial, &path, &mut Inertia).unwrap();
         assert_eq!(replayed.state().sorted_display(), final_state);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journal_skips_a_transaction_whose_warm_bail_fails_cold() {
-        let dir = std::env::temp_dir().join(format!("park-bailjournal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("bailjournal");
         let path = dir.join("bail.journal");
-        let _ = std::fs::remove_file(&path);
 
         let mut db = reachability_db(true).with_journal(&path);
         db.transact_source("+e(c, d).", &mut Inertia).unwrap();
@@ -1017,15 +1186,12 @@ mod tests {
         let replayed = ActiveDatabase::replay(&program, initial, &path, &mut Inertia).unwrap();
         assert_eq!(replayed.state().sorted_display(), final_state);
         assert_eq!(replayed.transactions(), db.transactions());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_refused_journal_append_leaves_the_warm_state_uncommitted() {
-        let dir = std::env::temp_dir().join(format!("park-warmjournal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("warmjournal");
         let path = dir.join("warm.journal");
-        let _ = std::fs::remove_file(&path);
 
         let mut db = reachability_db(true).with_journal(&path);
         let mut cold = reachability_db(false);
@@ -1037,7 +1203,7 @@ mod tests {
 
         // The first append fails after a warm propagation, the second after
         // a cold run (the refused warm state was dropped): neither commits.
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&*dir).unwrap();
         let before = db.state().sorted_display();
         let stats = db.incremental_stats();
         for tx in ["+e(e, f).", "-e(a, b)."] {
@@ -1050,7 +1216,7 @@ mod tests {
         // With the journal back, the chain goes on exactly as a cold
         // database runs it, cold first (the warm state was dropped), then
         // warm again.
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&*dir).unwrap();
         for tx in ["+e(e, f).", "-e(a, b).", "+e(f, g)."] {
             let r = db.transact_source(tx, &mut Inertia).unwrap();
             let c = cold.transact_source(tx, &mut Inertia).unwrap();
@@ -1065,7 +1231,6 @@ mod tests {
         assert_eq!(after.incremental_txs, stats.incremental_txs + 1);
         let journal = std::fs::read_to_string(&path).unwrap();
         assert_eq!(journal.lines().count(), 3, "only committed transactions");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An incremental database and its always-cold twin after a chain that

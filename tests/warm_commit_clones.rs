@@ -5,7 +5,8 @@
 //! so no relation shard is shared when it is written and copy-on-write
 //! never copies one. This holds for state-changing inserts, no-op inserts,
 //! partial-stratum deletions, and the first warm insert after a bail and a
-//! reseed.
+//! reseed. The cold runs of the bail and the reseed commit in place too:
+//! the state the bail hands back has one owner.
 //!
 //! The copy-on-write counter is process-wide, so this test has its own
 //! integration-test binary (like `query_in_place.rs`): no other test can
@@ -92,15 +93,14 @@ fn warm_commits_copy_no_shard() {
     );
 
     // Deleting the derived alert(n6) is a PARK conflict: the warm path
-    // bails and the cold run resolves it under the policy. Its blocked
+    // bails and the cold run resolves it under the policy (inertia keeps
+    // the alert, so the state does not change). Its blocked
     // grounding keeps it from reseeding, so the next transaction runs cold
-    // and reseeds. Cold runs may copy shards; the warm insert after them
-    // must not.
-    let (path, _, _) = transact(&mut db, "-alert(n6).");
-    assert_eq!(path, Path::Cold);
+    // and reseeds. Both cold runs commit into the state the bail handed
+    // back, in place, and the warm insert after them copies nothing either.
+    assert_eq!(transact(&mut db, "-alert(n6)."), (Path::Cold, 0, false));
     assert_eq!(db.incremental_stats().cold_txs_deletion, 1);
-    let (path, _, _) = transact(&mut db, "+sensor(f2).");
-    assert_eq!(path, Path::Cold);
+    assert_eq!(transact(&mut db, "+sensor(f2)."), (Path::Cold, 0, true));
     assert_eq!(transact(&mut db, "+sensor(f3)."), (Path::Warm, 0, true));
     assert_eq!(
         transact(&mut db, "-sensor(n8)."),
